@@ -25,6 +25,7 @@ from .models import (
     FeatureModel,
     UncertaintyParams,
     evidence,
+    expected_next,
     interpolate,
     likelihood_ratio,
     posterior_update,
@@ -102,6 +103,7 @@ __all__ = [
     "interpolate",
     "symbol_posteriors",
     "symbol_evidence",
+    "expected_next",
     "RobustBand",
     "BeliefInterval",
     "solve_band",

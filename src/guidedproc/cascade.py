@@ -7,31 +7,36 @@ next stage's on-cost to continue.  Only the last stage may declare state 1.
 The objective is the Bayes detection risk plus ``energy_weight`` times the
 expected per-frame energy.
 
-The solver works backwards over a uniform belief grid.  Stage values are
+A cascade is the detection graph in which every node has one successor,
+so ``solve`` is ``graph.solve_graph`` on the path graph 1 -> 2 -> ... -> K:
+one backward DP over a uniform belief grid serves both.  Stage values are
 piecewise-linear concave in the belief, so the continue region at each
 intermediate stage is an upper interval of beliefs: the policy is a single
-threshold per stage.  Thresholds are reported clamped to each stage's
-admissible posterior interval (the deployed rule); the pre-clamp grid
-thresholds are kept alongside because the risk decomposition must follow the
-optimizer's stop/continue partition on the whole grid, including belief
-values no trajectory can reach.
+threshold per stage.  Ties continue: the threshold is the smallest grid
+belief at which continuing costs no more than stopping, matching the
+deployed rule, which continues when the belief is at or above it.
+Thresholds are reported clamped to each stage's admissible posterior
+interval (the deployed rule); the pre-clamp grid thresholds are kept
+alongside because the risk decomposition must follow the optimizer's
+stop/continue partition on the whole grid, including belief values no
+trajectory can reach.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import InfeasibleBudgetError, ModelFormatError
+from .graph import DetectionGraph, solve_graph
 from .models import (
     BeliefGrid,
     BeliefTable,
     FeatureModel,
     UncertaintyParams,
-    posterior_update,
-    symbol_evidence,
-    symbol_posteriors,
+    expected_next,
 )
 from .robust import (
     BeliefInterval,
@@ -52,6 +57,7 @@ __all__ = [
     "evaluate",
     "calibrate_lambda",
     "check_cascade_optimality",
+    "robustify_stages",
     "build_system",
 ]
 
@@ -93,8 +99,8 @@ class SystemSpec:
             raise ModelFormatError("prior must lie in [0, 1]")
         if (self.energy_weight is None) == (self.energy_budget is None):
             raise ModelFormatError("set exactly one of energy_weight or energy_budget")
-        if self.energy_weight is not None and self.energy_weight < 0.0:
-            raise ModelFormatError("energy_weight must be nonnegative")
+        if self.energy_weight is not None and not 0.0 <= self.energy_weight < math.inf:
+            raise ModelFormatError("energy_weight must be finite and nonnegative")
         for k, st in enumerate(self.stages[1:], start=1):
             if not st.off_cost < st.on_cost:
                 raise ModelFormatError(f"stage {k + 1}: off_cost must be below on_cost")
@@ -160,53 +166,29 @@ def tail_off_costs(stages) -> np.ndarray:
     return tail
 
 
-def _require_weight(spec: SystemSpec) -> float:
+def solve(spec: SystemSpec, grid: BeliefGrid | None = None) -> Policy:
+    """Backward DP over the belief grid; returns the threshold policy.
+
+    Solves the path graph of the stages, then clamps each intermediate
+    threshold to its stage's admissible posterior interval.
+    """
     if spec.energy_weight is None:
         raise ModelFormatError("solve needs energy_weight; use calibrate_lambda for budgets")
-    return float(spec.energy_weight)
-
-
-def solve(spec: SystemSpec, grid: BeliefGrid | None = None) -> Policy:
-    """Backward DP over the belief grid; returns the threshold policy."""
     grid = grid or BeliefGrid()
-    lam = _require_weight(spec)
-    b = grid.points
-    stages = spec.stages
-    K = len(stages)
-    tail = tail_off_costs(stages)
-
-    values: list[np.ndarray] = [np.empty(0)] * K
-    raw = [0.0] * K
-    clamped = [0.0] * K
-
-    v = np.minimum(spec.miss_cost * b, spec.fa_cost * (1.0 - b))
-    values[K - 1] = v
-    raw[K - 1] = clamped[K - 1] = spec.fa_cost / (spec.fa_cost + spec.miss_cost)
-
-    for k in range(K - 2, -1, -1):
-        nxt = stages[k + 1]
-        post = symbol_posteriors(nxt.model, b)
-        ev = symbol_evidence(nxt.model, b)
-        cont = lam * nxt.on_cost + np.sum(ev * np.interp(post, b, v), axis=0)
-        stop = spec.miss_cost * b + lam * tail[k + 1]
-        v = np.minimum(stop, cont)
-        values[k] = v
-
-        below = np.flatnonzero(cont - stop < 0.0)
-        raw[k] = float(b[below[0]]) if below.size else np.inf
-        clamped[k] = min(max(raw[k], stages[k].bounds.lo), stages[k].bounds.hi)
-
-    first = stages[0]
-    post0 = symbol_posteriors(first.model, np.array([spec.prior]))[:, 0]
-    ev0 = symbol_evidence(first.model, np.array([spec.prior]))[:, 0]
-    v0 = lam * first.on_cost + float(np.sum(ev0 * np.interp(post0, b, values[0])))
-
+    lam = float(spec.energy_weight)
+    ids = range(1, spec.n_stages + 1)
+    path = DetectionGraph(
+        nodes=dict(zip(ids, spec.stages)), edges={i: (i + 1,) for i in ids[:-1]}, root=1
+    )
+    gp = solve_graph(path, spec.miss_cost, spec.fa_cost, lam, spec.prior, grid)
+    raw = tuple(gp.stop_thresholds[i] for i in ids)
+    clamped = [min(max(t, st.bounds.lo), st.bounds.hi) for t, st in zip(raw, spec.stages)]
     return Policy(
         grid=grid,
-        thresholds=tuple(clamped),
-        raw_thresholds=tuple(raw),
-        value_tables=tuple(BeliefTable(grid, t) for t in values),
-        v0=v0,
+        thresholds=(*clamped[:-1], raw[-1]),
+        raw_thresholds=raw,
+        value_tables=tuple(gp.value_tables[i] for i in ids),
+        v0=gp.v0,
         energy_weight=lam,
     )
 
@@ -214,10 +196,10 @@ def solve(spec: SystemSpec, grid: BeliefGrid | None = None) -> Policy:
 def evaluate(spec: SystemSpec, policy: Policy) -> RiskReport:
     """Risk decomposition of the fixed policy: no minimization anywhere.
 
-    Four component tables are carried backwards (censoring miss, final miss,
-    final false alarm, raw energy), each following the optimizer's grid
-    stop/continue partition, so that weighted energy plus the three risk
-    parts reproduces the solver's value tables identically.
+    Four component tables are carried backwards as one stack (censoring
+    miss, final miss, final false alarm, raw energy), each following the
+    optimizer's grid stop/continue partition, so that weighted energy plus
+    the three risk parts reproduces the solver's value tables identically.
     """
     grid = policy.grid
     b = grid.points
@@ -226,39 +208,22 @@ def evaluate(spec: SystemSpec, policy: Policy) -> RiskReport:
     K = len(stages)
     tail = tail_off_costs(stages)
 
-    tau_last = policy.thresholds[K - 1]
-    positive = b >= tau_last
-    inter_m = np.zeros_like(b)
+    positive = b >= policy.thresholds[K - 1]
+    zero = np.zeros_like(b)
     final_m = np.where(positive, 0.0, spec.miss_cost * b)
     final_fa = np.where(positive, spec.fa_cost * (1.0 - b), 0.0)
-    energy = np.zeros_like(b)
-
+    tables = np.stack([zero, final_m, final_fa, zero])
     for k in range(K - 2, -1, -1):
         nxt = stages[k + 1]
-        post = symbol_posteriors(nxt.model, b)
-        ev = symbol_evidence(nxt.model, b)
-
-        go = b >= policy.raw_thresholds[k]
-        def carried(table, stop_vals, extra=0.0):
-            cont = extra + np.sum(ev * np.interp(post, b, table), axis=0)
-            return np.where(go, cont, stop_vals)
-
-        inter_m = carried(inter_m, spec.miss_cost * b)
-        final_m = carried(final_m, np.zeros_like(b))
-        final_fa = carried(final_fa, np.zeros_like(b))
-        energy = carried(energy, np.full_like(b, tail[k + 1]), extra=nxt.on_cost)
+        cont = expected_next(nxt.model, grid, tables)
+        cont[3] += nxt.on_cost
+        stop = np.stack([spec.miss_cost * b, zero, zero, np.full_like(b, tail[k + 1])])
+        tables = np.where(b >= policy.raw_thresholds[k], cont, stop)
 
     first = stages[0]
-    post0 = symbol_posteriors(first.model, np.array([spec.prior]))[:, 0]
-    ev0 = symbol_evidence(first.model, np.array([spec.prior]))[:, 0]
-
-    def root(table, extra=0.0):
-        return extra + float(np.sum(ev0 * np.interp(post0, b, table)))
-
-    e = root(energy, extra=first.on_cost)
-    r_inter = root(inter_m)
-    r_final_m = root(final_m)
-    r_final_fa = root(final_fa)
+    at_prior = expected_next(first.model, grid, tables, [spec.prior])[:, 0]
+    r_inter, r_final_m, r_final_fa, e = at_prior.tolist()
+    e += first.on_cost
     return RiskReport(
         total=lam * e + r_inter + r_final_m + r_final_fa,
         inter_miss=r_inter,
@@ -351,24 +316,15 @@ def check_cascade_optimality(spec: SystemSpec, policy: Policy) -> CascadeOptimal
     return CascadeOptimality(tuple(betas), tuple(verdicts))
 
 
-def build_system(
-    models,
-    on_costs,
-    off_costs,
-    miss_cost: float,
-    fa_cost: float,
-    prior: float,
-    uncertainties=None,
-    energy_weight: float | None = None,
-    energy_budget: float | None = None,
-) -> tuple[SystemSpec, tuple[RobustBand, ...]]:
-    """Assemble a cascade from nominal models, robustifying stages 1..K-1.
+def robustify_stages(models, uncertainties, prior: float):
+    """Deployed model, robustness band and admissible belief interval per stage.
 
     Intermediate stages with nonzero uncertainty are replaced by their
     least-favorable versions; the last stage is taken as exact.  Admissible
     belief intervals are propagated from the prior through each deployed
     stage model (the last stage keeps the full interval since its threshold
-    is never clamped).  Returns the spec plus the per-stage bands.
+    is never clamped).  `uncertainties` may be None or hold None entries
+    for exact stages.
     """
     models = list(models)
     K = len(models)
@@ -380,36 +336,46 @@ def build_system(
     if not uncertainties[-1].is_zero:
         raise ModelFormatError("the last stage is exact; its uncertainty must be zero")
 
-    stages = []
-    bands = []
+    out = []
     interval = BeliefInterval.point(prior)
-    for k, (model, u) in enumerate(zip(models, uncertainties)):
-        if k == K - 1:
-            robust_model = model
-            band = solve_band(model, UncertaintyParams())
-            bounds = BeliefInterval.full()
-        else:
-            robust_model, band = least_favorable(model, u)
-            # Bounds must track the deployed (renormalized) model, not the
-            # band ends: the simulator compares beliefs to clamped thresholds
-            # exactly, and the band drifts by the normalization residual.
-            interval = model_posterior_bounds(interval, robust_model)
-            bounds = interval
-        bands.append(band)
-        stages.append(
-            StageSpec(
-                model=robust_model,
-                on_cost=float(on_costs[k]),
-                off_cost=float(off_costs[k]),
-                bounds=bounds,
-            )
+    for model, u in zip(models[:-1], uncertainties):
+        deployed, band = least_favorable(model, u)
+        # Bounds must track the deployed (renormalized) model, not the
+        # band ends: the simulator compares beliefs to clamped thresholds
+        # exactly, and the band drifts by the normalization residual.
+        interval = model_posterior_bounds(interval, deployed)
+        out.append((deployed, band, interval))
+    out.append((models[-1], solve_band(models[-1], UncertaintyParams()), BeliefInterval.full()))
+    return out
+
+
+def build_system(
+    models,
+    on_costs,
+    off_costs,
+    miss_cost: float,
+    fa_cost: float,
+    prior: float,
+    uncertainties=None,
+    energy_weight: float | None = None,
+    energy_budget: float | None = None,
+) -> tuple[SystemSpec, tuple[RobustBand, ...]]:
+    """Assemble a cascade from nominal models, robustifying stages 1..K-1
+    as ``robustify_stages`` does.  Returns the spec plus the per-stage bands.
+    """
+    deployed = robustify_stages(models, uncertainties, prior)
+    stages = tuple(
+        StageSpec(
+            model=model, on_cost=float(on_costs[k]), off_cost=float(off_costs[k]), bounds=bounds
         )
+        for k, (model, _, bounds) in enumerate(deployed)
+    )
     spec = SystemSpec(
-        stages=tuple(stages),
+        stages=stages,
         miss_cost=miss_cost,
         fa_cost=fa_cost,
         prior=prior,
         energy_weight=energy_weight,
         energy_budget=energy_budget,
     )
-    return spec, tuple(bands)
+    return spec, tuple(band for _, band, _ in deployed)

@@ -7,7 +7,8 @@ policy), and compare (sweep the prior and race the cascade against ideal
 and real duty cycling, CSV out).
 
 Exit codes: 0 success, 2 malformed input, 3 infeasible configuration,
-4 numerical failure.  GUIDEDPROC_THREADS>1 parallelizes compare rows.
+4 numerical failure.  GUIDEDPROC_THREADS=N (a positive integer) runs
+compare rows in up to N worker processes, at most one per row and per CPU.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .cascade import (
     calibrate_lambda,
     check_cascade_optimality,
     evaluate,
+    robustify_stages,
     solve,
 )
 from .dutycycle import DutyCycleSpec, dc_risk, dominance_check, energy_equivalent_rho, ideal_duty_cycle
@@ -41,7 +43,6 @@ from .errors import (
 )
 from .graph import solve_graph
 from .models import BeliefGrid
-from .robust import BeliefInterval, least_favorable, model_posterior_bounds
 from .sim import StreamConfig, simulate
 
 COMPARE_COLUMNS = [
@@ -101,33 +102,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _emit(bundle, output) -> int:
+    """Write a result bundle to the output path, or to stdout without one;
+    returns the success exit code."""
+    text = io.write_json(bundle, output)
+    if output is None:
+        sys.stdout.write(text + "\n")
+    return 0
+
+
 def cmd_robustify(args) -> int:
     doc = io.load_model_file(args.model)
     if doc.kind != "cascade":
         raise ModelFormatError("robustify applies to cascade model files")
-    interval = BeliefInterval.point(doc.default_prior())
-    stages = []
-    for k, (model, _, _, u) in enumerate(doc.stages):
-        last = k == len(doc.stages) - 1
-        if last and not u.is_zero:
-            raise ModelFormatError("last stage: uncertainty is not supported there")
-        q, band = least_favorable(model, u)
-        if not last:
-            interval = model_posterior_bounds(interval, q)
-        stages.append(
-            {
-                "q0": q.p0.tolist(),
-                "q1": q.p1.tolist(),
-                "band": io.band_payload(band),
-                "posterior_lo": 0.0 if last else interval.lo,
-                "posterior_hi": 1.0 if last else interval.hi,
-            }
-        )
+    deployed = robustify_stages(
+        [s[0] for s in doc.stages], [s[3] for s in doc.stages], doc.default_prior()
+    )
+    stages = [
+        {
+            "q0": q.p0.tolist(),
+            "q1": q.p1.tolist(),
+            "band": io.band_payload(band),
+            "posterior_lo": bounds.lo,
+            "posterior_hi": bounds.hi,
+        }
+        for q, band, bounds in deployed
+    ]
     bundle = io.result_bundle(doc, prior=doc.default_prior(), stages=stages)
-    text = io.write_json(bundle, args.output)
-    if args.output is None:
-        sys.stdout.write(text + "\n")
-    return 0
+    return _emit(bundle, args.output)
 
 
 def _solve_document(doc, prior, grid, energy_weight=None, energy_budget=None):
@@ -142,19 +144,20 @@ def _solve_document(doc, prior, grid, energy_weight=None, energy_budget=None):
     return spec, bands, policy
 
 
+def _solve_graph_document(doc, prior, grid):
+    if doc.energy_weight is None:
+        raise ModelFormatError("graph model files need energy_weight")
+    prior = doc.default_prior() if prior is None else prior
+    return solve_graph(doc.graph, doc.miss_cost, doc.fa_cost, doc.energy_weight, prior, grid)
+
+
 def cmd_optimize(args) -> int:
     doc = io.load_model_file(args.model)
     grid = BeliefGrid(args.grid or doc.grid_size)
     if doc.kind == "graph":
-        if doc.energy_weight is None:
-            raise ModelFormatError("graph model files need energy_weight")
-        prior = args.prior if args.prior is not None else doc.default_prior()
-        gpol = solve_graph(doc.graph, doc.miss_cost, doc.fa_cost, doc.energy_weight, prior, grid)
+        gpol = _solve_graph_document(doc, args.prior, grid)
         bundle = io.result_bundle(doc, graph_policy=io.graph_policy_payload(gpol))
-        text = io.write_json(bundle, args.output)
-        if args.output is None:
-            sys.stdout.write(text + "\n")
-        return 0
+        return _emit(bundle, args.output)
     spec, bands, policy = _solve_document(
         doc, args.prior, grid, energy_weight=args.energy_weight, energy_budget=args.energy_budget
     )
@@ -172,10 +175,7 @@ def cmd_optimize(args) -> int:
             "all_hold": opt.all_hold,
         },
     )
-    text = io.write_json(bundle, args.output)
-    if args.output is None:
-        sys.stdout.write(text + "\n")
-    return 0
+    return _emit(bundle, args.output)
 
 
 def cmd_check_optimality(args) -> int:
@@ -192,10 +192,7 @@ def cmd_check_optimality(args) -> int:
         per_stage=list(opt.per_stage),
         all_hold=opt.all_hold,
     )
-    text = io.write_json(bundle, args.output)
-    if args.output is None:
-        sys.stdout.write(text + "\n")
-    return 0
+    return _emit(bundle, args.output)
 
 
 def cmd_simulate(args) -> int:
@@ -204,19 +201,13 @@ def cmd_simulate(args) -> int:
     if doc.kind == "graph":
         if args.mode != "belief":
             raise ModelFormatError("adaptive mode applies to cascade systems")
-        if doc.energy_weight is None:
-            raise ModelFormatError("graph model files need energy_weight")
-        prior = args.prior if args.prior is not None else doc.default_prior()
-        policy = solve_graph(doc.graph, doc.miss_cost, doc.fa_cost, doc.energy_weight, prior, grid)
+        policy = _solve_graph_document(doc, args.prior, grid)
         config = StreamConfig(
-            system=doc.graph, n_frames=args.n_frames, seed=args.seed, prior=prior
+            system=doc.graph, n_frames=args.n_frames, seed=args.seed, prior=policy.prior
         )
         report = simulate(config, policy)
         bundle = io.result_bundle(doc, simulation=io.sim_payload(report), v0=policy.v0)
-        text = io.write_json(bundle, args.output)
-        if args.output is None:
-            sys.stdout.write(text + "\n")
-        return 0
+        return _emit(bundle, args.output)
     if args.policy is not None:
         spec, _ = io.build_from_document(doc, prior=args.prior)
         with open(args.policy, "r", encoding="utf-8") as fh:
@@ -240,10 +231,7 @@ def cmd_simulate(args) -> int:
         policy=io.policy_payload(policy),
         analytic_risk=io.risk_payload(evaluate(spec, policy)) if args.policy is None else None,
     )
-    text = io.write_json(bundle, args.output)
-    if args.output is None:
-        sys.stdout.write(text + "\n")
-    return 0
+    return _emit(bundle, args.output)
 
 
 def _duty_block(doc) -> tuple[float, float]:
@@ -316,6 +304,18 @@ def _parse_sweep(text) -> tuple[float, float, int]:
     return lo, hi, n
 
 
+def _worker_count(n_rows: int) -> int:
+    """GUIDEDPROC_THREADS, clamped to one compare-row worker per row and per CPU."""
+    raw = os.environ.get("GUIDEDPROC_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ModelFormatError(f"GUIDEDPROC_THREADS must be a positive integer, got {raw!r}")
+    return min(workers, n_rows, os.cpu_count() or 1)
+
+
 def cmd_compare(args) -> int:
     doc = io.load_model_file(args.model)
     if doc.kind != "cascade":
@@ -330,8 +330,8 @@ def cmd_compare(args) -> int:
         (doc.raw, float(pi0), args.n_frames, args.seed, grid_size, row)
         for row, pi0 in enumerate(points)
     ]
-    workers = int(os.environ.get("GUIDEDPROC_THREADS", "1"))
-    if workers > 1 and len(tasks) > 1:
+    workers = _worker_count(len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_compare_row, tasks))
     else:

@@ -9,8 +9,9 @@ quantized to a finite alphabet, with separation growing along the cascade.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.stats import norm
 
 from .cascade import StageSpec, SystemSpec, build_system
 from .graph import DetectionGraph
@@ -54,6 +55,11 @@ DEFAULT_UNCERTAINTY = 0.1
 _SHIFTS = (2.5, 3.5, 4.5)
 
 
+def _normal_sf(x: np.ndarray) -> np.ndarray:
+    """Standard-normal survival function erfc(x / sqrt 2) / 2, elementwise."""
+    return np.array([0.5 * math.erfc(v / math.sqrt(2.0)) for v in x])
+
+
 def _bin_masses(cuts: np.ndarray) -> np.ndarray:
     """Standard-normal mass of the bins delimited by cuts (tails absorbed).
 
@@ -64,7 +70,8 @@ def _bin_masses(cuts: np.ndarray) -> np.ndarray:
     edges = np.concatenate([[-np.inf], cuts, [np.inf]])
     lo, hi = edges[:-1], edges[1:]
     use_sf = lo > 0.0
-    mass = np.where(use_sf, norm.sf(lo) - norm.sf(hi), norm.cdf(hi) - norm.cdf(lo))
+    # cdf(x) = sf(-x)
+    mass = np.where(use_sf, _normal_sf(lo) - _normal_sf(hi), _normal_sf(-hi) - _normal_sf(-lo))
     return np.maximum(mass, np.finfo(np.float64).tiny)
 
 

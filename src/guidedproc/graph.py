@@ -14,13 +14,17 @@ label (0 or 1).  Node ids must therefore be positive integers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .cascade import StageSpec
 from .errors import ModelFormatError
-from .models import BeliefGrid, BeliefTable, symbol_evidence, symbol_posteriors
+from .models import BeliefGrid, BeliefTable, expected_next, symbol_evidence, symbol_posteriors
+
+if TYPE_CHECKING:  # cascade imports this module to solve its path graph
+    from .cascade import StageSpec
 
 __all__ = [
     "DetectionGraph",
@@ -167,14 +171,13 @@ def solve_graph(
         raise ModelFormatError("miss_cost and fa_cost must be positive")
     if not 0.0 <= prior <= 1.0:
         raise ModelFormatError("prior must lie in [0, 1]")
-    if energy_weight < 0.0:
-        raise ModelFormatError("energy_weight must be nonnegative")
+    if not 0.0 <= energy_weight < math.inf:
+        raise ModelFormatError("energy_weight must be finite and nonnegative")
     grid = BeliefGrid() if grid is None else grid
     b = grid.points
     lam = energy_weight
     dstop = downstream_off_costs(graph)
     order = post_order(graph)
-    values: dict[int, np.ndarray] = {}
     tables: dict[int, BeliefTable] = {}
     decisions: dict[int, np.ndarray] = {}
     thresholds: dict[int, float] = {}
@@ -192,11 +195,9 @@ def solve_graph(
             stop = miss_cost * b + lam * dstop[i]
             cand = np.empty((len(succ), grid.size))
             for j, n in enumerate(succ):
-                assert n in values, "post-order violated"
+                assert n in tables, "post-order violated"
                 nxt = graph.nodes[n]
-                post = symbol_posteriors(nxt.model, b)
-                ev = symbol_evidence(nxt.model, b)
-                cand[j] = lam * nxt.on_cost + np.sum(ev * np.interp(post, b, values[n]), axis=0)
+                cand[j] = lam * nxt.on_cost + expected_next(nxt.model, grid, tables[n].values)
             best = np.argmin(cand, axis=0)  # first minimum: lowest successor id
             cont = cand[best, np.arange(grid.size)]
             go = cont <= stop
@@ -204,16 +205,12 @@ def solve_graph(
             decisions[i] = np.where(go, np.asarray(succ)[best], 0)
             hits = np.flatnonzero(go)
             thresholds[i] = float(b[hits[0]]) if hits.size else np.inf
-        v = v.copy()
-        v.setflags(write=False)
-        values[i] = v
         tables[i] = BeliefTable(grid, v)
         decisions[i].setflags(write=False)
 
     root = graph.nodes[graph.root]
-    post0 = symbol_posteriors(root.model, np.array([prior]))[:, 0]
-    ev0 = symbol_evidence(root.model, np.array([prior]))[:, 0]
-    v0 = lam * root.on_cost + float(ev0 @ np.interp(post0, b, values[graph.root]))
+    at_prior = expected_next(root.model, grid, tables[graph.root].values, [prior])
+    v0 = lam * root.on_cost + float(at_prior[0])
     return GraphPolicy(
         grid=grid,
         order=tuple(order),

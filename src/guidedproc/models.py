@@ -36,6 +36,7 @@ __all__ = [
     "interpolate",
     "symbol_posteriors",
     "symbol_evidence",
+    "expected_next",
 ]
 
 DEFAULT_GRID_SIZE = 1001
@@ -198,6 +199,22 @@ def symbol_evidence(model: FeatureModel, priors: np.ndarray) -> np.ndarray:
     """(Q, n) matrix of symbol probabilities for every prior."""
     priors = np.asarray(priors, dtype=np.float64)
     return model.p1[:, None] * priors[None, :] + model.p0[:, None] * (1.0 - priors[None, :])
+
+
+def expected_next(model: FeatureModel, grid: BeliefGrid, tables, beliefs=None) -> np.ndarray:
+    """sum_y evidence(b, y) * table(posterior(b, y)) at each belief b.
+
+    The one belief-propagation step of every backward pass.  `tables` is one
+    (M,) grid table or a (T, M) stack, read by linear interpolation; beliefs
+    default to the grid points.  Returns shape (n,) or (T, n).
+    """
+    b = grid.points
+    priors = b if beliefs is None else np.asarray(beliefs, dtype=np.float64)
+    post = symbol_posteriors(model, priors)
+    ev = symbol_evidence(model, priors)
+    tables = np.asarray(tables, dtype=np.float64)
+    out = np.stack([np.sum(ev * np.interp(post, b, t), axis=0) for t in np.atleast_2d(tables)])
+    return out[0] if tables.ndim == 1 else out
 
 
 def interpolate(table: BeliefTable, pi):

@@ -100,13 +100,16 @@ def _chunks(n_frames: int, first_chunk: int = 0):
 
 
 def _sample_symbols(model: FeatureModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of one symbol per frame from p1 or p0 as x dictates."""
+    """Inverse-CDF draw of one symbol per frame from p1 or p0 as x dictates.
+
+    Each CDF is divided by its last entry so that it ends at exactly 1: a
+    float cumsum short of 1 would hand u near 1 to a zero-mass last symbol.
+    """
     c0 = np.cumsum(model.p0)
     c1 = np.cumsum(model.p1)
-    y0 = np.searchsorted(c0, u, side="right")
-    y1 = np.searchsorted(c1, u, side="right")
-    y = np.where(x, y1, y0)
-    return np.clip(y, 0, model.alphabet_size - 1)
+    y0 = np.searchsorted(c0 / c0[-1], u, side="right")
+    y1 = np.searchsorted(c1 / c1[-1], u, side="right")
+    return np.where(x, y1, y0)
 
 
 def _posterior_step(pi, p0v, p1v):

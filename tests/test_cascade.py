@@ -4,6 +4,7 @@ import pytest
 from guidedproc import (
     BeliefInterval,
     InfeasibleBudgetError,
+    ModelFormatError,
     Policy,
     StageSpec,
     SystemSpec,
@@ -137,6 +138,18 @@ class TestSolveBasics:
         # The raw threshold ignores the bounds.
         raw = solve(spec).raw_thresholds[0]
         assert policy.raw_thresholds[0] == raw
+
+    @pytest.mark.parametrize("weight", [float("nan"), float("inf")])
+    def test_non_finite_energy_weight_rejected(self, rng, weight):
+        spec = random_system(rng, n_stages=2)
+        with pytest.raises(ModelFormatError):
+            SystemSpec(
+                stages=spec.stages,
+                miss_cost=spec.miss_cost,
+                fa_cost=spec.fa_cost,
+                prior=spec.prior,
+                energy_weight=weight,
+            )
 
 
 class TestAgainstExactOracle:

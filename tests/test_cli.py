@@ -2,11 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from guidedproc import io
+import guidedproc
+from guidedproc import cli, io
 from guidedproc.cli import COMPARE_COLUMNS, main
 
 from test_io import cascade_raw, graph_raw
@@ -194,6 +199,40 @@ class TestCompare:
         assert main(args) == 0
         assert capsys.readouterr().out == serial
 
+    @pytest.mark.parametrize("value", ["abc", "0"])
+    def test_bad_thread_count_exits_2(self, model_file, capsys, monkeypatch, value):
+        monkeypatch.setenv("GUIDEDPROC_THREADS", value)
+        assert main(["compare", model_file, "--sweep", "0.09:0.11:2", "--n-frames", "100"]) == 2
+        err = capsys.readouterr().err
+        assert "GUIDEDPROC_THREADS" in err and "Traceback" not in err
+
+    def test_thread_count_clamped_to_rows_and_cpus(self, model_file, monkeypatch):
+        # A stand-in pool records its size and maps in-process, so a large
+        # request never starts any worker.
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setenv("GUIDEDPROC_THREADS", "100000")
+        args = ["compare", model_file, "--sweep", "0.08:0.12:3", "--n-frames", "100"]
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert main(args) == 0
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert main(args) == 0
+        assert sizes == [2, 3]
+
     def test_bad_sweep(self, model_file):
         assert main(["compare", model_file, "--sweep", "0.2:0.1"]) == 2
 
@@ -230,3 +269,14 @@ class TestExitCodes:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+def test_imports_do_not_load_scipy():
+    src = str(Path(guidedproc.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, guidedproc, guidedproc.cli, guidedproc.fixtures; "
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr

@@ -14,7 +14,7 @@ from guidedproc import (
     solve,
     solve_graph,
 )
-from guidedproc.fixtures import diamond_graph
+from guidedproc.fixtures import diamond_graph, monitoring_system
 from conftest import random_model, random_system
 
 # ---------------------------------------------------------------------------
@@ -172,6 +172,13 @@ class TestTopology:
         assert dstop[3] == pytest.approx(offs[4], abs=1e-15)
         assert dstop[4] == 0.0
 
+    @pytest.mark.parametrize("weight", [float("inf"), float("nan"), -1.0])
+    def test_energy_weight_must_be_finite_and_nonnegative(self, weight):
+        with pytest.raises(ModelFormatError):
+            solve_graph(
+                diamond_graph(), miss_cost=3.0, fa_cost=1.0, energy_weight=weight, prior=0.1
+            )
+
     def test_terminal_ids(self):
         g = diamond_graph()
         assert g.terminal_ids == (4,)
@@ -197,6 +204,34 @@ class TestPathEquivalence:
                 np.testing.assert_allclose(
                     gp.value_tables[i + 1].values, table.values, atol=1e-12
                 )
+
+    def test_cascade_thresholds_are_path_graph_stop_thresholds(self, rng):
+        for k in (2, 3, 4, 5):
+            spec = random_system(rng, n_stages=k)
+            gp = solve_graph(
+                path_graph_from(spec),
+                miss_cost=spec.miss_cost,
+                fa_cost=spec.fa_cost,
+                energy_weight=spec.energy_weight,
+                prior=spec.prior,
+            )
+            raw = solve(spec).raw_thresholds
+            assert raw[:-1] == tuple(gp.stop_thresholds[i] for i in range(1, k))
+
+    def test_ties_continue_at_zero_energy_weight(self):
+        # With energy free, continuing never costs more than stopping, so
+        # the whole grid ties or prefers continuing: the first stage's raw
+        # threshold is the lowest grid belief in both solvers.
+        spec, _ = monitoring_system(energy_weight=0.0)
+        gp = solve_graph(
+            path_graph_from(spec),
+            miss_cost=spec.miss_cost,
+            fa_cost=spec.fa_cost,
+            energy_weight=0.0,
+            prior=spec.prior,
+        )
+        assert gp.stop_thresholds[1] == 0.0
+        assert solve(spec).raw_thresholds[0] == 0.0
 
     def test_single_node_graph_prices_declarations(self, rng):
         from guidedproc import single_stage_risks

@@ -7,6 +7,7 @@ from guidedproc import (
     BeliefTable,
     FeatureModel,
     evidence,
+    expected_next,
     interpolate,
     likelihood_ratio,
     posterior_update,
@@ -129,3 +130,39 @@ class TestGridAndTables:
             assert likelihood_ratio(m, y) == m.ratios()[y]
             ev = evidence(pri, m, y)
             assert ev == pytest.approx(m.p1[y] * pri + m.p0[y] * (1 - pri), abs=1e-15)
+
+
+class TestExpectedNext:
+    @staticmethod
+    def inline(model, b, table):
+        # the propagation as solve, evaluate and solve_graph each wrote it
+        post = symbol_posteriors(model, b)
+        ev = symbol_evidence(model, b)
+        return np.sum(ev * np.interp(post, b, table), axis=0)
+
+    def test_matches_inline_propagation_bit_for_bit(self, rng):
+        for size in (11, 101, 1001):
+            g = BeliefGrid(size=size)
+            b = g.points
+            for _ in range(5):
+                m = random_model(rng)
+                tables = rng.random((4, size))
+                np.testing.assert_array_equal(
+                    expected_next(m, g, tables[0]), self.inline(m, b, tables[0])
+                )
+                stacked = expected_next(m, g, tables)
+                assert stacked.shape == (4, size)
+                for row, t in zip(stacked, tables):
+                    np.testing.assert_array_equal(row, self.inline(m, b, t))
+
+    def test_root_belief_matches_inline_scalar_sum(self, rng):
+        g = BeliefGrid(size=101)
+        b = g.points
+        for _ in range(10):
+            m = random_model(rng)
+            table = rng.random(g.size)
+            prior = float(rng.uniform())
+            post0 = symbol_posteriors(m, np.array([prior]))[:, 0]
+            ev0 = symbol_evidence(m, np.array([prior]))[:, 0]
+            ref = float(np.sum(ev0 * np.interp(post0, b, table)))
+            assert float(expected_next(m, g, table, [prior])[0]) == ref

@@ -7,6 +7,7 @@ import pytest
 from guidedproc import (
     CHUNK_FRAMES,
     DutyCycleSpec,
+    FeatureModel,
     ModelFormatError,
     StreamConfig,
     dc_risk,
@@ -18,6 +19,7 @@ from guidedproc import (
     solve_graph,
     tail_off_costs,
 )
+from guidedproc.sim import _sample_symbols
 from guidedproc.fixtures import (
     DUTY_OFF_MJ,
     DUTY_ON_MJ,
@@ -166,6 +168,19 @@ class TestStreamContract:
         assert report.fa_count == counts["fa"]
         assert report.n_target == counts["n_target"]
         assert report.energy == pytest.approx(mean_e, rel=1e-12)
+
+
+    def test_short_cdf_never_draws_a_zero_mass_tail_symbol(self):
+        # The float cumsum of ten 0.1 masses ends at 0.9999999999999999, so
+        # a uniform just below 1 lies past it; the zero-mass symbol 10 must
+        # still never be drawn.
+        p = [0.1] * 10 + [0.0]
+        model = FeatureModel(p0=p, p1=p[::-1])
+        assert np.cumsum(model.p0)[-1] < 1.0
+        u = np.array([0.0, 0.55, 0.95, np.nextafter(1.0, 0.0)])
+        y = _sample_symbols(model, np.zeros(u.size, dtype=bool), u)
+        assert y.tolist() == [0, 5, 9, 9]
+        assert np.all(model.p0[y] > 0.0)
 
 
 class TestDeterminism:
