@@ -51,6 +51,7 @@ from .cascade import (
     calibrate_lambda,
     check_cascade_optimality,
     evaluate,
+    path_graph,
     solve,
     tail_off_costs,
 )
@@ -64,23 +65,16 @@ from .dutycycle import (
     single_stage_risks,
 )
 from .adaptive import (
-    ActivationTargets,
     AdaptiveState,
-    adaptive_decide,
-    adaptive_observe,
-    adaptive_step,
-    compute_activation_targets,
     feature_cut,
     is_monotone_ratio,
     prepare_adaptive,
     stationary_targets,
 )
 from .graph import (
-    ActivationProfile,
     DetectionGraph,
     GraphPolicy,
     downstream_off_costs,
-    graph_activation_probabilities,
     post_order,
     solve_graph,
 )
@@ -116,6 +110,7 @@ __all__ = [
     "RiskReport",
     "CascadeOptimality",
     "solve",
+    "path_graph",
     "evaluate",
     "build_system",
     "calibrate_lambda",
@@ -129,23 +124,16 @@ __all__ = [
     "dominance_check",
     "ideal_duty_cycle",
     "single_stage_risks",
-    "ActivationTargets",
     "AdaptiveState",
-    "compute_activation_targets",
     "stationary_targets",
     "prepare_adaptive",
-    "adaptive_step",
-    "adaptive_observe",
-    "adaptive_decide",
     "feature_cut",
     "is_monotone_ratio",
     "DetectionGraph",
     "GraphPolicy",
-    "ActivationProfile",
     "post_order",
     "downstream_off_costs",
     "solve_graph",
-    "graph_activation_probabilities",
     "StreamConfig",
     "SimReport",
     "simulate",

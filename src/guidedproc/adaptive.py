@@ -11,29 +11,25 @@ Updates use one shared step size mu: the rate estimate is an EWMA of the
 activation indicator, and eta moves by mu times the tracking error, clamped
 to the symbol range.  With integer symbols any eta in (y*-1, y*] encodes
 the same decision rule as the exact cut y*, which is what the update
-settles into when the target rate is achievable.
+settles into when the target rate is achievable.  The update itself runs
+in one place, the simulator's adaptive mode; this module prepares its state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .cascade import Policy, SystemSpec
 from .errors import GuidedProcError, ModelFormatError
-from .models import BeliefGrid, BeliefTable, FeatureModel, symbol_evidence, symbol_posteriors
+from .models import FeatureModel, symbol_evidence, symbol_posteriors
 
 __all__ = [
-    "ActivationTargets",
     "AdaptiveState",
     "is_monotone_ratio",
-    "compute_activation_targets",
     "stationary_targets",
     "prepare_adaptive",
-    "adaptive_step",
-    "adaptive_observe",
-    "adaptive_decide",
     "feature_cut",
 ]
 
@@ -45,37 +41,6 @@ def is_monotone_ratio(model: FeatureModel) -> bool:
     """True when the likelihood ratio is nondecreasing over the alphabet."""
     r = model.ratios()
     return bool(np.all(r[1:] >= r[:-1] * (1.0 - 1e-12) - 1e-15))
-
-
-@dataclass(frozen=True)
-class ActivationTargets:
-    """Per-stage activation probability as a function of incoming belief,
-    tabulated on the solver grid for the deployed thresholds."""
-
-    grid: BeliefGrid
-    tables: tuple[BeliefTable, ...]
-    thresholds: np.ndarray
-
-    def __call__(self, stage_index: int, belief):
-        return self.tables[stage_index](belief)
-
-
-def compute_activation_targets(spec: SystemSpec, policy: Policy, grid=None) -> ActivationTargets:
-    """Tabulate q_i(b) = P(stage i activates | belief b) on the grid.
-
-    Activation means passing the stage's deployed threshold: continuing for
-    intermediate stages, declaring positive at the last one.
-    """
-    grid = policy.grid if grid is None else grid
-    tables = []
-    for stage, tau in zip(spec.stages, policy.thresholds):
-        post = symbol_posteriors(stage.model, grid.points)
-        ev = symbol_evidence(stage.model, grid.points)
-        q = np.sum(ev * (post >= tau), axis=0)
-        tables.append(BeliefTable(grid, q))
-    thresholds = np.asarray(policy.thresholds, dtype=np.float64).copy()
-    thresholds.setflags(write=False)
-    return ActivationTargets(grid=grid, tables=tuple(tables), thresholds=thresholds)
 
 
 def stationary_targets(spec: SystemSpec, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +88,7 @@ def stationary_targets(spec: SystemSpec, policy: Policy) -> tuple[np.ndarray, np
 
 @dataclass(frozen=True)
 class AdaptiveState:
-    """Mutable-by-replacement runtime state: thresholds, rate estimates and
+    """Starting point of the adaptive rule: thresholds, rate estimates and
     the targets they chase."""
 
     eta: np.ndarray
@@ -155,56 +120,22 @@ def feature_cut(model: FeatureModel, belief: float, tau: float) -> int:
     return int(hits[0]) if hits.size else model.alphabet_size
 
 
-def prepare_adaptive(spec: SystemSpec, policy: Policy, mu: float, eta0=None) -> AdaptiveState:
+def prepare_adaptive(spec: SystemSpec, policy: Policy, mu: float) -> AdaptiveState:
     """Build the runtime state for a solved policy.
 
     Non-monotone stages are flagged for the belief-domain fallback rather
-    than given a feature threshold.  Initial thresholds default to the
-    middle of each symbol range; rate estimates start at their targets so
-    the first updates react to data, not initialization.
+    than given a feature threshold.  Initial thresholds sit in the middle
+    of each symbol range; rate estimates start at their targets so the
+    first updates react to data, not initialization.
     """
     feature_rule = np.array([is_monotone_ratio(s.model) for s in spec.stages])
     limits = np.array([float(s.model.alphabet_size) for s in spec.stages])
     targets, _ = stationary_targets(spec, policy)
-    if eta0 is None:
-        eta = limits / 2.0
-    else:
-        eta = np.broadcast_to(np.asarray(eta0, dtype=np.float64), limits.shape).copy()
-    if np.any(eta < 0.0) or np.any(eta > limits):
-        raise ModelFormatError("initial thresholds must lie within each symbol range")
     return AdaptiveState(
-        eta=eta,
+        eta=limits / 2.0,
         mu=mu,
         rate_estimates=targets.copy(),
         targets=targets,
         feature_rule=feature_rule,
         eta_limits=limits,
     )
-
-
-def adaptive_step(state: AdaptiveState, stage_index: int, observed_rate, target) -> AdaptiveState:
-    """Move one stage's threshold along the rate-tracking error."""
-    eta = state.eta.copy()
-    step = state.mu * (float(observed_rate) - float(target))
-    eta[stage_index] = min(max(eta[stage_index] + step, 0.0), state.eta_limits[stage_index])
-    return replace(state, eta=eta)
-
-
-def adaptive_observe(state: AdaptiveState, stage_index: int, activated: bool) -> AdaptiveState:
-    """Fold one activation indicator into the stage's rate estimate, then
-    nudge its threshold toward the target rate."""
-    rates = state.rate_estimates.copy()
-    i = stage_index
-    rates[i] = (1.0 - state.mu) * rates[i] + state.mu * (1.0 if activated else 0.0)
-    state = replace(state, rate_estimates=rates)
-    return adaptive_step(state, i, rates[i], state.targets[i])
-
-
-def adaptive_decide(state: AdaptiveState, stage_index: int, y: int) -> bool:
-    """Feature-domain decision: activate iff the symbol clears eta."""
-    if not state.feature_rule[stage_index]:
-        raise ModelFormatError(
-            f"stage {stage_index} has a non-monotone likelihood ratio; "
-            "use the belief-domain rule for it"
-        )
-    return bool(y >= state.eta[stage_index])

@@ -53,6 +53,7 @@ __all__ = [
     "RiskReport",
     "CascadeOptimality",
     "tail_off_costs",
+    "path_graph",
     "solve",
     "evaluate",
     "calibrate_lambda",
@@ -166,6 +167,15 @@ def tail_off_costs(stages) -> np.ndarray:
     return tail
 
 
+def path_graph(spec: SystemSpec) -> DetectionGraph:
+    """The cascade as a detection graph: stage k is node k + 1, with edges
+    k -> k + 1 and root 1."""
+    ids = range(1, spec.n_stages + 1)
+    return DetectionGraph(
+        nodes=dict(zip(ids, spec.stages)), edges={i: (i + 1,) for i in ids[:-1]}, root=1
+    )
+
+
 def solve(spec: SystemSpec, grid: BeliefGrid | None = None) -> Policy:
     """Backward DP over the belief grid; returns the threshold policy.
 
@@ -177,10 +187,7 @@ def solve(spec: SystemSpec, grid: BeliefGrid | None = None) -> Policy:
     grid = grid or BeliefGrid()
     lam = float(spec.energy_weight)
     ids = range(1, spec.n_stages + 1)
-    path = DetectionGraph(
-        nodes=dict(zip(ids, spec.stages)), edges={i: (i + 1,) for i in ids[:-1]}, root=1
-    )
-    gp = solve_graph(path, spec.miss_cost, spec.fa_cost, lam, spec.prior, grid)
+    gp = solve_graph(path_graph(spec), spec.miss_cost, spec.fa_cost, lam, spec.prior, grid)
     raw = tuple(gp.stop_thresholds[i] for i in ids)
     clamped = [min(max(t, st.bounds.lo), st.bounds.hi) for t, st in zip(raw, spec.stages)]
     return Policy(

@@ -17,7 +17,6 @@ import argparse
 import csv
 import json
 import io as _stdio
-import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ModelFormatError
-from .models import BeliefGrid, BeliefTable, expected_next, symbol_evidence, symbol_posteriors
+from .models import BeliefGrid, BeliefTable, expected_next
 
 if TYPE_CHECKING:  # cascade imports this module to solve its path graph
     from .cascade import StageSpec
@@ -29,11 +29,9 @@ if TYPE_CHECKING:  # cascade imports this module to solve its path graph
 __all__ = [
     "DetectionGraph",
     "GraphPolicy",
-    "ActivationProfile",
     "post_order",
     "downstream_off_costs",
     "solve_graph",
-    "graph_activation_probabilities",
 ]
 
 
@@ -224,56 +222,3 @@ def solve_graph(
         prior=prior,
         v0=v0,
     )
-
-
-@dataclass(frozen=True)
-class ActivationProfile:
-    """Distribution over a node's actions as a function of the belief it
-    is entered with."""
-
-    node: int
-    beliefs: np.ndarray
-    labels: tuple[int, ...]
-    probs: np.ndarray  # (n_labels, n_beliefs)
-
-    def at(self, belief: float) -> dict[int, float]:
-        j = int(np.argmin(np.abs(self.beliefs - belief)))
-        return {lab: float(self.probs[k, j]) for k, lab in enumerate(self.labels)}
-
-
-def _entry_interval(graph: DetectionGraph, node: int, prior: float) -> tuple[float, float]:
-    if node == graph.root:
-        return prior, prior
-    parents = [i for i in graph.nodes if node in graph.successors(i)]
-    lo = min(graph.nodes[i].bounds.lo for i in parents)
-    hi = max(graph.nodes[i].bounds.hi for i in parents)
-    return lo, hi
-
-
-def graph_activation_probabilities(
-    graph: DetectionGraph, policy: GraphPolicy, grid: BeliefGrid | None = None
-) -> dict[int, ActivationProfile]:
-    """Per-node action distribution over the admissible entry beliefs.
-
-    Entry beliefs cover the union of the parents' posterior ranges (the
-    root is pinned at the prior).  For each entry belief the node's symbol
-    distribution is pushed through the deployed decision table; rows are
-    labeled 0 for stop plus the successor ids, or {0, 1} at terminals.
-    """
-    grid = policy.grid if grid is None else grid
-    out = {}
-    for i in sorted(graph.nodes):
-        node = graph.nodes[i]
-        lo, hi = _entry_interval(graph, i, policy.prior)
-        inside = grid.points[(grid.points >= lo) & (grid.points <= hi)]
-        beliefs = np.unique(np.concatenate([inside, [lo, hi]]))
-        succ = graph.successors(i)
-        labels = (0, 1) if not succ else (0, *succ)
-        post = symbol_posteriors(node.model, beliefs)
-        ev = symbol_evidence(node.model, beliefs)
-        action = policy.decisions[i][policy.grid.floor_index(post)]
-        probs = np.empty((len(labels), beliefs.size))
-        for k, lab in enumerate(labels):
-            probs[k] = np.sum(ev * (action == lab), axis=0)
-        out[i] = ActivationProfile(node=i, beliefs=beliefs, labels=labels, probs=probs)
-    return out

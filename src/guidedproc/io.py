@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .cascade import Policy, RiskReport, StageSpec, SystemSpec, build_system
+from .cascade import Policy, RiskReport, StageSpec, build_system
 from .errors import ModelFormatError
 from .graph import DetectionGraph, GraphPolicy
 from .models import BeliefGrid, FeatureModel, UncertaintyParams
@@ -94,10 +94,23 @@ def _as_float(raw, key, where, required=True, default=None):
     return float(v)
 
 
+def _as_int(raw, key, where, required=True, default=None):
+    if key not in raw:
+        if required:
+            raise ModelFormatError(f"{where}: missing '{key}'")
+        return default
+    v = raw[key]
+    if isinstance(v, bool) or not (isinstance(v, int) or (isinstance(v, float) and v.is_integer())):
+        raise ModelFormatError(f"{where}: '{key}' must be an integer")
+    return int(v)
+
+
 def _load_pmf(values, where) -> np.ndarray:
+    if not isinstance(values, (list, tuple)) or len(values) < 2 or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in values
+    ):
+        raise ModelFormatError(f"{where}: PMF must be a list of at least 2 masses")
     arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 2:
-        raise ModelFormatError(f"{where}: PMF must be a 1-D list of at least 2 masses")
     if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
         raise ModelFormatError(f"{where}: PMF entries must be finite and nonnegative")
     s = float(arr.sum())
@@ -153,7 +166,13 @@ def parse_model_document(raw: dict) -> ModelDocument:
         ps = raw["prior_sweep"]
         if not (isinstance(ps, list) and len(ps) == 3):
             raise ModelFormatError("model: prior_sweep must be [lo, hi, count]")
-        sweep = (float(ps[0]), float(ps[1]), int(ps[2]))
+        fields = dict(zip(("lo", "hi", "count"), ps))
+        where = "model: prior_sweep"
+        sweep = (
+            _as_float(fields, "lo", where),
+            _as_float(fields, "hi", where),
+            _as_int(fields, "count", where),
+        )
         if not (0.0 <= sweep[0] <= sweep[1] <= 1.0 and sweep[2] >= 1):
             raise ModelFormatError("model: prior_sweep out of range")
     if prior is None and sweep is None:
@@ -165,7 +184,7 @@ def parse_model_document(raw: dict) -> ModelDocument:
     budget = _as_float(raw, "energy_budget", "model", required=False)
     if weight is not None and budget is not None:
         raise ModelFormatError("model: give energy_weight or energy_budget, not both")
-    grid_size = int(raw.get("grid_size", BeliefGrid().size))
+    grid_size = _as_int(raw, "grid_size", "model", required=False, default=BeliefGrid().size)
 
     duty = None
     if "duty_cycle" in raw:
@@ -211,20 +230,21 @@ def parse_model_document(raw: dict) -> ModelDocument:
         except ValueError:
             raise ModelFormatError(f"node {key!r}: ids must be integers") from None
         where = f"node {nid}"
-        if "uncertainty" in item:
+        if isinstance(item, dict) and "uncertainty" in item:
             raise ModelFormatError(f"{where}: uncertainty is only supported on cascade stages")
         model, on, off = _load_detector(item, where)
         nodes[nid] = StageSpec(model=model, on_cost=on, off_cost=off)
     edges_raw = raw.get("edges", [])
+    if not isinstance(edges_raw, list) or not all(
+        isinstance(pair, list) and len(pair) == 2 for pair in edges_raw
+    ):
+        raise ModelFormatError("model: edges must be a list of [from, to] pairs")
     edges: dict[int, tuple[int, ...]] = {}
     for pair in edges_raw:
-        if not (isinstance(pair, list) and len(pair) == 2):
-            raise ModelFormatError("model: edges must be [from, to] pairs")
-        a, b = int(pair[0]), int(pair[1])
+        ends = dict(zip(("from", "to"), pair))
+        a, b = _as_int(ends, "from", "model: edge"), _as_int(ends, "to", "model: edge")
         edges[a] = edges.get(a, ()) + (b,)
-    if "root" not in raw:
-        raise ModelFormatError("model: graph form needs 'root'")
-    graph = DetectionGraph(nodes=nodes, edges=edges, root=int(raw["root"]))
+    graph = DetectionGraph(nodes=nodes, edges=edges, root=_as_int(raw, "root", "model"))
     return ModelDocument(
         kind="graph", miss_cost=miss, fa_cost=fa, prior=prior, prior_sweep=sweep,
         energy_weight=weight, energy_budget=budget, grid_size=grid_size,

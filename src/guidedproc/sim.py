@@ -4,12 +4,16 @@ Frames are generated in fixed 65536-frame chunks; chunk c draws from a
 counter-based generator keyed by the seed with its counter parked at
 c * 2**128, so the stream for a given (seed, frame index) never depends on
 chunk processing order or worker count.  Within a chunk every frame draws
-the same layout of variates (state, then one uniform per stage or node)
-whether or not the policy ends up consuming them, which keeps the stream
-aligned across policies sharing a seed.
+the same layout of variates (state, then one uniform per stage or node, in
+ascending node id) whether or not the policy ends up consuming them, which
+keeps the stream aligned across policies sharing a seed.
 
-Energy accounting mirrors the optimizer's: the first stage is always paid,
-continuing into a stage pays its processing cost, and censoring pays the
+Belief-rule cascades and graphs share one walker: a cascade runs as its
+path graph (``cascade.path_graph``).  Nodes are visited root first in
+topological order, and each node sees only the frames routed to it.
+
+Energy accounting mirrors the optimizer's: the root is always paid,
+continuing into a node pays its processing cost, and censoring pays the
 idle cost of everything downstream.
 """
 
@@ -21,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adaptive import prepare_adaptive
-from .cascade import Policy, SystemSpec, tail_off_costs
+from .cascade import Policy, SystemSpec, path_graph
 from .dutycycle import DutyCycleSpec
 from .errors import ModelFormatError
 from .graph import DetectionGraph, GraphPolicy, downstream_off_costs, post_order
@@ -199,85 +203,61 @@ def simulate(config: StreamConfig, policy=None) -> SimReport:
             raise ModelFormatError("policy does not match the system's stage count")
         if config.mode == "adaptive":
             return _simulate_adaptive(config, system, policy)
-        return _simulate_cascade(config, system, policy)
+        prior = system.prior if config.prior is None else config.prior
+        tau, n = policy.thresholds, system.n_stages
+
+        def route(node, beliefs):  # node i + 1 follows node i; the last declares 1
+            return np.where(beliefs >= tau[node - 1], node % n + 1, 0)
+
+        acc = _Accumulator(system.miss_cost, system.fa_cost, policy.energy_weight)
+        return _walk(config, path_graph(system), prior, route, acc)
     if isinstance(system, DetectionGraph):
         if not isinstance(policy, GraphPolicy):
             raise ModelFormatError("graph simulation needs a GraphPolicy")
         if config.mode != "belief":
             raise ModelFormatError("adaptive mode applies to cascade systems")
-        return _simulate_graph(config, system, policy)
+        # root prior: the graph policy was solved for one; allow stream override
+        prior = policy.prior if config.prior is None else config.prior
+        acc = _Accumulator(policy.miss_cost, policy.fa_cost, policy.energy_weight)
+        return _walk(config, system, prior, policy.decision_at, acc)
     if isinstance(system, DutyCycleSpec):
         return simulate_duty_cycle(config, system)
     raise ModelFormatError(f"cannot simulate a {type(system).__name__}")
 
 
-def _simulate_cascade(config: StreamConfig, spec: SystemSpec, policy: Policy) -> SimReport:
-    prior = spec.prior if config.prior is None else config.prior
-    k_last = spec.n_stages - 1
-    tau = policy.thresholds
-    tail = tail_off_costs(spec.stages)
-    acc = _Accumulator(spec.miss_cost, spec.fa_cost, policy.energy_weight)
-    for c, count in _chunks(config.n_frames):
-        gen = _generator(config.seed, c)
-        x = gen.random(count) < prior
-        u = gen.random((spec.n_stages, count))
-        pi = np.full(count, prior)
-        alive = np.ones(count, dtype=bool)
-        declared = np.zeros(count, dtype=bool)
-        energy = np.full(count, spec.stages[0].on_cost)
-        for k, stage in enumerate(spec.stages):
-            y = _sample_symbols(stage.model, x, u[k])
-            post = _posterior_step(pi, stage.model.p0[y], stage.model.p1[y])
-            pi = np.where(alive, post, pi)
-            if k < k_last:
-                stop = alive & (pi < tau[k])
-                energy[stop] += tail[k + 1]
-                alive &= ~stop
-                energy[alive] += spec.stages[k + 1].on_cost
-            else:
-                declared = alive & (pi >= tau[k])
-        acc.add(x, declared, energy)
-    return acc.report()
+def _walk(config: StreamConfig, graph: DetectionGraph, prior: float, route, acc) -> SimReport:
+    """Belief-rule stream through a detection graph.
 
-
-def _simulate_graph(config: StreamConfig, graph: DetectionGraph, policy: GraphPolicy) -> SimReport:
-    # root prior: the graph policy was solved for one; allow stream override
-    prior = policy.prior if config.prior is None else config.prior
+    route(node, beliefs) maps the updated beliefs of the frames at a node
+    to 0 (stop), a successor id, or at a terminal the declared label.
+    """
     topo = list(reversed(post_order(graph)))  # root first
     dstop = downstream_off_costs(graph)
-    acc = _Accumulator(policy.miss_cost, policy.fa_cost, policy.energy_weight)
-    node_ids = sorted(graph.nodes)
-    row = {nid: j for j, nid in enumerate(node_ids)}
+    row = {nid: j for j, nid in enumerate(sorted(graph.nodes))}
     for c, count in _chunks(config.n_frames):
         gen = _generator(config.seed, c)
         x = gen.random(count) < prior
-        u = gen.random((len(node_ids), count))
-        pi = np.full(count, prior)
-        at = np.full(count, graph.root, dtype=np.int64)
-        alive = np.ones(count, dtype=bool)
+        u = gen.random((len(row), count))
         declared = np.zeros(count, dtype=bool)
         energy = np.full(count, graph.nodes[graph.root].on_cost)
+        # frontier[node]: (frame indices, beliefs) handed over by each parent
+        frontier = {graph.root: [(np.arange(count), np.full(count, prior))]}
         for nid in topo:
-            m = alive & (at == nid)
-            if not m.any():
+            if nid not in frontier:
                 continue
+            idx, pi = (np.concatenate(a) for a in zip(*frontier.pop(nid)))
             node = graph.nodes[nid]
-            y = _sample_symbols(node.model, x[m], u[row[nid], m])
-            pi_m = _posterior_step(pi[m], node.model.p0[y], node.model.p1[y])
-            pi[m] = pi_m
-            action = policy.decisions[nid][policy.grid.floor_index(pi_m)]
+            y = _sample_symbols(node.model, x[idx], u[row[nid], idx])
+            pi = _posterior_step(pi, node.model.p0[y], node.model.p1[y])
+            action = route(nid, pi)
             if graph.is_terminal(nid):
-                declared[m] = action == 1
-                alive[m] = False
-            else:
-                idx = np.flatnonzero(m)
-                stopped = idx[action == 0]
-                energy[stopped] += dstop[nid]
-                alive[stopped] = False
-                for s in graph.successors(nid):
-                    moved = idx[action == s]
-                    energy[moved] += graph.nodes[s].on_cost
-                    at[moved] = s
+                declared[idx] = action == 1
+                continue
+            energy[idx[action == 0]] += dstop[nid]
+            for s in graph.successors(nid):
+                go = action == s
+                energy[idx[go]] += graph.nodes[s].on_cost
+                frontier.setdefault(s, []).append((idx[go], pi[go]))
         acc.add(x, declared, energy)
     return acc.report()
 
@@ -287,7 +267,7 @@ def _simulate_adaptive(config: StreamConfig, spec: SystemSpec, policy: Policy) -
     prior = spec.prior if config.prior is None else config.prior
     n_stages = spec.n_stages
     tau = list(policy.thresholds)
-    tail = tail_off_costs(spec.stages).tolist()
+    dstop = downstream_off_costs(path_graph(spec))  # stage k is node k + 1
     on_costs = [s.on_cost for s in spec.stages]
     p0s = [s.model.p0.tolist() for s in spec.stages]
     p1s = [s.model.p1.tolist() for s in spec.stages]
@@ -341,7 +321,7 @@ def _simulate_adaptive(config: StreamConfig, spec: SystemSpec, policy: Policy) -
                     acts[k] += act
                 if k < n_stages - 1:
                     if not act:
-                        energy += tail[k + 1]
+                        energy += dstop[k + 1]
                         break
                     energy += on_costs[k + 1]
                 else:

@@ -6,10 +6,6 @@ from guidedproc import (
     ModelFormatError,
     StageSpec,
     SystemSpec,
-    adaptive_decide,
-    adaptive_observe,
-    adaptive_step,
-    compute_activation_targets,
     evidence,
     feature_cut,
     is_monotone_ratio,
@@ -94,28 +90,6 @@ class TestTargets:
         assert reach[0] == 1.0
         assert np.all(reach[1:] <= reach[:-1] + 1e-15)
 
-    def test_grid_tables_match_closed_form(self, rng):
-        spec = small_system(rng)
-        policy = solve(spec)
-        tables = compute_activation_targets(spec, policy)
-        for k, stage in enumerate(spec.stages):
-            for b in (0.0, 0.25, policy.grid.points[500], 1.0):
-                want = sum(
-                    evidence(b, stage.model, y)
-                    for y in range(stage.model.alphabet_size)
-                    if posterior_update(b, stage.model, y) >= policy.thresholds[k]
-                )
-                assert tables(k, b) == pytest.approx(want, abs=1e-12)
-
-    def test_stationary_consistent_with_grid_tables(self, rng):
-        # The first stage sees exactly the prior, so both computations of
-        # its activation rate must agree to interpolation error.
-        spec = small_system(rng)
-        policy = solve(spec)
-        targets, _ = stationary_targets(spec, policy)
-        tables = compute_activation_targets(spec, policy)
-        assert targets[0] == pytest.approx(tables(0, spec.prior), abs=1e-6)
-
 
 class TestFeatureCut:
     def test_cut_reproduces_belief_rule(self, rng):
@@ -147,70 +121,7 @@ class TestRuntimeState:
         np.testing.assert_array_equal(state.rate_estimates, state.targets)
         assert state.feature_rule.all()
 
-    def test_observe_applies_ewma_then_step(self, rng):
-        spec = small_system(rng)
-        state = prepare_adaptive(spec, solve(spec), mu=0.25)
-        before_rate = state.rate_estimates[1]
-        before_eta = state.eta[1]
-        after = adaptive_observe(state, 1, activated=True)
-        want_rate = 0.75 * before_rate + 0.25
-        assert after.rate_estimates[1] == pytest.approx(want_rate, abs=1e-15)
-        want_eta = before_eta + 0.25 * (want_rate - state.targets[1])
-        assert after.eta[1] == pytest.approx(want_eta, abs=1e-15)
-        # Other stages untouched.
-        assert after.eta[0] == before_eta if state.eta[0] == before_eta else True
-        np.testing.assert_array_equal(after.eta[[0, 2]], state.eta[[0, 2]])
-
-    def test_step_clamps_to_symbol_range(self, rng):
-        spec = small_system(rng)
-        state = prepare_adaptive(spec, solve(spec), mu=0.5, eta0=0.0)
-        pushed = adaptive_step(state, 0, observed_rate=0.0, target=1.0)
-        assert pushed.eta[0] == 0.0
-        state = prepare_adaptive(spec, solve(spec), mu=0.5, eta0=state.eta_limits)
-        pushed = adaptive_step(state, 0, observed_rate=1.0, target=0.0)
-        assert pushed.eta[0] == state.eta_limits[0]
-
-    def test_decide_compares_symbol_to_eta(self, rng):
-        spec = small_system(rng)
-        state = prepare_adaptive(spec, solve(spec), mu=1e-2, eta0=2.5)
-        assert adaptive_decide(state, 0, 3)
-        assert not adaptive_decide(state, 0, 2)
-
-    def test_decide_refuses_fallback_stage(self, rng):
-        m_bad = FeatureModel(p0=np.array([0.2, 0.3, 0.5]), p1=np.array([0.5, 0.3, 0.2]))
-        spec = small_system(rng)
-        mixed = SystemSpec(
-            stages=(
-                spec.stages[0],
-                StageSpec(model=m_bad, on_cost=5.0, off_cost=0.1),
-            ),
-            miss_cost=3.0,
-            fa_cost=1.0,
-            prior=0.15,
-            energy_weight=5e-3,
-        )
-        state = prepare_adaptive(mixed, solve(mixed), mu=1e-3)
-        assert bool(state.feature_rule[0]) and not bool(state.feature_rule[1])
-        with pytest.raises(ModelFormatError):
-            adaptive_decide(state, 1, 0)
-
     def test_bad_mu_rejected(self, rng):
         spec = small_system(rng)
         with pytest.raises(ModelFormatError):
             prepare_adaptive(spec, solve(spec), mu=0.0)
-
-    def test_eta_attractor_encodes_exact_cut(self, rng):
-        # Any eta in (cut-1, cut] reproduces the integer cut's decisions, so
-        # a converged threshold and the exact cut act identically.
-        spec = small_system(rng)
-        policy = solve(spec)
-        state = prepare_adaptive(spec, policy, mu=1e-3)
-        cut = feature_cut(spec.stages[0].model, spec.prior, policy.thresholds[0])
-        if 0 < cut <= state.eta_limits[0]:
-            eta = np.array(state.eta, copy=True)
-            eta[0] = cut - 0.3
-            from dataclasses import replace
-
-            settled = replace(state, eta=eta)
-            for y in range(spec.stages[0].model.alphabet_size):
-                assert adaptive_decide(settled, 0, y) == (y >= cut)

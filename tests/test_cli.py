@@ -251,6 +251,37 @@ class TestExitCodes:
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["optimize", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "make, mangle",
+        [
+            (cascade_raw, lambda r: r.update(grid_size="abc")),
+            (cascade_raw, lambda r: r.update(grid_size=None)),
+            (cascade_raw, lambda r: r.update(grid_size=2.5)),
+            (cascade_raw, lambda r: r.update(grid_size=True)),
+            (cascade_raw, lambda r: r.pop("prior") and r.update(prior_sweep=[0.05, "x", 3])),
+            (cascade_raw, lambda r: r.pop("prior") and r.update(prior_sweep=[0.05, 0.15, 2.5])),
+            (cascade_raw, lambda r: r["stages"][0].update(p0=[0.5, "a", 0.5])),
+            (cascade_raw, lambda r: r["stages"][0].update(p0="abc")),
+            (graph_raw, lambda r: r.update(edges=[[1, "z"]])),
+            (graph_raw, lambda r: r.update(edges=5)),
+            (graph_raw, lambda r: r.update(root="r")),
+            (graph_raw, lambda r: r["nodes"].update({"2": 5})),
+            (graph_raw, lambda r: r["nodes"].update({"2": "uncertainty"})),
+        ],
+        ids=[
+            "grid-size-string", "grid-size-null", "grid-size-fraction", "grid-size-bool",
+            "sweep-string", "sweep-count-fraction", "pmf-string-entry", "pmf-string",
+            "edge-string-id", "edges-number", "root-string", "node-number", "node-string",
+        ],
+    )
+    def test_wrongly_typed_fields_exit_2(self, tmp_path, capsys, make, mangle):
+        raw = make()
+        mangle(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["optimize", str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_infeasible_contamination(self, tmp_path):
         raw = cascade_raw()
         raw["stages"][0] = {

@@ -8,7 +8,7 @@ from guidedproc import (
     StageSpec,
     downstream_off_costs,
     evidence,
-    graph_activation_probabilities,
+    path_graph,
     post_order,
     posterior_update,
     solve,
@@ -185,6 +185,13 @@ class TestTopology:
 
 
 class TestPathEquivalence:
+    def test_path_graph_maps_stage_k_to_node_k_plus_1(self, rng):
+        spec = random_system(rng, n_stages=4)
+        g = path_graph(spec)
+        assert g.root == 1
+        assert g.edges == {1: (2,), 2: (3,), 3: (4,)}
+        assert all(g.nodes[k + 1] is stage for k, stage in enumerate(spec.stages))
+
     def test_chain_graph_reproduces_cascade(self, rng):
         # A linear DAG and the stage solver describe the same system; the
         # value tables and the total must agree exactly, not to grid error.
@@ -288,29 +295,3 @@ class TestDiamond:
             tau = gp.stop_thresholds[i]
             b = gp.grid.points
             np.testing.assert_array_equal(dec == 0, b < tau)
-
-    def test_activation_profiles_are_distributions(self):
-        g, gp = self.solve_fixture()
-        profiles = graph_activation_probabilities(g, gp)
-        for i, prof in profiles.items():
-            assert prof.probs.min() >= -1e-15
-            np.testing.assert_allclose(prof.probs.sum(axis=0), 1.0, atol=1e-12)
-            labels = set(prof.labels)
-            if g.is_terminal(i):
-                assert labels == {0, 1}
-            else:
-                assert labels == {0, *g.successors(i)}
-
-    def test_root_profile_matches_hand_rollout(self):
-        g, gp = self.solve_fixture()
-        prof = graph_activation_probabilities(g, gp)[1]
-        m = g.nodes[1].model
-        want = {0: 0.0, 2: 0.0, 3: 0.0}
-        for y in range(m.alphabet_size):
-            ev = evidence(0.1, m, y)
-            post = posterior_update(0.1, m, y)
-            action = int(gp.decision_at(1, post))
-            want[action] += ev
-        got = prof.at(0.1)
-        for lab, p in want.items():
-            assert got[lab] == pytest.approx(p, abs=1e-12)

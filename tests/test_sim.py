@@ -9,10 +9,13 @@ from guidedproc import (
     DutyCycleSpec,
     FeatureModel,
     ModelFormatError,
+    StageSpec,
     StreamConfig,
+    SystemSpec,
     dc_risk,
     evaluate,
     posterior_update,
+    prepare_adaptive,
     simulate,
     simulate_duty_cycle,
     solve,
@@ -33,10 +36,55 @@ from guidedproc.fixtures import (
 # Oracle: replay the documented stream contract frame by frame in scalar
 # Python.  Chunk c uses a Philox generator with its counter parked at
 # c * 2**128; each chunk draws the state vector first, then one uniform row
-# per stage; symbols come from the inverse CDF.  Decisions, Bayes updates
+# per stage or node (ascending id); symbols come from the inverse CDF.  Decisions, Bayes updates
 # and energy accounting are re-derived here with plain floats, so agreement
 # with the vectorized engine is exact in every count.
 # ---------------------------------------------------------------------------
+
+
+def replay_chunks(seed, n_frames, prior, n_rows):
+    """Per chunk: index of its first frame, the frame states, and one
+    uniform row per stage or node, drawn as the simulator draws them."""
+    done, c = 0, 0
+    while done < n_frames:
+        count = min(CHUNK_FRAMES, n_frames - done)
+        gen = np.random.Generator(np.random.Philox(key=seed, counter=c << 128))
+        x = (gen.random(count) < prior).tolist()
+        yield done, x, gen.random((n_rows, count)).tolist()
+        done += count
+        c += 1
+
+
+def cdfs(model):
+    return np.cumsum(model.p0).tolist(), np.cumsum(model.p1).tolist()
+
+
+def draw(model, cdf, x, u):
+    return min(bisect.bisect_right(cdf[x], u), model.alphabet_size - 1)
+
+
+def bayes(pi, model, y):
+    num = model.p1[y] * pi
+    den = num + model.p0[y] * (1.0 - pi)
+    return num / den if den > 0.0 else pi
+
+
+class Tally:
+    """Counts and energies of the measured frames."""
+
+    def __init__(self):
+        self.counts = {"n": 0, "n_target": 0, "miss": 0, "fa": 0}
+        self.energies = []
+
+    def add(self, x, declared, energy):
+        self.counts["n"] += 1
+        self.counts["n_target"] += int(x)
+        self.counts["miss"] += int(x and not declared)
+        self.counts["fa"] += int((not x) and declared)
+        self.energies.append(energy)
+
+    def result(self):
+        return self.counts, math.fsum(self.energies) / len(self.energies)
 
 
 def oracle_cascade_stream(spec, policy, n_frames, seed):
@@ -44,48 +92,129 @@ def oracle_cascade_stream(spec, policy, n_frames, seed):
     tau = [float(t) for t in policy.thresholds]
     tail = tail_off_costs(spec.stages).tolist()
     on = [s.on_cost for s in spec.stages]
-    cdf0 = [np.cumsum(s.model.p0).tolist() for s in spec.stages]
-    cdf1 = [np.cumsum(s.model.p1).tolist() for s in spec.stages]
-    p0 = [s.model.p0.tolist() for s in spec.stages]
-    p1 = [s.model.p1.tolist() for s in spec.stages]
-    q = [s.model.alphabet_size for s in spec.stages]
-
-    counts = {"n": 0, "n_target": 0, "miss": 0, "fa": 0}
-    energies = []
-    done, c = 0, 0
-    while done < n_frames:
-        count = min(CHUNK_FRAMES, n_frames - done)
-        gen = np.random.Generator(np.random.Philox(key=seed, counter=c << 128))
-        x = (gen.random(count) < spec.prior).tolist()
-        u = gen.random((spec.n_stages, count)).tolist()
-        for t in range(count):
+    cdf = [cdfs(s.model) for s in spec.stages]
+    tally = Tally()
+    for _, x, u in replay_chunks(seed, n_frames, spec.prior, spec.n_stages):
+        for t in range(len(x)):
             pi = spec.prior
             energy = on[0]
             declared = False
-            alive = True
-            for k in range(spec.n_stages):
-                dist = cdf1[k] if x[t] else cdf0[k]
-                y = min(bisect.bisect_right(dist, u[k][t]), q[k] - 1)
-                num = p1[k][y] * pi
-                den = num + p0[k][y] * (1.0 - pi)
-                if den > 0.0:
-                    pi = num / den
+            for k, stage in enumerate(spec.stages):
+                pi = bayes(pi, stage.model, draw(stage.model, cdf[k], x[t], u[k][t]))
                 if k < k_last:
                     if pi < tau[k]:
                         energy += tail[k + 1]
-                        alive = False
                         break
                     energy += on[k + 1]
                 else:
                     declared = pi >= tau[k]
-            counts["n"] += 1
-            counts["n_target"] += int(x[t])
-            counts["miss"] += int(x[t] and not declared)
-            counts["fa"] += int((not x[t]) and declared)
-            energies.append(energy)
-        done += count
-        c += 1
-    return counts, math.fsum(energies) / n_frames
+            tally.add(x[t], declared, energy)
+    return tally.result()
+
+
+def oracle_graph_stream(graph, policy, n_frames, seed, prior):
+    """Scalar replay of a graph stream: one uniform row per node in
+    ascending id order, decisions from the policy's decision_at.  Also
+    returns the set of (node, action) pairs taken."""
+    ids = sorted(graph.nodes)
+    row = {nid: j for j, nid in enumerate(ids)}
+    cdf = {i: cdfs(graph.nodes[i].model) for i in ids}
+    tally, actions = Tally(), set()
+    for _, x, u in replay_chunks(seed, n_frames, prior, len(ids)):
+        for t in range(len(x)):
+            node, pi = graph.root, prior
+            energy = graph.nodes[node].on_cost
+            while True:
+                m = graph.nodes[node].model
+                pi = bayes(pi, m, draw(m, cdf[node], x[t], u[row[node]][t]))
+                action = int(policy.decision_at(node, pi))
+                actions.add((node, action))
+                if graph.is_terminal(node):
+                    declared = action == 1
+                    break
+                if action == 0:
+                    energy += policy.stop_off_costs[node]
+                    declared = False
+                    break
+                energy += graph.nodes[action].on_cost
+                node = action
+            tally.add(x[t], declared, energy)
+    return (*tally.result(), actions)
+
+
+def oracle_adaptive_stream(spec, policy, n_frames, seed, mu, burn_in):
+    """Scalar replay of adaptive mode.
+
+    Feature stages activate when the symbol clears eta; non-monotone stages
+    keep the belief rule.  After every stage visit, burn-in included, the
+    rate estimate moves by mu toward the activation indicator and eta by mu
+    times the tracking error, clamped to [0, alphabet size].  Returns the
+    counts and mean energy of the measured frames, the final etas, the
+    per-stage rate errors and the set of clamps hit ("low", "high").
+    """
+    state = prepare_adaptive(spec, policy, mu)
+    feature = state.feature_rule.tolist()
+    targets = state.targets.tolist()
+    limits = state.eta_limits.tolist()
+    eta = state.eta.tolist()
+    rates = state.rate_estimates.tolist()
+    n = spec.n_stages
+    tau = [float(t) for t in policy.thresholds]
+    tail = tail_off_costs(spec.stages).tolist()
+    on = [s.on_cost for s in spec.stages]
+    cdf = [cdfs(s.model) for s in spec.stages]
+    tally = Tally()
+    visits, acts = [0] * n, [0] * n
+    clamps = set()
+    for first, x, u in replay_chunks(seed, burn_in + n_frames, spec.prior, n):
+        for t in range(len(x)):
+            measured = first + t >= burn_in
+            pi = spec.prior
+            energy = on[0]
+            declared = False
+            for k, stage in enumerate(spec.stages):
+                y = draw(stage.model, cdf[k], x[t], u[k][t])
+                pi = bayes(pi, stage.model, y)
+                act = y >= eta[k] if feature[k] else pi >= tau[k]
+                rates[k] += mu * (float(act) - rates[k])
+                nxt = eta[k] + mu * (rates[k] - targets[k])
+                if nxt < 0.0:
+                    clamps.add("low")
+                elif nxt > limits[k]:
+                    clamps.add("high")
+                eta[k] = min(max(nxt, 0.0), limits[k])
+                if measured:
+                    visits[k] += 1
+                    acts[k] += act
+                if k == n - 1:
+                    declared = act
+                elif not act:
+                    energy += tail[k + 1]
+                    break
+                else:
+                    energy += on[k + 1]
+            if measured:
+                tally.add(x[t], declared, energy)
+    rate_errors = tuple(
+        abs(acts[k] / visits[k] - targets[k]) if visits[k] else 0.0 for k in range(n)
+    )
+    return (*tally.result(), tuple(eta), rate_errors, clamps)
+
+
+def fallback_system():
+    """A non-monotone first stage (belief fallback) ahead of a monotone one."""
+    bad = FeatureModel(p0=[0.2, 0.3, 0.5], p1=[0.5, 0.3, 0.2])
+    good = FeatureModel(p0=[0.4, 0.3, 0.2, 0.1], p1=[0.1, 0.2, 0.3, 0.4])
+    stages = (StageSpec(model=bad, on_cost=1.0), StageSpec(model=good, on_cost=5.0, off_cost=0.1))
+    return SystemSpec(stages=stages, miss_cost=3.0, fa_cost=1.0, prior=0.2, energy_weight=0.03)
+
+
+def assert_counts_match(report, counts, mean_e):
+    assert report.n_frames == counts["n"]
+    assert report.n_target == counts["n_target"]
+    assert report.miss_count == counts["miss"]
+    assert report.fa_count == counts["fa"]
+    assert report.energy == pytest.approx(mean_e, rel=1e-12)
 
 
 def oracle_duty_stream(dc, n_frames, seed):
@@ -150,6 +279,48 @@ class TestStreamContract:
         assert report.fa_count == counts["fa"]
         assert report.n_target == counts["n_target"]
         assert report.energy == pytest.approx(mean_e, rel=1e-12)
+
+    def test_three_stage_cascade_matches_scalar_replay(self):
+        # The intermediate stage both stops and hands over frames.
+        spec, _ = monitoring_system()
+        policy = solve(spec)
+        report = simulate(StreamConfig(system=spec, n_frames=3000, seed=7), policy)
+        assert_counts_match(report, *oracle_cascade_stream(spec, policy, 3000, 7))
+
+    def test_graph_counts_match_scalar_replay(self):
+        g = diamond_graph()
+        gp = solve_graph(g, miss_cost=3.0, fa_cost=1.0, energy_weight=0.02, prior=0.1)
+        n = CHUNK_FRAMES + 700
+        report = simulate(StreamConfig(system=g, n_frames=n, seed=5, prior=0.5), gp)
+        counts, mean_e, actions = oracle_graph_stream(g, gp, n, 5, 0.5)
+        assert_counts_match(report, counts, mean_e)
+        # the stream stops at, and leaves through, every internal node
+        assert {(1, 0), (1, 2), (1, 3), (2, 0), (2, 4), (3, 0), (3, 4)} <= actions
+
+    @pytest.mark.parametrize(
+        "system, mu, burn_in, n_frames",
+        [
+            (trigger_system, 1e-3, CHUNK_FRAMES + 500, 2000),
+            (fallback_system, 0.5, 1000, 4000),
+        ],
+        ids=["trigger-long-burn-in", "fallback-clamped"],
+    )
+    def test_adaptive_matches_scalar_replay(self, system, mu, burn_in, n_frames):
+        spec = system()
+        policy = solve(spec)
+        cfg = StreamConfig(
+            system=spec, n_frames=n_frames, seed=3, mode="adaptive", mu=mu, burn_in=burn_in
+        )
+        report = simulate(cfg, policy)
+        counts, mean_e, eta, rate_errors, clamps = oracle_adaptive_stream(
+            spec, policy, n_frames, 3, mu, burn_in
+        )
+        assert_counts_match(report, counts, mean_e)
+        assert report.final_eta == eta
+        assert report.rate_errors == rate_errors
+        if system is fallback_system:
+            assert prepare_adaptive(spec, policy, mu).feature_rule.tolist() == [False, True]
+            assert clamps == {"low", "high"}
 
     def test_duty_cycle_counts_match_scalar_replay(self):
         dc = DutyCycleSpec(
