@@ -102,6 +102,8 @@ class SystemSpec:
             raise ModelFormatError("set exactly one of energy_weight or energy_budget")
         if self.energy_weight is not None and not 0.0 <= self.energy_weight < math.inf:
             raise ModelFormatError("energy_weight must be finite and nonnegative")
+        if self.energy_budget is not None and not math.isfinite(self.energy_budget):
+            raise ModelFormatError("energy_budget must be finite")
         for k, st in enumerate(self.stages[1:], start=1):
             if not st.off_cost < st.on_cost:
                 raise ModelFormatError(f"stage {k + 1}: off_cost must be below on_cost")

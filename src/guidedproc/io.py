@@ -89,8 +89,8 @@ def _as_float(raw, key, where, required=True, default=None):
             raise ModelFormatError(f"{where}: missing '{key}'")
         return default
     v = raw[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ModelFormatError(f"{where}: '{key}' must be a number")
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ModelFormatError(f"{where}: '{key}' must be a finite number")
     return float(v)
 
 

@@ -8,6 +8,18 @@ the same layout of variates (state, then one uniform per stage or node, in
 ascending node id) whether or not the policy ends up consuming them, which
 keeps the stream aligned across policies sharing a seed.
 
+Symbols come from the inverse CDF, y = searchsorted(c, u, side="right"),
+with each state's CDF c divided by its last entry so that it ends at
+exactly 1 (a float cumsum short of 1 would hand u near 1 to a zero-mass
+last symbol).  The draw goes through a guide table (Chen & Asau, 1974)
+built once per stream for each model: [0, 1) is cut into L = GUIDE_CELLS
+equal cells, and since L is a power of two, k = int(u * L) is exact and
+k/L <= u < (k+1)/L.  The draw is nondecreasing in u, so throughout cell k
+it equals lo[k] = searchsorted(c, k/L, "right") unless a CDF entry lies
+strictly inside the cell; frames in such cells (at most Q - 1 per state)
+take the binary search.  Every draw thus equals the plain binary search,
+and the variate layout is untouched.
+
 Belief-rule cascades and graphs share one walker: a cascade runs as its
 path graph (``cascade.path_graph``).  Nodes are visited root first in
 topological order, and each node sees only the frames routed to it.
@@ -103,17 +115,45 @@ def _chunks(n_frames: int, first_chunk: int = 0):
         c += 1
 
 
-def _sample_symbols(model: FeatureModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of one symbol per frame from p1 or p0 as x dictates.
+GUIDE_CELLS = 1 << 12  # a power of two, so u * GUIDE_CELLS is exact
 
-    Each CDF is divided by its last entry so that it ends at exactly 1: a
-    float cumsum short of 1 would hand u near 1 to a zero-mass last symbol.
-    """
-    c0 = np.cumsum(model.p0)
-    c1 = np.cumsum(model.p1)
-    y0 = np.searchsorted(c0 / c0[-1], u, side="right")
-    y1 = np.searchsorted(c1 / c1[-1], u, side="right")
-    return np.where(x, y1, y0)
+
+class _SymbolSampler:
+    """Exact inverse-CDF symbol draws for one feature model, by guide table
+    (see the module docstring)."""
+
+    def __init__(self, model: FeatureModel):
+        edges = np.arange(GUIDE_CELLS + 1) / GUIDE_CELLS
+        self._cdfs, lo, ambiguous = [], [], []
+        for p in (model.p0, model.p1):
+            c = np.cumsum(p)
+            c = c / c[-1]
+            first = np.searchsorted(c, edges[:-1], side="right")
+            self._cdfs.append(c)
+            lo.append(first)
+            # a CDF entry strictly inside the cell: the draw is not constant
+            ambiguous.append(first != np.searchsorted(c, edges[1:], side="left"))
+        # one table for both states: state x owns cells x*L .. x*L + L - 1
+        self._lo = np.concatenate(lo)
+        self._ambiguous = np.concatenate(ambiguous)
+
+    def __call__(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """One symbol per frame, from p1 where x is set and p0 elsewhere."""
+        cell = (u * GUIDE_CELLS).astype(np.intp)
+        cell += x * GUIDE_CELLS
+        y = self._lo.take(cell)
+        hard = np.flatnonzero(self._ambiguous.take(cell))
+        if hard.size:
+            c0, c1 = self._cdfs
+            uh = u[hard]
+            y0 = np.searchsorted(c0, uh, side="right")
+            y[hard] = np.where(x[hard], np.searchsorted(c1, uh, side="right"), y0)
+        return y
+
+
+def _sample_symbols(model: FeatureModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw of one symbol per frame from p1 or p0 as x dictates."""
+    return _SymbolSampler(model)(x, u)
 
 
 def _posterior_step(pi, p0v, p1v):
@@ -234,6 +274,7 @@ def _walk(config: StreamConfig, graph: DetectionGraph, prior: float, route, acc)
     topo = list(reversed(post_order(graph)))  # root first
     dstop = downstream_off_costs(graph)
     row = {nid: j for j, nid in enumerate(sorted(graph.nodes))}
+    sampler = {nid: _SymbolSampler(node.model) for nid, node in graph.nodes.items()}
     for c, count in _chunks(config.n_frames):
         gen = _generator(config.seed, c)
         x = gen.random(count) < prior
@@ -247,7 +288,7 @@ def _walk(config: StreamConfig, graph: DetectionGraph, prior: float, route, acc)
                 continue
             idx, pi = (np.concatenate(a) for a in zip(*frontier.pop(nid)))
             node = graph.nodes[nid]
-            y = _sample_symbols(node.model, x[idx], u[row[nid], idx])
+            y = sampler[nid](x[idx], u[row[nid], idx])
             pi = _posterior_step(pi, node.model.p0[y], node.model.p1[y])
             action = route(nid, pi)
             if graph.is_terminal(nid):
@@ -263,15 +304,18 @@ def _walk(config: StreamConfig, graph: DetectionGraph, prior: float, route, acc)
 
 
 def _simulate_adaptive(config: StreamConfig, spec: SystemSpec, policy: Policy) -> SimReport:
+    """Cascade stream under the adaptive feature-domain rule.  Fallback
+    stages decide on the belief, which carries every earlier stage's
+    evidence, feature-rule stages included."""
     state = prepare_adaptive(spec, policy, config.mu)
     prior = spec.prior if config.prior is None else config.prior
     n_stages = spec.n_stages
-    tau = list(policy.thresholds)
     dstop = downstream_off_costs(path_graph(spec))  # stage k is node k + 1
     on_costs = [s.on_cost for s in spec.stages]
-    p0s = [s.model.p0.tolist() for s in spec.stages]
-    p1s = [s.model.p1.tolist() for s in spec.stages]
+    samplers = [_SymbolSampler(s.model) for s in spec.stages]
     feature_rule = state.feature_rule.tolist()
+    # the belief must carry every stage's evidence up to the last fallback
+    n_belief = max((k + 1 for k, f in enumerate(feature_rule) if not f), default=0)
     targets = state.targets.tolist()
     limits = state.eta_limits.tolist()
     eta = state.eta.tolist()
@@ -286,10 +330,15 @@ def _simulate_adaptive(config: StreamConfig, spec: SystemSpec, policy: Policy) -
         gen = _generator(config.seed, c)
         x_arr = gen.random(count) < prior
         u = gen.random((n_stages, count))
-        ys = [
-            _sample_symbols(spec.stages[k].model, x_arr, u[k]).tolist()
-            for k in range(n_stages)
-        ]
+        ys = [sample(x_arr, u[k]) for k, sample in enumerate(samplers)]
+        # beliefs depend on the symbols alone, so the fallback decisions of
+        # the whole chunk are settled here, ahead of the scalar loop
+        pi, belief_act = prior, []
+        for k in range(n_belief):
+            model = spec.stages[k].model
+            pi = _posterior_step(pi, model.p0[ys[k]], model.p1[ys[k]])
+            belief_act.append((pi >= policy.thresholds[k]).tolist())
+        ys = [y.tolist() for y in ys]
         xs = x_arr.tolist()
         # scalar loop: the thresholds adapt frame by frame
         chunk_x = np.empty(count, dtype=bool)
@@ -299,20 +348,9 @@ def _simulate_adaptive(config: StreamConfig, spec: SystemSpec, policy: Policy) -
         for t in range(count):
             measured = t >= measuring_from
             energy = on_costs[0]
-            pi = prior
             declared = False
             for k in range(n_stages):
-                y = ys[k][t]
-                if feature_rule[k]:
-                    act = y >= eta[k]
-                else:
-                    p1v = p1s[k][y]
-                    p0v = p0s[k][y]
-                    num = p1v * pi
-                    den = num + p0v * (1.0 - pi)
-                    if den > 0.0:
-                        pi = num / den
-                    act = pi >= tau[k]
+                act = ys[k][t] >= eta[k] if feature_rule[k] else belief_act[k][t]
                 rates[k] += mu * ((1.0 if act else 0.0) - rates[k])
                 nxt = eta[k] + mu * (rates[k] - targets[k])
                 eta[k] = 0.0 if nxt < 0.0 else (limits[k] if nxt > limits[k] else nxt)
@@ -345,12 +383,13 @@ def simulate_duty_cycle(config: StreamConfig, dc_spec: DutyCycleSpec) -> SimRepo
     tau = dc_spec.fa_cost / (dc_spec.fa_cost + dc_spec.miss_cost)
     post = symbol_posteriors(dc_spec.detector, np.array([prior]))[:, 0]
     positive_symbol = post >= tau  # decision per symbol at fixed prior
+    sample = _SymbolSampler(dc_spec.detector)
     acc = _Accumulator(dc_spec.miss_cost, dc_spec.fa_cost, config.energy_weight)
     for c, count in _chunks(config.n_frames):
         gen = _generator(config.seed, c)
         x = gen.random(count) < prior
         on = gen.random(count) < dc_spec.rho
-        y = _sample_symbols(dc_spec.detector, x, gen.random(count))
+        y = sample(x, gen.random(count))
         declared = on & positive_symbol[y]
         energy = np.where(on, dc_spec.on_cost, dc_spec.off_cost)
         acc.add(x, declared, energy)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -281,6 +282,31 @@ class TestExitCodes:
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["optimize", str(path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "mangle, field",
+        [
+            (
+                lambda r: r.pop("energy_weight") and r.update(energy_budget=math.nan),
+                "energy_budget",
+            ),
+            (lambda r: r.update(miss_cost=math.inf), "miss_cost"),
+            (lambda r: r.update(prior=math.nan), "prior"),
+        ],
+        ids=["budget-nan", "miss-cost-infinity", "prior-nan"],
+    )
+    def test_non_finite_numbers_exit_2(self, tmp_path, capsys, mangle, field):
+        raw = cascade_raw()
+        mangle(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")  # NaN / Infinity literals
+        assert main(["optimize", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
+    def test_non_finite_budget_flag_exits_2(self, model_file, capsys):
+        assert main(["optimize", model_file, "--energy-budget", "nan"]) == 2
+        assert "energy_budget" in capsys.readouterr().err
 
     def test_infeasible_contamination(self, tmp_path):
         raw = cascade_raw()

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from guidedproc import (
     CHUNK_FRAMES,
@@ -22,7 +23,7 @@ from guidedproc import (
     solve_graph,
     tail_off_costs,
 )
-from guidedproc.sim import _sample_symbols
+from guidedproc.sim import GUIDE_CELLS, _SymbolSampler, _sample_symbols
 from guidedproc.fixtures import (
     DUTY_OFF_MJ,
     DUTY_ON_MJ,
@@ -56,11 +57,12 @@ def replay_chunks(seed, n_frames, prior, n_rows):
 
 
 def cdfs(model):
-    return np.cumsum(model.p0).tolist(), np.cumsum(model.p1).tolist()
+    """Both states' CDFs, each divided by its last entry so that it ends at 1."""
+    return tuple((c / c[-1]).tolist() for c in (np.cumsum(model.p0), np.cumsum(model.p1)))
 
 
-def draw(model, cdf, x, u):
-    return min(bisect.bisect_right(cdf[x], u), model.alphabet_size - 1)
+def draw(cdf, x, u):
+    return bisect.bisect_right(cdf[x], u)
 
 
 def bayes(pi, model, y):
@@ -100,7 +102,7 @@ def oracle_cascade_stream(spec, policy, n_frames, seed):
             energy = on[0]
             declared = False
             for k, stage in enumerate(spec.stages):
-                pi = bayes(pi, stage.model, draw(stage.model, cdf[k], x[t], u[k][t]))
+                pi = bayes(pi, stage.model, draw(cdf[k], x[t], u[k][t]))
                 if k < k_last:
                     if pi < tau[k]:
                         energy += tail[k + 1]
@@ -126,7 +128,7 @@ def oracle_graph_stream(graph, policy, n_frames, seed, prior):
             energy = graph.nodes[node].on_cost
             while True:
                 m = graph.nodes[node].model
-                pi = bayes(pi, m, draw(m, cdf[node], x[t], u[row[node]][t]))
+                pi = bayes(pi, m, draw(cdf[node], x[t], u[row[node]][t]))
                 action = int(policy.decision_at(node, pi))
                 actions.add((node, action))
                 if graph.is_terminal(node):
@@ -173,7 +175,7 @@ def oracle_adaptive_stream(spec, policy, n_frames, seed, mu, burn_in):
             energy = on[0]
             declared = False
             for k, stage in enumerate(spec.stages):
-                y = draw(stage.model, cdf[k], x[t], u[k][t])
+                y = draw(cdf[k], x[t], u[k][t])
                 pi = bayes(pi, stage.model, y)
                 act = y >= eta[k] if feature[k] else pi >= tau[k]
                 rates[k] += mu * (float(act) - rates[k])
@@ -209,6 +211,15 @@ def fallback_system():
     return SystemSpec(stages=stages, miss_cost=3.0, fa_cost=1.0, prior=0.2, energy_weight=0.03)
 
 
+def feature_then_fallback_system():
+    """A monotone first stage ahead of a non-monotone one, whose belief rule
+    must see the first stage's evidence as well as its own."""
+    good = FeatureModel(p0=[0.4, 0.3, 0.2, 0.1], p1=[0.1, 0.2, 0.3, 0.4])
+    bad = FeatureModel(p0=[0.2, 0.3, 0.5], p1=[0.5, 0.3, 0.2])
+    stages = (StageSpec(model=good, on_cost=1.0), StageSpec(model=bad, on_cost=5.0, off_cost=0.1))
+    return SystemSpec(stages=stages, miss_cost=3.0, fa_cost=1.0, prior=0.2, energy_weight=0.01)
+
+
 def assert_counts_match(report, counts, mean_e):
     assert report.n_frames == counts["n"]
     assert report.n_target == counts["n_target"]
@@ -223,9 +234,7 @@ def oracle_duty_stream(dc, n_frames, seed):
         posterior_update(dc.prior, dc.detector, y) >= tau
         for y in range(dc.detector.alphabet_size)
     ]
-    cdf0 = np.cumsum(dc.detector.p0).tolist()
-    cdf1 = np.cumsum(dc.detector.p1).tolist()
-    q = dc.detector.alphabet_size
+    cdf = cdfs(dc.detector)
     counts = {"n": 0, "n_target": 0, "miss": 0, "fa": 0}
     energies = []
     done, c = 0, 0
@@ -236,8 +245,7 @@ def oracle_duty_stream(dc, n_frames, seed):
         on = (gen.random(count) < dc.rho).tolist()
         u = gen.random(count).tolist()
         for t in range(count):
-            dist = cdf1 if x[t] else cdf0
-            y = min(bisect.bisect_right(dist, u[t]), q - 1)
+            y = draw(cdf, x[t], u[t])
             declared = on[t] and positive[y]
             counts["n"] += 1
             counts["n_target"] += int(x[t])
@@ -302,8 +310,9 @@ class TestStreamContract:
         [
             (trigger_system, 1e-3, CHUNK_FRAMES + 500, 2000),
             (fallback_system, 0.5, 1000, 4000),
+            (feature_then_fallback_system, 1e-3, 1000, 4000),
         ],
-        ids=["trigger-long-burn-in", "fallback-clamped"],
+        ids=["trigger-long-burn-in", "fallback-clamped", "feature-then-fallback"],
     )
     def test_adaptive_matches_scalar_replay(self, system, mu, burn_in, n_frames):
         spec = system()
@@ -321,6 +330,8 @@ class TestStreamContract:
         if system is fallback_system:
             assert prepare_adaptive(spec, policy, mu).feature_rule.tolist() == [False, True]
             assert clamps == {"low", "high"}
+        if system is feature_then_fallback_system:
+            assert prepare_adaptive(spec, policy, mu).feature_rule.tolist() == [True, False]
 
     def test_duty_cycle_counts_match_scalar_replay(self):
         dc = DutyCycleSpec(
@@ -352,6 +363,53 @@ class TestStreamContract:
         y = _sample_symbols(model, np.zeros(u.size, dtype=bool), u)
         assert y.tolist() == [0, 5, 9, 9]
         assert np.all(model.p0[y] > 0.0)
+
+
+@st.composite
+def sampler_pmfs(draw):
+    """Two PMFs over 2-100 symbols: free masses (zeros included), zero
+    first and last masses, or all mass on one symbol."""
+    q = draw(st.integers(2, 100))
+
+    def pmf():
+        shape = draw(st.sampled_from(["free", "zero-ends", "one-hot"]))
+        w = np.zeros(q)
+        if shape == "one-hot":
+            w[draw(st.integers(0, q - 1))] = 1.0
+            return w
+        w[:] = draw(st.lists(st.integers(0, 10**6), min_size=q, max_size=q))
+        if shape == "zero-ends":
+            w[0] = w[-1] = 0.0
+        if not w.any():
+            w[q // 2] = 1.0
+        return w / w.sum()
+
+    return FeatureModel(p0=pmf(), p1=pmf())
+
+
+class TestSymbolSampler:
+    @settings(max_examples=150, deadline=None)
+    @given(sampler_pmfs(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=64))
+    def test_guide_table_matches_binary_search(self, model, randoms):
+        cdf = [np.array(c) for c in cdfs(model)]
+        below_one = np.nextafter(1.0, 0.0)
+        edges = np.arange(GUIDE_CELLS) / GUIDE_CELLS
+        u = np.concatenate(
+            [[0.0, below_one], edges, np.nextafter(edges + 1.0 / GUIDE_CELLS, 0.0), randoms]
+            + [np.concatenate([c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)]) for c in cdf]
+        )
+        u = u[u < 1.0]
+        want = [np.searchsorted(c, u, side="right") for c in cdf]
+        for state, p in enumerate((model.p0, model.p1)):
+            y = _sample_symbols(model, np.full(u.size, bool(state)), u)
+            assert np.array_equal(y, want[state])
+            assert np.all(p[y] > 0.0)
+        # mixed states in one call: each frame draws from its own state's CDF
+        x = np.arange(u.size) % 3 == 0
+        assert np.array_equal(_sample_symbols(model, x, u), np.where(x, want[1], want[0]))
+        # only cells holding a CDF entry strictly inside need the binary search
+        ambiguous = _SymbolSampler(model)._ambiguous.reshape(2, GUIDE_CELLS)
+        assert np.all(ambiguous.sum(axis=1) <= model.alphabet_size - 1)
 
 
 class TestDeterminism:
