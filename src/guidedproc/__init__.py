@@ -26,8 +26,6 @@ from .models import (
     UncertaintyParams,
     evidence,
     expected_next,
-    interpolate,
-    likelihood_ratio,
     posterior_update,
     symbol_evidence,
     symbol_posteriors,
@@ -37,7 +35,6 @@ from .robust import (
     RobustBand,
     least_favorable,
     model_posterior_bounds,
-    posterior_bounds,
     solve_band,
 )
 from .cascade import (
@@ -78,7 +75,7 @@ from .graph import (
     post_order,
     solve_graph,
 )
-from .sim import CHUNK_FRAMES, SimReport, StreamConfig, simulate, simulate_duty_cycle
+from .sim import CHUNK_FRAMES, SimReport, StreamConfig, simulate
 
 __all__ = [
     "__version__",
@@ -91,10 +88,8 @@ __all__ = [
     "UncertaintyParams",
     "BeliefGrid",
     "BeliefTable",
-    "likelihood_ratio",
     "posterior_update",
     "evidence",
-    "interpolate",
     "symbol_posteriors",
     "symbol_evidence",
     "expected_next",
@@ -103,7 +98,6 @@ __all__ = [
     "solve_band",
     "least_favorable",
     "model_posterior_bounds",
-    "posterior_bounds",
     "StageSpec",
     "SystemSpec",
     "Policy",
@@ -137,6 +131,5 @@ __all__ = [
     "StreamConfig",
     "SimReport",
     "simulate",
-    "simulate_duty_cycle",
     "CHUNK_FRAMES",
 ]

@@ -94,8 +94,8 @@ class SystemSpec:
         object.__setattr__(self, "stages", tuple(self.stages))
         if len(self.stages) < 2:
             raise ModelFormatError("a cascade needs at least 2 stages")
-        if not (self.miss_cost > 0.0 and self.fa_cost > 0.0):
-            raise ModelFormatError("miss_cost and fa_cost must be positive")
+        if not (0.0 < self.miss_cost < math.inf and 0.0 < self.fa_cost < math.inf):
+            raise ModelFormatError("miss_cost and fa_cost must be positive and finite")
         if not 0.0 <= self.prior <= 1.0:
             raise ModelFormatError("prior must lie in [0, 1]")
         if (self.energy_weight is None) == (self.energy_budget is None):
@@ -251,12 +251,14 @@ def achievable_energy_range(spec: SystemSpec) -> tuple[float, float]:
     return floor, ceil
 
 
-def calibrate_lambda(
-    spec: SystemSpec,
-    grid: BeliefGrid | None = None,
-    rel_tol: float = 1e-6,
-    energy_tol: float = 1e-4,
-) -> tuple[float, Policy]:
+# calibrate_lambda stops bisecting once the weight bracket is this narrow
+# relative to the weight, or once a feasible policy's energy is this close
+# to the budget.
+CALIBRATE_REL_TOL = 1e-6
+CALIBRATE_ENERGY_TOL = 1e-4
+
+
+def calibrate_lambda(spec: SystemSpec, grid: BeliefGrid | None = None) -> tuple[float, Policy]:
     """Smallest-energy-weight policy whose expected energy meets the budget.
 
     Expected energy is nonincreasing in the weight, so plain bisection works:
@@ -290,12 +292,12 @@ def calibrate_lambda(
         if hi > 1e30:
             raise InfeasibleBudgetError("energy weight bracketing diverged")
 
-    while hi - lo > rel_tol * max(hi, 1.0):
+    while hi - lo > CALIBRATE_REL_TOL * max(hi, 1.0):
         mid = 0.5 * (lo + hi)
         pol_mid, e_mid = solved(mid)
         if e_mid <= target:
             hi, pol_hi, e_hi = mid, pol_mid, e_mid
-            if abs(e_mid - target) <= energy_tol:
+            if abs(e_mid - target) <= CALIBRATE_ENERGY_TOL:
                 break
         else:
             lo = mid

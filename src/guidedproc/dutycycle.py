@@ -10,6 +10,7 @@ miss risk must stay within the weighted energy saving relative to always-on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,10 +45,10 @@ class DutyCycleSpec:
     def __post_init__(self):
         if not 0.0 <= self.rho <= 1.0:
             raise ModelFormatError("rho must lie in [0, 1]")
-        if not 0.0 <= self.off_cost <= self.on_cost:
-            raise ModelFormatError("need 0 <= off_cost <= on_cost")
-        if not (self.miss_cost > 0.0 and self.fa_cost > 0.0):
-            raise ModelFormatError("miss_cost and fa_cost must be positive")
+        if not 0.0 <= self.off_cost <= self.on_cost < math.inf:
+            raise ModelFormatError("need 0 <= off_cost <= on_cost < inf")
+        if not (0.0 < self.miss_cost < math.inf and 0.0 < self.fa_cost < math.inf):
+            raise ModelFormatError("miss_cost and fa_cost must be positive and finite")
         if not 0.0 <= self.prior <= 1.0:
             raise ModelFormatError("prior must lie in [0, 1]")
 

@@ -165,8 +165,8 @@ def solve_graph(
     between stop and the best successor continue; ties among successors go
     to the smallest id.
     """
-    if not (miss_cost > 0.0 and fa_cost > 0.0):
-        raise ModelFormatError("miss_cost and fa_cost must be positive")
+    if not (0.0 < miss_cost < math.inf and 0.0 < fa_cost < math.inf):
+        raise ModelFormatError("miss_cost and fa_cost must be positive and finite")
     if not 0.0 <= prior <= 1.0:
         raise ModelFormatError("prior must lie in [0, 1]")
     if not 0.0 <= energy_weight < math.inf:

@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .errors import ModelFormatError
 from .graph import DetectionGraph, GraphPolicy
 from .models import BeliefGrid, FeatureModel, UncertaintyParams
 from .robust import RobustBand
+from .sim import SimReport
 
 __all__ = [
     "ModelDocument",
@@ -349,44 +350,16 @@ def policy_from_payload(payload: dict) -> Policy:
 
 
 def band_payload(band: RobustBand) -> dict:
-    return {
-        "lo": band.lo,
-        "hi": finite_or_none(band.hi),
-        "residual0": band.residual0,
-        "residual1": band.residual1,
-    }
+    return {**asdict(band), "hi": finite_or_none(band.hi)}
 
 
 def risk_payload(report: RiskReport) -> dict:
-    return {
-        "total": report.total,
-        "inter_miss": report.inter_miss,
-        "final_miss": report.final_miss,
-        "final_fa": report.final_fa,
-        "energy": report.energy,
-        "weighted_energy": report.weighted_energy,
-    }
+    return asdict(report)
 
 
-def sim_payload(report) -> dict:
-    out = {
-        "n_frames": report.n_frames,
-        "n_target": report.n_target,
-        "miss_count": report.miss_count,
-        "fa_count": report.fa_count,
-        "energy": report.energy,
-        "energy_se": report.energy_se,
-        "empirical_risk": report.empirical_risk,
-        "risk_se": report.risk_se,
-        "miss_rate": report.miss_rate,
-        "miss_rate_se": report.miss_rate_se,
-        "fa_rate": report.fa_rate,
-        "fa_rate_se": report.fa_rate_se,
-    }
-    if report.final_eta is not None:
-        out["final_eta"] = list(report.final_eta)
-        out["rate_errors"] = list(report.rate_errors)
-    return out
+def sim_payload(report: SimReport) -> dict:
+    # the adaptive-mode fields are None on belief-rule streams and omitted
+    return {k: v for k, v in asdict(report).items() if v is not None}
 
 
 def graph_policy_payload(policy: GraphPolicy) -> dict:
@@ -402,6 +375,8 @@ def graph_policy_payload(policy: GraphPolicy) -> dict:
 
 
 def write_json(obj: dict, path_or_none) -> str:
+    """Indented JSON text with sorted keys, also written to the path if one
+    is given.  Tuples come out as arrays, like lists."""
     text = json.dumps(obj, indent=2, sort_keys=True)
     if path_or_none is not None:
         with open(path_or_none, "w", encoding="utf-8") as fh:

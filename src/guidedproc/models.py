@@ -30,10 +30,8 @@ __all__ = [
     "UncertaintyParams",
     "BeliefGrid",
     "BeliefTable",
-    "likelihood_ratio",
     "posterior_update",
     "evidence",
-    "interpolate",
     "symbol_posteriors",
     "symbol_evidence",
     "expected_next",
@@ -135,7 +133,11 @@ class BeliefGrid:
 
 @dataclass(frozen=True)
 class BeliefTable:
-    """A function of belief sampled on a grid, read back linearly."""
+    """A function of belief sampled on a grid.
+
+    Tables are read through ``expected_next``, which interpolates them
+    linearly between grid points.
+    """
 
     grid: BeliefGrid
     values: np.ndarray
@@ -147,18 +149,6 @@ class BeliefTable:
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
-
-    def __call__(self, pi):
-        return interpolate(self, pi)
-
-
-def likelihood_ratio(model: FeatureModel, y: int) -> float:
-    """p1(y)/p0(y); 0/0 reads as 1, p0=0 with p1>0 as +inf."""
-    p0 = float(model.p0[y])
-    p1 = float(model.p1[y])
-    if p0 == 0.0:
-        return 1.0 if p1 == 0.0 else float("inf")
-    return p1 / p0
 
 
 def posterior_update(prior, model: FeatureModel, y: int):
@@ -215,12 +205,3 @@ def expected_next(model: FeatureModel, grid: BeliefGrid, tables, beliefs=None) -
     tables = np.asarray(tables, dtype=np.float64)
     out = np.stack([np.sum(ev * np.interp(post, b, t), axis=0) for t in np.atleast_2d(tables)])
     return out[0] if tables.ndim == 1 else out
-
-
-def interpolate(table: BeliefTable, pi):
-    """Piecewise-linear read of a belief table; exact at grid points."""
-    pi_arr = np.asarray(pi, dtype=np.float64)
-    out = np.interp(pi_arr, table.grid.points, table.values)
-    if pi_arr.ndim == 0:
-        return float(out)
-    return out

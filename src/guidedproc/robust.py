@@ -16,6 +16,11 @@ residual for l_lo at fixed l_hi, the outer loop drives the state-0 residual
 by l_hi.  When one state carries no uncertainty at all its transform is the
 identity, the matching residual vanishes identically, and the solve reduces
 to one-dimensional bisection on the other residual.
+
+``solve_band`` thus takes one of three paths: zero uncertainty (the band is
+the nominal ratio range), the one-sided bisection (state 0 exact) or the
+nested bisection.  A band whose residuals stay outside ``BAND_RESIDUAL_TOL``
+has no feasible crossing and raises ``InfeasibleBandError``.
 """
 
 from __future__ import annotations
@@ -35,7 +40,6 @@ __all__ = [
     "solve_band",
     "least_favorable",
     "model_posterior_bounds",
-    "posterior_bounds",
 ]
 
 # Residual magnitude accepted for each transformed PMF before the final
@@ -179,7 +183,9 @@ def solve_band(model: FeatureModel, u: UncertaintyParams) -> RobustBand:
         # All ratios equal 1: nothing distinguishes the states and no band
         # can restore the mass removed by contamination.
         raise InfeasibleBandError("uninformative model cannot absorb contamination")
-    hi_cap = r_max if math.isfinite(r_max) else float(r_finite.max()) * 1e12
+    # the outer bracket [1, hi_cap] must not invert when every finite ratio
+    # lies below 1
+    hi_cap = r_max if math.isfinite(r_max) else max(float(r_finite.max()), 1.0) * 1e12
 
     q0_identity = u.eps0 == 0.0 and u.nu0 == 0.0
     q1_identity = u.eps1 == 0.0 and u.nu1 == 0.0
@@ -195,37 +201,17 @@ def solve_band(model: FeatureModel, u: UncertaintyParams) -> RobustBand:
         # State 0 keeps its nominal PMF, so only the state-1 residual is
         # active and the high end stays at the nominal maximum ratio.
         lo = _bisect(lambda v: prob.residuals(v, r_max)[1], r_min, 1.0, increasing=True)
-        band = RobustBand(lo, r_max, *prob.residuals(lo, r_max))
+        hi = r_max
     else:
         hi = _bisect(lambda v: prob.residuals(inner_lo(v), v)[0], 1.0, hi_cap, increasing=False)
         lo = inner_lo(hi)
-        band = RobustBand(lo, hi, *prob.residuals(lo, hi))
-
-    if max(abs(band.residual0), abs(band.residual1)) > BAND_RESIDUAL_TOL:
-        band = _dense_scan(prob, r_min, hi_cap, inner_lo)
-    if max(abs(band.residual0), abs(band.residual1)) > BAND_RESIDUAL_TOL:
+    res0, res1 = prob.residuals(lo, hi)
+    if max(abs(res0), abs(res1)) > BAND_RESIDUAL_TOL:
         raise InfeasibleBandError(
             "no ratio band normalizes both least-favorable PMFs "
-            f"(best residuals {band.residual0:.3e}, {band.residual1:.3e})"
+            f"(best residuals {res0:.3e}, {res1:.3e})"
         )
-    return band
-
-
-def _dense_scan(prob: _BandProblem, r_min: float, hi_cap: float, inner_lo) -> RobustBand:
-    """Fallback when the nested bisection could not bracket the crossing."""
-    his = np.unique(np.concatenate([
-        prob.r[np.isfinite(prob.r) & (prob.r >= 1.0) & (prob.r <= hi_cap)],
-        np.geomspace(1.0, hi_cap, 513),
-    ]))
-    best = None
-    for hi in his:
-        lo = inner_lo(float(hi))
-        res0, res1 = prob.residuals(lo, float(hi))
-        score = max(abs(res0), abs(res1))
-        if best is None or score < best[0]:
-            best = (score, RobustBand(lo, float(hi), res0, res1))
-    assert best is not None
-    return best[1]
+    return RobustBand(lo, hi, res0, res1)
 
 
 def least_favorable(
@@ -238,37 +224,11 @@ def least_favorable(
     renormalized proportionally after the band solve; the discarded residual
     stays recorded on the band.
     """
-    if u.is_zero:
-        band = solve_band(model, u)
-        return model, band
     band = solve_band(model, u)
-    prob = _BandProblem(model, u)
-    q0, q1 = prob.transform(band.lo, band.hi)
-    q0 = q0 / q0.sum()
-    q1 = q1 / q1.sum()
-    return FeatureModel(q0, q1), band
-
-
-def _ratio_posterior(pi: float, ratio: float) -> float:
-    if pi <= 0.0:
-        return 0.0
-    if pi >= 1.0:
-        return 1.0
-    if math.isinf(ratio):
-        return 1.0
-    num = ratio * pi
-    den = num + (1.0 - pi)
-    if den == 0.0:
-        return 0.0
-    return num / den
-
-
-def posterior_bounds(prior: BeliefInterval, band: RobustBand) -> BeliefInterval:
-    """Belief interval reachable after one update with band-clipped ratios."""
-    return BeliefInterval(
-        _ratio_posterior(prior.lo, band.lo),
-        _ratio_posterior(prior.hi, band.hi),
-    )
+    if u.is_zero:
+        return model, band
+    q0, q1 = _BandProblem(model, u).transform(band.lo, band.hi)
+    return FeatureModel(q0 / q0.sum(), q1 / q1.sum()), band
 
 
 def model_posterior_bounds(prior: BeliefInterval, model: FeatureModel) -> BeliefInterval:

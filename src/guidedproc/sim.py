@@ -32,6 +32,7 @@ idle cost of everything downstream.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,13 @@ from .errors import ModelFormatError
 from .graph import DetectionGraph, GraphPolicy, downstream_off_costs, post_order
 from .models import FeatureModel, symbol_posteriors
 
-__all__ = ["StreamConfig", "SimReport", "simulate", "simulate_duty_cycle", "CHUNK_FRAMES"]
+__all__ = ["StreamConfig", "SimReport", "simulate", "CHUNK_FRAMES"]
 
 CHUNK_FRAMES = 1 << 16
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -62,12 +67,16 @@ class StreamConfig:
     energy_weight: float = 0.0  # risk weight where no policy supplies one
 
     def __post_init__(self):
-        if self.n_frames < 1:
-            raise ModelFormatError("n_frames must be positive")
+        if not (_is_int(self.n_frames) and self.n_frames >= 1):
+            raise ModelFormatError("n_frames must be a positive integer")
+        if not (_is_int(self.seed) and 0 <= self.seed < 1 << 128):
+            raise ModelFormatError("seed must be an integer in [0, 2**128)")
         if self.mode not in ("belief", "adaptive"):
             raise ModelFormatError("mode must be 'belief' or 'adaptive'")
-        if self.burn_in < 0:
-            raise ModelFormatError("burn_in must be nonnegative")
+        if not (_is_int(self.burn_in) and self.burn_in >= 0):
+            raise ModelFormatError("burn_in must be a nonnegative integer")
+        if self.prior is not None and not 0.0 <= self.prior <= 1.0:
+            raise ModelFormatError("prior must lie in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -149,11 +158,6 @@ class _SymbolSampler:
             y0 = np.searchsorted(c0, uh, side="right")
             y[hard] = np.where(x[hard], np.searchsorted(c1, uh, side="right"), y0)
         return y
-
-
-def _sample_symbols(model: FeatureModel, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw of one symbol per frame from p1 or p0 as x dictates."""
-    return _SymbolSampler(model)(x, u)
 
 
 def _posterior_step(pi, p0v, p1v):
@@ -261,7 +265,7 @@ def simulate(config: StreamConfig, policy=None) -> SimReport:
         acc = _Accumulator(policy.miss_cost, policy.fa_cost, policy.energy_weight)
         return _walk(config, system, prior, policy.decision_at, acc)
     if isinstance(system, DutyCycleSpec):
-        return simulate_duty_cycle(config, system)
+        return _simulate_duty_cycle(config, system)
     raise ModelFormatError(f"cannot simulate a {type(system).__name__}")
 
 
@@ -377,7 +381,7 @@ def _simulate_adaptive(config: StreamConfig, spec: SystemSpec, policy: Policy) -
     return acc.report(final_eta=tuple(eta), rate_errors=rate_errors)
 
 
-def simulate_duty_cycle(config: StreamConfig, dc_spec: DutyCycleSpec) -> SimReport:
+def _simulate_duty_cycle(config: StreamConfig, dc_spec: DutyCycleSpec) -> SimReport:
     """Stream the duty cycler: a coin gates the detector each frame."""
     prior = dc_spec.prior if config.prior is None else config.prior
     tau = dc_spec.fa_cost / (dc_spec.fa_cost + dc_spec.miss_cost)

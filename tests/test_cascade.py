@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,13 @@ class TestSolveBasics:
                 energy_weight=weight,
             )
 
+    @pytest.mark.parametrize("field", ["miss_cost", "fa_cost"])
+    def test_infinite_error_costs_rejected(self, rng, field):
+        # an infinite price would solve to a NaN threshold beside a finite v0
+        spec = random_system(rng, n_stages=2)
+        with pytest.raises(ModelFormatError):
+            replace(spec, **{field: float("inf")})
+
 
 class TestAgainstExactOracle:
     def test_grid_value_sandwiched_by_exact_optimum(self, rng):
@@ -237,7 +246,7 @@ class TestCalibration:
             prior=spec.prior,
             energy_budget=budget,
         )
-        lam, policy = calibrate_lambda(spec_b, energy_tol=1e-4)
+        lam, policy = calibrate_lambda(spec_b)
         run = SystemSpec(
             stages=spec.stages,
             miss_cost=spec.miss_cost,

@@ -319,6 +319,29 @@ class TestExitCodes:
         assert main(["robustify", str(path)]) == 3
         assert main(["optimize", str(path)]) == 3
 
+    def test_unabsorbable_contamination_exits_3(self, tmp_path, capsys):
+        # state 0 is exact and never emits state 1's third symbol: no band
+        # normalizes state 1, and both pooling coefficients of the high pool vanish
+        raw = cascade_raw()
+        raw["stages"][0] = {
+            "p0": [0.0, 1.0, 0.0], "p1": [0.0, 0.99, 0.01], "on_cost": 1.0,
+            "uncertainty": {"eps1": 0.2},
+        }
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["robustify", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "infeasible" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "compare"])
+    def test_negative_seed_exits_2(self, model_file, capsys, command):
+        argv = [command, model_file, "--seed", "-1", "--n-frames", "1000"]
+        if command == "compare":
+            argv += ["--sweep", "0.1:0.1:1"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and "Traceback" not in err
+
     def test_infeasible_budget(self, model_file):
         assert main(["optimize", model_file, "--energy-budget", "1000"]) == 3
         assert main(["optimize", model_file, "--energy-budget", "0.01"]) == 3

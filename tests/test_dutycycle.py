@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from guidedproc import (
     DutyCycleSpec,
+    ModelFormatError,
     dc_risk,
     dominance_check,
     energy_equivalent_rho,
@@ -107,6 +110,11 @@ class TestDutyCycleRisk:
             fixture_dc(1.2)
         with pytest.raises(ValueError):
             fixture_dc(-0.1)
+
+    @pytest.mark.parametrize("field", ["on_cost", "miss_cost", "fa_cost"])
+    def test_infinite_costs_rejected(self, field):
+        with pytest.raises(ModelFormatError):
+            replace(fixture_dc(0.5), **{field: float("inf")})
 
 
 class TestEnergyEquivalence:

@@ -179,6 +179,11 @@ class TestTopology:
                 diamond_graph(), miss_cost=3.0, fa_cost=1.0, energy_weight=weight, prior=0.1
             )
 
+    @pytest.mark.parametrize("costs", [(float("inf"), 1.0), (3.0, float("inf"))])
+    def test_error_costs_must_be_finite(self, costs):
+        with pytest.raises(ModelFormatError):
+            solve_graph(diamond_graph(), *costs, energy_weight=0.002, prior=0.1)
+
     def test_terminal_ids(self):
         g = diamond_graph()
         assert g.terminal_ids == (4,)

@@ -11,6 +11,8 @@ from guidedproc import io
 from guidedproc.cascade import Policy, evaluate, solve
 from guidedproc.errors import ModelFormatError
 from guidedproc.models import BeliefGrid
+from guidedproc.robust import RobustBand
+from guidedproc.sim import SimReport
 
 
 def pmf(*masses):
@@ -267,10 +269,9 @@ class TestPayloads:
         assert parts == pytest.approx(payload["total"], abs=1e-12)
 
     def test_band_payload_infinite_hi(self):
-        band_like = io.band_payload(
-            type("B", (), {"lo": 0.5, "hi": math.inf, "residual0": 0.0, "residual1": 0.0})()
-        )
-        assert band_like["hi"] is None
+        band = RobustBand(0.5, math.inf, 1e-9, -2e-9)
+        wire = {"lo": 0.5, "hi": None, "residual0": 1e-9, "residual1": -2e-9}
+        assert io.write_json(io.band_payload(band), None) == io.write_json(wire, None)
 
     def test_sim_payload_adaptive_fields_are_optional(self):
         base = dict(
@@ -278,11 +279,11 @@ class TestPayloads:
             energy_se=0.1, empirical_risk=0.3, risk_se=0.01, miss_rate=0.5,
             miss_rate_se=0.2, fa_rate=0.0, fa_rate_se=0.0,
         )
-        plain = type("R", (), dict(base, final_eta=None, rate_errors=None))()
-        assert "final_eta" not in io.sim_payload(plain)
-        adaptive = type("R", (), dict(base, final_eta=(3.0,), rate_errors=(0.01,)))()
-        out = io.sim_payload(adaptive)
-        assert out["final_eta"] == [3.0] and out["rate_errors"] == [0.01]
+        plain = SimReport(**base)
+        assert io.write_json(io.sim_payload(plain), None) == io.write_json(base, None)
+        adaptive = SimReport(**base, final_eta=(3.0,), rate_errors=(0.01,))
+        wire = dict(base, final_eta=[3.0], rate_errors=[0.01])
+        assert io.write_json(io.sim_payload(adaptive), None) == io.write_json(wire, None)
 
     def test_write_json_returns_text_and_writes(self, tmp_path):
         path = tmp_path / "out.json"

@@ -4,12 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from guidedproc import (
     BeliefGrid,
-    BeliefTable,
     FeatureModel,
     evidence,
     expected_next,
-    interpolate,
-    likelihood_ratio,
     posterior_update,
     symbol_evidence,
     symbol_posteriors,
@@ -115,19 +112,10 @@ class TestGridAndTables:
             assert g.points[i] <= pi + 1e-15
             assert i == min(int(pi * 100), 100)
 
-    def test_interpolation_exact_on_grid(self):
-        g = BeliefGrid(size=101)
-        vals = np.cos(g.points * 3.0)
-        table = BeliefTable(grid=g, values=vals)
-        assert interpolate(table, 0.37) == pytest.approx(np.cos(1.11), abs=1e-12)
-        idx = 42
-        assert table(g.points[idx]) == vals[idx]
-
     def test_likelihood_ratio_and_evidence_helpers(self, rng):
         m = random_model(rng, 6)
         pri = 0.2
         for y in range(6):
-            assert likelihood_ratio(m, y) == m.ratios()[y]
             ev = evidence(pri, m, y)
             assert ev == pytest.approx(m.p1[y] * pri + m.p0[y] * (1 - pri), abs=1e-15)
 

@@ -8,7 +8,6 @@ from guidedproc import (
     InfeasibleBandError,
     UncertaintyParams,
     least_favorable,
-    posterior_bounds,
     solve_band,
 )
 from guidedproc.robust import BAND_RESIDUAL_TOL
@@ -119,6 +118,22 @@ class TestSolveBand:
         with pytest.raises(InfeasibleBandError):
             solve_band(m, UncertaintyParams(eps0=0.05))
 
+    def test_unabsorbable_contamination_is_infeasible(self):
+        # State 0 is exact and its only mass sits on a symbol state 1 never
+        # emits; the high pool then has zero pooling coefficients, and no
+        # band normalizes state 1.
+        m = FeatureModel(p0=[0.0, 1.0, 0.0], p1=[0.0, 0.99, 0.01])
+        with pytest.raises(InfeasibleBandError, match="no ratio band"):
+            solve_band(m, UncertaintyParams(eps1=0.2))
+
+    def test_outer_bracket_covers_one_when_finite_ratios_are_tiny(self):
+        # One infinite ratio and every finite ratio far below 1: the search
+        # for the high end must still start at 1.
+        m = FeatureModel(p0=[1.0, 0.0], p1=[3.07e-14, 1.0 - 3.07e-14])
+        band = solve_band(m, UncertaintyParams(eps0=0.01, eps1=0.05, nu1=0.05))
+        assert band.lo <= 1.0 <= band.hi < np.inf
+        assert max(abs(band.residual0), abs(band.residual1)) <= BAND_RESIDUAL_TOL
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.01, 0.12))
     def test_residual_property(self, seed, level):
@@ -178,33 +193,6 @@ class TestLeastFavorable:
 
 
 class TestPosteriorBounds:
-    def test_point_prior_maps_through_band_ends(self):
-        band_lo, band_hi = 0.4, 2.5
-        pi = 0.1
-        out = posterior_bounds(
-            BeliefInterval.point(pi),
-            type("B", (), {"lo": band_lo, "hi": band_hi})(),
-        )
-        expected_lo = band_lo * pi / (band_lo * pi + 1 - pi)
-        expected_hi = band_hi * pi / (band_hi * pi + 1 - pi)
-        assert out.lo == pytest.approx(expected_lo, abs=1e-15)
-        assert out.hi == pytest.approx(expected_hi, abs=1e-15)
-
-    def test_absorbing_endpoints(self):
-        from guidedproc import RobustBand
-
-        band = RobustBand(0.5, 2.0)
-        assert posterior_bounds(BeliefInterval.full(), band) == BeliefInterval.full()
-        assert posterior_bounds(BeliefInterval.point(0.0), band) == BeliefInterval.point(0.0)
-        assert posterior_bounds(BeliefInterval.point(1.0), band) == BeliefInterval.point(1.0)
-
-    def test_infinite_hi_maps_to_one(self):
-        from guidedproc import RobustBand
-
-        band = RobustBand(0.5, float("inf"))
-        out = posterior_bounds(BeliefInterval(0.2, 0.3), band)
-        assert out.hi == 1.0
-
     def test_interval_ordering_rejected(self):
         from guidedproc import ModelFormatError
 

@@ -18,12 +18,11 @@ from guidedproc import (
     posterior_update,
     prepare_adaptive,
     simulate,
-    simulate_duty_cycle,
     solve,
     solve_graph,
     tail_off_costs,
 )
-from guidedproc.sim import GUIDE_CELLS, _SymbolSampler, _sample_symbols
+from guidedproc.sim import GUIDE_CELLS, _SymbolSampler
 from guidedproc.fixtures import (
     DUTY_OFF_MJ,
     DUTY_ON_MJ,
@@ -360,7 +359,7 @@ class TestStreamContract:
         model = FeatureModel(p0=p, p1=p[::-1])
         assert np.cumsum(model.p0)[-1] < 1.0
         u = np.array([0.0, 0.55, 0.95, np.nextafter(1.0, 0.0)])
-        y = _sample_symbols(model, np.zeros(u.size, dtype=bool), u)
+        y = _SymbolSampler(model)(np.zeros(u.size, dtype=bool), u)
         assert y.tolist() == [0, 5, 9, 9]
         assert np.all(model.p0[y] > 0.0)
 
@@ -400,15 +399,16 @@ class TestSymbolSampler:
         )
         u = u[u < 1.0]
         want = [np.searchsorted(c, u, side="right") for c in cdf]
+        sample = _SymbolSampler(model)
         for state, p in enumerate((model.p0, model.p1)):
-            y = _sample_symbols(model, np.full(u.size, bool(state)), u)
+            y = sample(np.full(u.size, bool(state)), u)
             assert np.array_equal(y, want[state])
             assert np.all(p[y] > 0.0)
         # mixed states in one call: each frame draws from its own state's CDF
         x = np.arange(u.size) % 3 == 0
-        assert np.array_equal(_sample_symbols(model, x, u), np.where(x, want[1], want[0]))
+        assert np.array_equal(sample(x, u), np.where(x, want[1], want[0]))
         # only cells holding a CDF entry strictly inside need the binary search
-        ambiguous = _SymbolSampler(model)._ambiguous.reshape(2, GUIDE_CELLS)
+        ambiguous = sample._ambiguous.reshape(2, GUIDE_CELLS)
         assert np.all(ambiguous.sum(axis=1) <= model.alphabet_size - 1)
 
 
@@ -485,9 +485,7 @@ class TestStatisticalAgreement:
         )
         lam = 0.001
         analytic = dc_risk(dc, lam)
-        r = simulate_duty_cycle(
-            StreamConfig(system=dc, n_frames=400_000, seed=2, energy_weight=lam), dc
-        )
+        r = simulate(StreamConfig(system=dc, n_frames=400_000, seed=2, energy_weight=lam))
         assert abs(r.empirical_risk - analytic.total) <= 3.0 * r.risk_se
 
     def test_graph_tracks_exact_deployed_risk(self):
@@ -528,3 +526,29 @@ class TestValidation:
         spec, _ = trigger
         with pytest.raises(ModelFormatError):
             StreamConfig(system=spec, n_frames=0, seed=1)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"n_frames": 2.5},
+            {"n_frames": True},
+            {"burn_in": 1.5},
+            {"burn_in": False},
+            {"seed": -1},
+            {"seed": 2**128},
+            {"seed": 1.0},
+            {"prior": 1.5},
+            {"prior": -0.1},
+            {"prior": float("nan")},
+        ],
+    )
+    def test_bad_stream_fields_rejected(self, trigger, fields):
+        spec, _ = trigger
+        with pytest.raises(ModelFormatError):
+            StreamConfig(system=spec, **{"n_frames": 100, "seed": 1, **fields})
+
+    def test_widest_seed_and_numpy_integers_accepted(self, trigger):
+        spec, policy = trigger
+        for seed in (2**128 - 1, np.int64(7)):
+            cfg = StreamConfig(system=spec, n_frames=np.int64(10), seed=seed, prior=1.0)
+            assert simulate(cfg, policy).n_target == 10
