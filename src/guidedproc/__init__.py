@@ -24,6 +24,7 @@ from .models import (
     BeliefTable,
     FeatureModel,
     UncertaintyParams,
+    belief_transition,
     evidence,
     expected_next,
     posterior_update,
@@ -92,6 +93,7 @@ __all__ = [
     "evidence",
     "symbol_posteriors",
     "symbol_evidence",
+    "belief_transition",
     "expected_next",
     "RobustBand",
     "BeliefInterval",

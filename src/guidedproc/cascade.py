@@ -15,15 +15,18 @@ intermediate stage is an upper interval of beliefs: the policy is a single
 threshold per stage.  Ties continue: the threshold is the smallest grid
 belief at which continuing costs no more than stopping, matching the
 deployed rule, which continues when the belief is at or above it.
-Thresholds are reported clamped to each stage's admissible posterior
-interval (the deployed rule); the pre-clamp grid thresholds are kept
-alongside because the risk decomposition must follow the optimizer's
-stop/continue partition on the whole grid, including belief values no
-trajectory can reach.
+Deployed thresholds are the grid thresholds mapped onto each stage's
+admissible posterior interval so that both choose the same action at every
+reachable belief: a threshold below the interval is raised to its lower
+end, and a stage that never continues gets the smallest float above its
+upper end.  The grid thresholds are kept alongside because the risk
+decomposition must follow the optimizer's stop/continue partition on the
+whole grid, including belief values no trajectory can reach.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, replace
 
@@ -36,6 +39,7 @@ from .models import (
     BeliefTable,
     FeatureModel,
     UncertaintyParams,
+    belief_transition,
     expected_next,
 )
 from .robust import (
@@ -61,6 +65,8 @@ __all__ = [
     "robustify_stages",
     "build_system",
 ]
+
+logger = logging.getLogger("guidedproc")
 
 
 @dataclass(frozen=True)
@@ -119,8 +125,9 @@ class Policy:
 
     thresholds[i] applies to the belief after stage i's update; the frame is
     censored when the belief falls strictly below it, and the last entry is
-    the positive-declaration threshold fa/(fa+miss).  raw_thresholds are the
-    pre-clamp grid values (see module docstring).
+    the positive-declaration threshold fa/(fa+miss).  Deployed thresholds
+    are finite; raw_thresholds are the grid values, +inf for a stage that
+    never continues (see module docstring).
     """
 
     grid: BeliefGrid
@@ -178,23 +185,35 @@ def path_graph(spec: SystemSpec) -> DetectionGraph:
     )
 
 
-def solve(spec: SystemSpec, grid: BeliefGrid | None = None) -> Policy:
+def solve(spec: SystemSpec, grid: BeliefGrid | None = None, transitions=None) -> Policy:
     """Backward DP over the belief grid; returns the threshold policy.
 
-    Solves the path graph of the stages, then clamps each intermediate
-    threshold to its stage's admissible posterior interval.
+    Solves the path graph of the stages, then maps each intermediate
+    threshold onto its stage's admissible posterior interval: a threshold
+    below it is raised to its lower end, and a stage that never continues
+    gets the smallest float above its upper end.  `transitions` may hold
+    each stage's ``belief_transition`` on this grid (entry 0 is not read),
+    for callers that solve one cascade at many weights.
     """
     if spec.energy_weight is None:
         raise ModelFormatError("solve needs energy_weight; use calibrate_lambda for budgets")
     grid = grid or BeliefGrid()
     lam = float(spec.energy_weight)
     ids = range(1, spec.n_stages + 1)
-    gp = solve_graph(path_graph(spec), spec.miss_cost, spec.fa_cost, lam, spec.prior, grid)
+    by_node = dict(zip(ids, transitions)) if transitions else None
+    gp = solve_graph(
+        path_graph(spec), spec.miss_cost, spec.fa_cost, lam, spec.prior, grid, by_node
+    )
     raw = tuple(gp.stop_thresholds[i] for i in ids)
-    clamped = [min(max(t, st.bounds.lo), st.bounds.hi) for t, st in zip(raw, spec.stages)]
+    # a finite raw threshold above the interval already stops every
+    # reachable belief; only "never continue" (inf) needs a finite stand-in
+    deployed = [
+        max(t, st.bounds.lo) if math.isfinite(t) else float(np.nextafter(st.bounds.hi, math.inf))
+        for t, st in zip(raw, spec.stages)
+    ]
     return Policy(
         grid=grid,
-        thresholds=(*clamped[:-1], raw[-1]),
+        thresholds=(*deployed[:-1], raw[-1]),
         raw_thresholds=raw,
         value_tables=tuple(gp.value_tables[i] for i in ids),
         v0=gp.v0,
@@ -202,13 +221,14 @@ def solve(spec: SystemSpec, grid: BeliefGrid | None = None) -> Policy:
     )
 
 
-def evaluate(spec: SystemSpec, policy: Policy) -> RiskReport:
+def evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> RiskReport:
     """Risk decomposition of the fixed policy: no minimization anywhere.
 
     Four component tables are carried backwards as one stack (censoring
     miss, final miss, final false alarm, raw energy), each following the
     optimizer's grid stop/continue partition, so that weighted energy plus
     the three risk parts reproduces the solver's value tables identically.
+    `transitions` is as for ``solve``.
     """
     grid = policy.grid
     b = grid.points
@@ -224,7 +244,7 @@ def evaluate(spec: SystemSpec, policy: Policy) -> RiskReport:
     tables = np.stack([zero, final_m, final_fa, zero])
     for k in range(K - 2, -1, -1):
         nxt = stages[k + 1]
-        cont = expected_next(nxt.model, grid, tables)
+        cont = expected_next(nxt.model, grid, tables, None, transitions and transitions[k + 1])
         cont[3] += nxt.on_cost
         stop = np.stack([spec.miss_cost * b, zero, zero, np.full_like(b, tail[k + 1])])
         tables = np.where(b >= policy.raw_thresholds[k], cont, stop)
@@ -251,18 +271,29 @@ def achievable_energy_range(spec: SystemSpec) -> tuple[float, float]:
     return floor, ceil
 
 
-# calibrate_lambda stops bisecting once the weight bracket is this narrow
-# relative to the weight, or once a feasible policy's energy is this close
-# to the budget.
+# calibrate_lambda narrows its weight bracket [lo, hi] until hi - lo is at
+# most this share of hi.
 CALIBRATE_REL_TOL = 1e-6
-CALIBRATE_ENERGY_TOL = 1e-4
 
 
 def calibrate_lambda(spec: SystemSpec, grid: BeliefGrid | None = None) -> tuple[float, Policy]:
-    """Smallest-energy-weight policy whose expected energy meets the budget.
+    """Smallest energy weight whose policy meets the energy budget.
 
-    Expected energy is nonincreasing in the weight, so plain bisection works:
-    the upper end always satisfies the budget, the lower end violates it.
+    On the grid, v0(lambda) is the least of risk + lambda * energy over the
+    stop/continue partitions, so it is concave and piecewise linear with
+    slope equal to the energy ``evaluate`` reports: energy falls below the
+    budget at one breakpoint (Everett's generalized Lagrange multipliers).
+    The search steps the weight up x4 from 1 until the budget is met, then
+    cuts the bracket where v0's tangents at its ends cross (Kelley's cutting
+    plane), at least CALIBRATE_REL_TOL / 2 inside it.  lo breaks the budget
+    and hi meets it throughout.
+
+    Returns (hi, its policy) once hi - lo <= CALIBRATE_REL_TOL * hi, so every
+    weight up to hi * (1 - CALIBRATE_REL_TOL) breaks the budget; 0 when zero
+    weight meets it; and hi as it stands when the tangents show that hi's
+    policy is optimal on all of (0, hi].  Logs one DEBUG record on the
+    ``guidedproc`` logger: solve count, final bracket, weight, energy and
+    budget slack.
     """
     grid = grid or BeliefGrid()
     if spec.energy_budget is None:
@@ -273,35 +304,54 @@ def calibrate_lambda(spec: SystemSpec, grid: BeliefGrid | None = None) -> tuple[
         raise InfeasibleBudgetError(
             f"budget {target!r} outside achievable energy range [{floor!r}, {ceil!r}]"
         )
+    # posteriors and evidence depend on the grid and the stage models only;
+    # the first stage is read at the prior alone
+    transitions = (None, *(belief_transition(st.model, grid) for st in spec.stages[1:]))
+    solves = 0
 
-    def solved(lam: float) -> tuple[Policy, float]:
-        pol = solve(replace(spec, energy_weight=lam, energy_budget=None), grid)
-        rep = evaluate(replace(spec, energy_weight=lam, energy_budget=None), pol)
-        return pol, rep.energy
+    def solved(lam: float) -> tuple[Policy, float, float]:
+        nonlocal solves
+        solves += 1
+        run = replace(spec, energy_weight=lam, energy_budget=None)
+        pol = solve(run, grid, transitions)
+        rep = evaluate(run, pol, transitions)
+        # the risk parts of a partition do not depend on the weight
+        return pol, rep.inter_miss + rep.final_miss + rep.final_fa, rep.energy
 
-    pol, e = solved(0.0)
-    if e <= target:
-        return 0.0, pol
+    lo = hi = 0.0
+    pol, r_hi, e_hi = solved(hi)
+    if e_hi > target:
+        r_lo, e_lo = r_hi, e_hi
+        hi = 1.0
+        pol, r_hi, e_hi = solved(hi)
+        while e_hi > target:
+            lo, r_lo, e_lo = hi, r_hi, e_hi
+            hi *= 4.0
+            pol, r_hi, e_hi = solved(hi)
+            if hi > 1e30:
+                raise InfeasibleBudgetError("energy weight bracketing diverged")
 
-    lo = 0.0
-    hi = 1.0
-    pol_hi, e_hi = solved(hi)
-    while e_hi > target:
-        lo, hi = hi, hi * 4.0
-        pol_hi, e_hi = solved(hi)
-        if hi > 1e30:
-            raise InfeasibleBudgetError("energy weight bracketing diverged")
-
-    while hi - lo > CALIBRATE_REL_TOL * max(hi, 1.0):
-        mid = 0.5 * (lo + hi)
-        pol_mid, e_mid = solved(mid)
-        if e_mid <= target:
-            hi, pol_hi, e_hi = mid, pol_mid, e_mid
-            if abs(e_mid - target) <= CALIBRATE_ENERGY_TOL:
+        margin = 0.5 * CALIBRATE_REL_TOL
+        while hi - lo > CALIBRATE_REL_TOL * hi:
+            # the tangents r + lambda * e of the two end policies cross at
+            # (v_hi - v_lo + lo * e_lo - hi * e_hi) / (e_lo - e_hi)
+            cut = (r_hi - r_lo) / (e_lo - e_hi)
+            lam = min(max(cut, lo * (1.0 + margin)), hi * (1.0 - margin))
+            if lam <= lo:  # lo == 0 and hi's line passes through v0(0)
                 break
-        else:
-            lo = mid
-    return hi, pol_hi
+            pol_c, r_c, e_c = solved(lam)
+            if e_c <= target:
+                hi, pol, r_hi, e_hi = lam, pol_c, r_c, e_c
+            else:
+                lo, r_lo, e_lo = lam, r_c, e_c
+
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "calibrate_lambda: %d solves, bracket [%r, %r], energy_weight %r, "
+            "energy %r, budget slack %r",
+            solves, lo, hi, hi, e_hi, target - e_hi,
+        )
+    return hi, pol
 
 
 def check_cascade_optimality(spec: SystemSpec, policy: Policy) -> CascadeOptimality:

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import io as _stdio
 import os
 import sys
@@ -209,9 +208,7 @@ def cmd_simulate(args) -> int:
         return _emit(bundle, args.output)
     if args.policy is not None:
         spec, _ = io.build_from_document(doc, prior=args.prior)
-        with open(args.policy, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        policy = io.policy_from_payload(payload.get("policy", payload))
+        policy = io.load_policy_file(args.policy)
     else:
         spec, _, policy = _solve_document(doc, args.prior, grid)
     config = StreamConfig(
@@ -297,7 +294,10 @@ def _parse_sweep(text) -> tuple[float, float, int]:
     parts = text.split(":")
     if len(parts) != 3:
         raise ModelFormatError("--sweep wants LO:HI:N")
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise ModelFormatError(f"--sweep wants numbers LO:HI:N, got {text!r}") from None
     if not (0.0 <= lo <= hi <= 1.0 and n >= 1):
         raise ModelFormatError("--sweep out of range")
     return lo, hi, n

@@ -156,6 +156,7 @@ def solve_graph(
     energy_weight: float,
     prior: float,
     grid: BeliefGrid | None = None,
+    transitions=None,
 ) -> GraphPolicy:
     """Exact-on-the-grid value iteration over the DAG.
 
@@ -163,7 +164,9 @@ def solve_graph(
     stopping (miss risk plus weighted downstream idle energy) against each
     successor (its processing cost plus expected continuation value).  Ties
     between stop and the best successor continue; ties among successors go
-    to the smallest id.
+    to the smallest id.  `transitions` may map node ids to their
+    ``belief_transition`` on this grid, for callers that solve one graph at
+    many weights.
     """
     if not (0.0 < miss_cost < math.inf and 0.0 < fa_cost < math.inf):
         raise ModelFormatError("miss_cost and fa_cost must be positive and finite")
@@ -179,6 +182,7 @@ def solve_graph(
     tables: dict[int, BeliefTable] = {}
     decisions: dict[int, np.ndarray] = {}
     thresholds: dict[int, float] = {}
+    transitions = transitions or {}
 
     tau_term = fa_cost / (fa_cost + miss_cost)
     for i in order:
@@ -195,7 +199,8 @@ def solve_graph(
             for j, n in enumerate(succ):
                 assert n in tables, "post-order violated"
                 nxt = graph.nodes[n]
-                cand[j] = lam * nxt.on_cost + expected_next(nxt.model, grid, tables[n].values)
+                step = expected_next(nxt.model, grid, tables[n].values, None, transitions.get(n))
+                cand[j] = lam * nxt.on_cost + step
             best = np.argmin(cand, axis=0)  # first minimum: lowest successor id
             cont = cand[best, np.arange(grid.size)]
             go = cont <= stop

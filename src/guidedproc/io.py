@@ -34,6 +34,7 @@ from .sim import SimReport
 __all__ = [
     "ModelDocument",
     "load_model_file",
+    "load_policy_file",
     "parse_model_document",
     "dump_model_file",
     "build_from_document",
@@ -253,13 +254,26 @@ def parse_model_document(raw: dict) -> ModelDocument:
     )
 
 
-def load_model_file(path) -> ModelDocument:
+def _read_json(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
+            return json.load(fh)
+    # bytes that are not UTF-8, and arrays nested past the decoder's stack
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
-    return parse_model_document(raw)
+
+
+def load_model_file(path) -> ModelDocument:
+    return parse_model_document(_read_json(path))
+
+
+def load_policy_file(path) -> Policy:
+    """The policy of a result bundle written by ``optimize``, or a bare
+    policy payload."""
+    raw = _read_json(path)
+    if not isinstance(raw, dict):
+        raise ModelFormatError(f"{path}: a policy file must hold a JSON object")
+    return policy_from_payload(raw.get("policy", raw))
 
 
 def dump_model_file(raw: dict, path) -> None:
@@ -333,20 +347,29 @@ def policy_payload(policy: Policy) -> dict:
 
 
 def policy_from_payload(payload: dict) -> Policy:
+    """Inverse of ``policy_payload``.  Deployed thresholds, v0 and the
+    weight must be finite (the weight also nonnegative); a raw threshold
+    may be null or infinite, meaning "never continue", but not NaN."""
     try:
         grid = BeliefGrid(int(payload["grid_size"]))
         thresholds = tuple(float(t) for t in payload["thresholds"])
         raw = tuple(math.inf if t is None else float(t) for t in payload["raw_thresholds"])
-        return Policy(
-            grid=grid,
-            thresholds=thresholds,
-            raw_thresholds=raw,
-            value_tables=(),
-            v0=float(payload["v0"]),
-            energy_weight=float(payload["energy_weight"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        v0 = float(payload["v0"])
+        lam = float(payload["energy_weight"])
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelFormatError(f"policy payload: {exc}") from exc
+    if not all(math.isfinite(t) for t in (*thresholds, v0)) or any(math.isnan(t) for t in raw):
+        raise ModelFormatError("policy payload: thresholds and v0 must be finite numbers")
+    if not 0.0 <= lam < math.inf:
+        raise ModelFormatError("policy payload: energy_weight must be finite and nonnegative")
+    return Policy(
+        grid=grid,
+        thresholds=thresholds,
+        raw_thresholds=raw,
+        value_tables=(),
+        v0=v0,
+        energy_weight=lam,
+    )
 
 
 def band_payload(band: RobustBand) -> dict:

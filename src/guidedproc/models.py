@@ -34,6 +34,7 @@ __all__ = [
     "evidence",
     "symbol_posteriors",
     "symbol_evidence",
+    "belief_transition",
     "expected_next",
 ]
 
@@ -191,17 +192,32 @@ def symbol_evidence(model: FeatureModel, priors: np.ndarray) -> np.ndarray:
     return model.p1[:, None] * priors[None, :] + model.p0[:, None] * (1.0 - priors[None, :])
 
 
-def expected_next(model: FeatureModel, grid: BeliefGrid, tables, beliefs=None) -> np.ndarray:
+def belief_transition(model: FeatureModel, grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(posteriors, evidence) of every symbol at every grid belief, each (Q, M).
+
+    The half of ``expected_next`` that depends on the stage model and the
+    grid only.  A caller that propagates many tables through one stage
+    builds it once and passes it back as ``expected_next``'s `transition`.
+    """
+    return symbol_posteriors(model, grid.points), symbol_evidence(model, grid.points)
+
+
+def expected_next(
+    model: FeatureModel, grid: BeliefGrid, tables, beliefs=None, transition=None
+) -> np.ndarray:
     """sum_y evidence(b, y) * table(posterior(b, y)) at each belief b.
 
     The one belief-propagation step of every backward pass.  `tables` is one
     (M,) grid table or a (T, M) stack, read by linear interpolation; beliefs
-    default to the grid points.  Returns shape (n,) or (T, n).
+    default to the grid points.  `transition`, when given, is the
+    ``belief_transition`` pair of this model on this grid and stands in for
+    recomputing it; the result is bit-identical.  Returns shape (n,) or (T, n).
     """
     b = grid.points
-    priors = b if beliefs is None else np.asarray(beliefs, dtype=np.float64)
-    post = symbol_posteriors(model, priors)
-    ev = symbol_evidence(model, priors)
+    if transition is None:
+        priors = b if beliefs is None else np.asarray(beliefs, dtype=np.float64)
+        transition = symbol_posteriors(model, priors), symbol_evidence(model, priors)
+    post, ev = transition
     tables = np.asarray(tables, dtype=np.float64)
     out = np.stack([np.sum(ev * np.interp(post, b, t), axis=0) for t in np.atleast_2d(tables)])
     return out[0] if tables.ndim == 1 else out

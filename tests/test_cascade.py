@@ -1,26 +1,37 @@
+import logging
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from guidedproc import (
+    BeliefGrid,
     BeliefInterval,
     InfeasibleBudgetError,
     ModelFormatError,
     Policy,
     StageSpec,
     SystemSpec,
+    StreamConfig,
     UncertaintyParams,
     achievable_energy_range,
+    belief_transition,
     build_system,
     calibrate_lambda,
     check_cascade_optimality,
     evaluate,
     evidence,
+    fixtures,
+    io,
     posterior_update,
+    simulate,
     solve,
+    symbol_evidence,
+    symbol_posteriors,
     tail_off_costs,
 )
+from guidedproc.cascade import CALIBRATE_REL_TOL, robustify_stages
 from conftest import random_model, random_system
 
 # ---------------------------------------------------------------------------
@@ -161,6 +172,51 @@ class TestSolveBasics:
             replace(spec, **{field: float("inf")})
 
 
+def reachable_system(rng, energy_weight) -> SystemSpec:
+    """A random cascade whose stage bounds are its reachable posterior
+    intervals, so the upper ends are beliefs that frames arrive at."""
+    spec = random_system(rng, energy_weight=energy_weight)
+    deployed = robustify_stages([st.model for st in spec.stages], None, spec.prior)
+    stages = tuple(replace(st, bounds=b) for st, (_, _, b) in zip(spec.stages, deployed))
+    return replace(spec, stages=stages)
+
+
+class TestDeployedThresholds:
+    def test_deployed_and_raw_thresholds_agree_at_reachable_beliefs(self, rng):
+        # beliefs enumerated stage by stage as stationary_targets does,
+        # following the frames that continue
+        for _ in range(20):
+            spec = reachable_system(rng, float(rng.uniform(0.0, 0.2)))
+            policy = solve(spec)
+            assert all(math.isfinite(t) for t in policy.thresholds)
+            beliefs = np.array([spec.prior])
+            for k, st in enumerate(spec.stages[:-1]):
+                post = symbol_posteriors(st.model, beliefs)
+                post = post[symbol_evidence(st.model, beliefs) > 0.0]
+                go = post >= policy.raw_thresholds[k]
+                assert np.array_equal(post >= policy.thresholds[k], go)
+                beliefs = np.unique(post[go])
+
+    def test_stage_that_never_continues_stops_in_the_stream(self):
+        # at this weight the DP stops every frame after stage 1
+        spec, _ = fixtures.monitoring_system()
+        spec = replace(spec, energy_weight=0.05)
+        policy = solve(spec)
+        assert policy.raw_thresholds[:-1] == (math.inf, math.inf)
+        report = evaluate(spec, policy)
+        sim = simulate(StreamConfig(system=spec, n_frames=1_000_000, seed=3), policy)
+        assert abs(sim.empirical_risk - report.total) <= 5.0 * sim.risk_se
+        assert sim.energy == pytest.approx(report.energy, rel=1e-12)
+
+    def test_calibrated_stream_keeps_the_budget(self):
+        doc = io.parse_model_document(fixtures.as_document(model_uncertainty=0.1))
+        spec, _ = io.build_from_document(doc, prior=0.1, energy_budget=8.5)
+        lam, policy = calibrate_lambda(spec)
+        run = replace(spec, energy_weight=lam, energy_budget=None)
+        sim = simulate(StreamConfig(system=run, n_frames=1_000_000, seed=3), policy)
+        assert sim.energy <= 8.5 + 5.0 * sim.energy_se
+
+
 class TestAgainstExactOracle:
     def test_grid_value_sandwiched_by_exact_optimum(self, rng):
         # Linear interpolation of concave tables can only lower the value,
@@ -257,6 +313,81 @@ class TestCalibration:
         achieved = evaluate(run, policy).energy
         assert achieved <= budget + 1e-4
         assert lam >= 0.0
+
+    def test_transitions_change_no_bit(self, rng):
+        for _ in range(3):
+            spec = random_system(rng)
+            grid = BeliefGrid(501)
+            transitions = (None, *(belief_transition(st.model, grid) for st in spec.stages[1:]))
+            plain, cached = solve(spec, grid), solve(spec, grid, transitions)
+            assert (plain.thresholds, plain.raw_thresholds, plain.v0) == (
+                cached.thresholds, cached.raw_thresholds, cached.v0
+            )
+            for a, b in zip(plain.value_tables, cached.value_tables):
+                assert np.array_equal(a.values, b.values)
+            assert evaluate(spec, plain) == evaluate(spec, cached, transitions)
+
+    def test_calibration_finds_the_breakpoint(self):
+        # seeded property test against a plain bisection kept here
+        rng = np.random.default_rng(6)
+        grid = BeliefGrid(201)
+
+        def at(spec, lam):
+            run = replace(spec, energy_weight=lam, energy_budget=None)
+            return evaluate(run, solve(run, grid))
+
+        def bisection(spec):
+            budget = spec.energy_budget
+            if at(spec, 0.0).energy <= budget:
+                return 0.0, at(spec, 0.0)
+            lo, hi = 0.0, 1.0
+            while at(spec, hi).energy > budget:
+                lo, hi = hi, 4.0 * hi
+            while hi - lo > 1e-10 * hi and hi > 1e-15:
+                mid = 0.5 * (lo + hi)
+                if at(spec, mid).energy <= budget:
+                    hi = mid
+                else:
+                    lo = mid
+            return hi, at(spec, hi)
+
+        for _ in range(20):
+            spec = random_system(rng)
+            floor, ceil = achievable_energy_range(spec)
+            budget = float(rng.uniform(floor, ceil))
+            spec = replace(spec, energy_weight=None, energy_budget=budget)
+            lam, policy = calibrate_lambda(spec, grid)
+            report = evaluate(replace(spec, energy_weight=lam, energy_budget=None), policy)
+            assert report.energy <= budget
+            if lam > 0.0:
+                below = at(spec, lam * (1.0 - 2.0 * CALIBRATE_REL_TOL))
+                zero = at(spec, 0.0)
+                # or every positive weight meets the budget and zero does not
+                assert below.energy > budget or (
+                    zero.energy > budget
+                    and below.total - below.weighted_energy
+                    == pytest.approx(zero.total - zero.weighted_energy, abs=1e-9)
+                )
+            lam_ref, ref = bisection(spec)
+            assert report.energy == pytest.approx(ref.energy, abs=1e-9)
+            risk, risk_ref = report.total - lam * report.energy, ref.total - lam_ref * ref.energy
+            assert risk == pytest.approx(risk_ref, abs=1e-9)
+
+    def test_one_debug_record(self, rng, caplog):
+        spec = random_system(rng, n_stages=3)
+        floor, ceil = achievable_energy_range(spec)
+        spec = replace(spec, energy_weight=None, energy_budget=0.5 * (floor + ceil))
+        with caplog.at_level(logging.WARNING, logger="guidedproc"):
+            calibrate_lambda(spec)
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="guidedproc"):
+            lam, policy = calibrate_lambda(spec)
+        (record,) = caplog.records
+        energy = evaluate(replace(spec, energy_weight=lam, energy_budget=None), policy).energy
+        message = record.getMessage()
+        assert record.name == "guidedproc" and record.levelno == logging.DEBUG
+        for part in ("solves", repr(lam), repr(energy), repr(spec.energy_budget - energy)):
+            assert part in message
 
     def test_budget_outside_range_raises(self, rng):
         spec = random_system(rng, n_stages=2)

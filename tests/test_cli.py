@@ -342,6 +342,67 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "seed" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("sweep", ["a:b:3", "0.1:0.2:x"])
+    def test_unparsable_sweep_exits_2(self, model_file, capsys, sweep):
+        assert main(["compare", model_file, "--sweep", sweep]) == 2
+        err = capsys.readouterr().err
+        assert "--sweep" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "write",
+        [
+            lambda bundle: "{not json",
+            lambda bundle: json.dumps([bundle]),
+            lambda bundle: json.dumps(bundle["policy"]["thresholds"]),
+            lambda bundle: json.dumps({**bundle, "policy": [1.0]}),
+            lambda bundle: json.dumps(
+                {**bundle["policy"], "thresholds": ["nan", *bundle["policy"]["thresholds"][1:]]}
+            ),
+            lambda bundle: json.dumps(
+                {**bundle["policy"], "thresholds": [math.inf, *bundle["policy"]["thresholds"][1:]]}
+            ),
+            lambda bundle: json.dumps({**bundle["policy"], "raw_thresholds": [math.nan] * 3}),
+            lambda bundle: json.dumps({**bundle["policy"], "energy_weight": -1}),
+            lambda bundle: json.dumps({**bundle["policy"], "energy_weight": math.nan}),
+            lambda bundle: json.dumps({**bundle["policy"], "v0": math.inf}),
+            lambda bundle: json.dumps({**bundle["policy"], "grid_size": 1}),
+            lambda bundle: json.dumps({**bundle["policy"], "grid_size": math.inf}),
+        ],
+        ids=[
+            "not-json", "list-of-bundles", "list-of-thresholds", "policy-list",
+            "threshold-nan-string", "threshold-infinity", "raw-nan", "weight-negative",
+            "weight-nan", "v0-infinity", "grid-1", "grid-infinity",
+        ],
+    )
+    def test_bad_policy_file_exits_2(self, model_file, tmp_path, capsys, write):
+        bundle = run_json(["optimize", model_file], tmp_path / "policy.json")
+        path = tmp_path / "bad.json"
+        path.write_text(write(bundle), encoding="utf-8")
+        argv = ["simulate", model_file, "--policy", str(path), "--n-frames", "1000"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "guidedproc:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf8", "deep"])
+    @pytest.mark.parametrize("role", ["model", "policy"])
+    def test_undecodable_file_exits_2(self, model_file, tmp_path, capsys, data, role):
+        path = tmp_path / "bad.json"
+        path.write_bytes(data)
+        if role == "model":
+            argv = ["optimize", str(path)]
+        else:
+            argv = ["simulate", model_file, "--policy", str(path), "--n-frames", "1000"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "not valid JSON" in err and "Traceback" not in err
+
+    def test_bare_policy_payload_is_a_policy_file(self, model_file, tmp_path):
+        bundle = run_json(["optimize", model_file], tmp_path / "bundle.json")
+        path = tmp_path / "policy.json"
+        path.write_text(json.dumps(bundle["policy"]), encoding="utf-8")
+        argv = ["simulate", model_file, "--policy", str(path), "--n-frames", "1000"]
+        assert run_json(argv, tmp_path / "out.json")["policy"] == bundle["policy"]
+
     def test_infeasible_budget(self, model_file):
         assert main(["optimize", model_file, "--energy-budget", "1000"]) == 3
         assert main(["optimize", model_file, "--energy-budget", "0.01"]) == 3

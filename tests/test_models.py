@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from guidedproc import (
     BeliefGrid,
     FeatureModel,
+    belief_transition,
     evidence,
     expected_next,
     posterior_update,
@@ -154,3 +155,26 @@ class TestExpectedNext:
             ev0 = symbol_evidence(m, np.array([prior]))[:, 0]
             ref = float(np.sum(ev0 * np.interp(post0, b, table)))
             assert float(expected_next(m, g, table, [prior])[0]) == ref
+
+    @staticmethod
+    def model_with_zero_masses(rng):
+        # some symbols impossible under one state, some under both
+        q = int(rng.integers(4, 24))
+        p0, p1 = rng.gamma(1.0, size=q), rng.gamma(1.0, size=q)
+        cut = rng.integers(0, 4, size=q)  # 1: p0 = 0, 2: p1 = 0, 3: both
+        p0[(cut == 1) | (cut == 3)] = 0.0
+        p1[(cut == 2) | (cut == 3)] = 0.0
+        p0[0] = p1[0] = 1.0  # keep both PMFs nonzero
+        return FeatureModel(p0=p0 / p0.sum(), p1=p1 / p1.sum())
+
+    @pytest.mark.parametrize("size", [101, 1001, 10001])
+    def test_precomputed_transition_is_bit_identical(self, rng, size):
+        g = BeliefGrid(size=size)
+        for _ in range(4):
+            m = self.model_with_zero_masses(rng)
+            transition = belief_transition(m, g)
+            tables = rng.random((4, size))
+            for t in (tables[0], tables):
+                assert np.array_equal(
+                    expected_next(m, g, t, transition=transition), expected_next(m, g, t)
+                )
