@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleBudgetError, ModelFormatError
-from .graph import DetectionGraph, solve_graph
+from .graph import DetectionGraph, downstream_off_costs, solve_graph
 from .models import (
     BeliefGrid,
     BeliefTable,
@@ -168,7 +168,9 @@ class CascadeOptimality:
 def tail_off_costs(stages) -> np.ndarray:
     """tail[i] = sum of off_costs of stages[i:]; tail[K] = 0.
 
-    A stop after stage i idles stages i+1..K and charges tail[i+1].
+    A stop after stage i idles stages i+1..K and charges tail[i+1].  The
+    solvers and the simulator price a stop with ``downstream_off_costs`` of
+    the path graph, the same sum added in another order.
     """
     offs = np.array([st.off_cost for st in stages], dtype=np.float64)
     tail = np.zeros(len(stages) + 1)
@@ -235,7 +237,7 @@ def evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> RiskReport:
     lam = policy.energy_weight
     stages = spec.stages
     K = len(stages)
-    tail = tail_off_costs(stages)
+    dstop = downstream_off_costs(path_graph(spec))
 
     positive = b >= policy.thresholds[K - 1]
     zero = np.zeros_like(b)
@@ -246,7 +248,7 @@ def evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> RiskReport:
         nxt = stages[k + 1]
         cont = expected_next(nxt.model, grid, tables, None, transitions and transitions[k + 1])
         cont[3] += nxt.on_cost
-        stop = np.stack([spec.miss_cost * b, zero, zero, np.full_like(b, tail[k + 1])])
+        stop = np.stack([spec.miss_cost * b, zero, zero, np.full_like(b, dstop[k + 1])])
         tables = np.where(b >= policy.raw_thresholds[k], cont, stop)
 
     first = stages[0]
@@ -265,8 +267,7 @@ def evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> RiskReport:
 
 def achievable_energy_range(spec: SystemSpec) -> tuple[float, float]:
     """[stop-everything energy, run-everything energy]."""
-    tail = tail_off_costs(spec.stages)
-    floor = spec.stages[0].on_cost + float(tail[1])
+    floor = spec.stages[0].on_cost + downstream_off_costs(path_graph(spec))[1]
     ceil = float(sum(st.on_cost for st in spec.stages))
     return floor, ceil
 
@@ -365,11 +366,11 @@ def check_cascade_optimality(spec: SystemSpec, policy: Policy) -> CascadeOptimal
     """
     lam = policy.energy_weight
     b = policy.grid.points
-    tail = tail_off_costs(spec.stages)
+    dstop = downstream_off_costs(path_graph(spec))
     betas = []
     verdicts = []
     for k in range(spec.n_stages - 1):
-        declare_pos = spec.fa_cost * (1.0 - b) + lam * tail[k + 1]
+        declare_pos = spec.fa_cost * (1.0 - b) + lam * dstop[k + 1]
         better = np.flatnonzero(policy.value_tables[k].values - declare_pos < 0.0)
         beta = float(b[better[-1]]) if better.size else -np.inf
         betas.append(beta)

@@ -183,6 +183,9 @@ def solve_graph(
     decisions: dict[int, np.ndarray] = {}
     thresholds: dict[int, float] = {}
     transitions = transitions or {}
+    # continuation table of each node, computed when a first predecessor
+    # needs it: a shared successor is propagated once
+    onward: dict[int, np.ndarray] = {}
 
     tau_term = fa_cost / (fa_cost + miss_cost)
     for i in order:
@@ -198,9 +201,11 @@ def solve_graph(
             cand = np.empty((len(succ), grid.size))
             for j, n in enumerate(succ):
                 assert n in tables, "post-order violated"
-                nxt = graph.nodes[n]
-                step = expected_next(nxt.model, grid, tables[n].values, None, transitions.get(n))
-                cand[j] = lam * nxt.on_cost + step
+                if n not in onward:
+                    nxt = graph.nodes[n]
+                    step = expected_next(nxt.model, grid, tables[n].values, None, transitions.get(n))
+                    onward[n] = lam * nxt.on_cost + step
+                cand[j] = onward[n]
             best = np.argmin(cand, axis=0)  # first minimum: lowest successor id
             cont = cand[best, np.arange(grid.size)]
             go = cont <= stop

@@ -8,24 +8,40 @@ inside the two neighborhoods compresses the likelihood ratio into a band
 transformed ratio equals l_lo exactly, symbols above l_hi are pooled to l_hi,
 and in-band symbols keep their nominal shape scaled by (1 - eps).
 
-The band ends are characterized here by requiring both transformed vectors to
-be proper PMFs.  The two normalization residuals are monotone in (l_lo, l_hi)
-(total state-0 mass decreases, state-1 mass increases, when either end grows),
-so a nested bisection finds the crossing: the inner loop solves the state-1
-residual for l_lo at fixed l_hi, the outer loop drives the state-0 residual
-by l_hi.  When one state carries no uncertainty at all its transform is the
-identity, the matching residual vanishes identically, and the solve reduces
-to one-dimensional bisection on the other residual.
+With the pooled masses P0L = P0(r < l_lo), P1L = P1(r < l_lo),
+P0H = P0(r > l_hi), P1H = P1(r > l_hi) and the pooling coefficients
+v_lo = (eps1 + nu1) / (1 - eps1), w_lo = nu0 / (1 - eps0),
+v_hi = (eps0 + nu0) / (1 - eps0), w_hi = nu1 / (1 - eps1), each band end solves
+its own equation (Huber, *A robust version of the probability ratio test*,
+1965; Huber & Strassen, 1973):
 
-``solve_band`` thus takes one of three paths: zero uncertainty (the band is
-the nominal ratio range), the one-sided bisection (state 0 exact) or the
-nested bisection.  A band whose residuals stay outside ``BAND_RESIDUAL_TOL``
-has no feasible crossing and raises ``InfeasibleBandError``.
+    l_lo * P0L - P1L = v_lo + w_lo * l_lo
+    P1H - l_hi * P0H = w_hi + v_hi * l_hi
+
+At these ends the low pool carries state-0 mass P0L - w_lo and state-1 mass
+P1L + v_lo, the high pool P0H + v_hi and P1H - w_hi, so both transformed
+vectors are proper PMFs.  Each left side is convex and piecewise linear in its
+end, with breakpoints at the ratios, and the right side is a line: each
+equation has one crossing, read off the prefix sums of the sorted ratios.
+The high end is the low end of the state-swapped model, in reciprocal ratio.
+
+When one state is exact (eps = nu = 0) its transform is the identity at every
+band, and a whole curve of bands normalizes the other state.  The end on the
+exact state's side is then pinned at the nominal extreme ratio and the other
+end solves the remaining normalization condition: with state 0 exact,
+l_hi = r_max and l_lo * P0L - P1L = eps1 / (1 - eps1); with state 1 exact,
+l_lo = r_min and P1H - l_hi * P0H = l_hi * eps0 / (1 - eps0).  An end whose
+right side is zero has no pool and is the nominal extreme ratio.  With zero
+uncertainty the band is the nominal ratio range.
+
+A band with no crossing, with l_lo > 1 or l_hi < 1, or whose transformed
+vectors miss unit mass by more than ``BAND_RESIDUAL_TOL`` raises
+``InfeasibleBandError``; the residuals recorded on the band are those sums
+minus 1.
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
@@ -45,8 +61,6 @@ __all__ = [
 # Residual magnitude accepted for each transformed PMF before the final
 # proportional renormalization.
 BAND_RESIDUAL_TOL = 1e-8
-
-_BISECT_STEPS = 90
 
 
 @dataclass(frozen=True)
@@ -96,13 +110,6 @@ class _BandProblem:
         self.w_lo = u.nu0 / (1.0 - u.eps0)
         self.v_hi = (u.eps0 + u.nu0) / (1.0 - u.eps0)
         self.w_hi = u.nu1 / (1.0 - u.eps1)
-        # Ratio-sorted prefix sums let residuals() run in O(log Q) scalar
-        # arithmetic: the nested bisection calls it thousands of times, so
-        # plain Python floats beat numpy dispatch here by a wide margin.
-        order = np.argsort(self.r, kind="stable")
-        self._r_sorted = self.r[order].tolist()
-        self._cum0 = np.concatenate([[0.0], np.cumsum(model.p0[order])]).tolist()
-        self._cum1 = np.concatenate([[0.0], np.cumsum(model.p1[order])]).tolist()
 
     def transform(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
         """Least-favorable PMF pair before renormalization."""
@@ -125,55 +132,34 @@ class _BandProblem:
             q1[high] = (1.0 - self.u.eps1) * hi * pooled / denom
         return q0, q1
 
-    def residuals(self, lo: float, hi: float) -> tuple[float, float]:
-        """Normalization defects of the transformed pair, via prefix sums."""
-        i_lo = bisect.bisect_left(self._r_sorted, lo)
-        i_hi = bisect.bisect_right(self._r_sorted, hi)
-        p0_low, p1_low = self._cum0[i_lo], self._cum1[i_lo]
-        p0_high = self._cum0[-1] - self._cum0[i_hi]
-        p1_high = self._cum1[-1] - self._cum1[i_hi]
-        s0 = self._cum0[i_hi] - p0_low
-        s1 = self._cum1[i_hi] - p1_low
-        if i_lo > 0:
-            mix = self.v_lo * p0_low + self.w_lo * p1_low
-            den = self.v_lo + self.w_lo * lo
-            s0 += mix / den
-            s1 += lo * mix / den
-        if i_hi < len(self._r_sorted):
-            mix = self.w_hi * p0_high + self.v_hi * p1_high
-            den = self.w_hi + self.v_hi * hi
-            s0 += mix / den
-            s1 += hi * mix / den
-        return (
-            (1.0 - self.u.eps0) * s0 - 1.0,
-            (1.0 - self.u.eps1) * s1 - 1.0,
-        )
 
+def _low_end(p0: np.ndarray, p1: np.ndarray, v: float, w: float) -> float:
+    """Root lo of lo * P0(r < lo) - P1(r < lo) = v + w * lo, r = p1 / p0.
 
-def _bisect(f, a: float, b: float, increasing: bool) -> float:
-    """Root of a monotone scalar function on [a, b] with bracketed sign."""
-    fa, fb = f(a), f(b)
-    lo_sign = fa <= 0.0 if increasing else fa >= 0.0
-    hi_sign = fb >= 0.0 if increasing else fb <= 0.0
-    if not lo_sign:
-        return a
-    if not hi_sign:
-        return b
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (a + b)
-        fm = f(mid)
-        if (fm <= 0.0) == increasing:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    The left side is zero up to the least ratio and convex piecewise linear
+    with breakpoints at the ratios; the right side is a line with v > 0, so
+    they cross once.  The crossing lies on the segment that ends at the first
+    breakpoint where the left side is ahead, or beyond the last finite ratio
+    when there is no such breakpoint; inf when the lines never meet.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = p1 / p0
+    pool = np.isfinite(r)  # an infinite ratio never falls below a finite end
+    order = np.argsort(r[pool], kind="stable")
+    r = r[pool][order]
+    # masses of the symbols strictly below each breakpoint, then of all
+    c0 = np.concatenate([[0.0], np.cumsum(p0[pool][order])])
+    c1 = np.concatenate([[0.0], np.cumsum(p1[pool][order])])
+    ahead = np.flatnonzero(r * c0[:-1] - c1[:-1] > v + w * r)
+    k = ahead[0] if ahead.size else r.size
+    slope = c0[k] - w
+    return float((c1[k] + v) / slope) if slope > 0.0 else math.inf
 
 
 def solve_band(model: FeatureModel, u: UncertaintyParams) -> RobustBand:
     """Band ends that make both least-favorable vectors proper PMFs."""
     prob = _BandProblem(model, u)
-    r_finite = prob.r[np.isfinite(prob.r)]
-    if r_finite.size == 0:
+    if not np.isfinite(prob.r).any():
         raise InfeasibleBandError("model has no symbol with positive state-0 mass")
     r_min = float(prob.r.min())
     r_max = float(prob.r.max())
@@ -183,30 +169,25 @@ def solve_band(model: FeatureModel, u: UncertaintyParams) -> RobustBand:
         # All ratios equal 1: nothing distinguishes the states and no band
         # can restore the mass removed by contamination.
         raise InfeasibleBandError("uninformative model cannot absorb contamination")
-    # the outer bracket [1, hi_cap] must not invert when every finite ratio
-    # lies below 1
-    hi_cap = r_max if math.isfinite(r_max) else max(float(r_finite.max()), 1.0) * 1e12
 
-    q0_identity = u.eps0 == 0.0 and u.nu0 == 0.0
-    q1_identity = u.eps1 == 0.0 and u.nu1 == 0.0
-
-    def inner_lo(hi: float) -> float:
-        # State-1 residual is increasing in lo; a vanishing-uncertainty
-        # state 1 keeps its nominal PMF and pins lo at the smallest ratio.
-        if q1_identity:
-            return r_min
-        return _bisect(lambda lo: prob.residuals(lo, hi)[1], r_min, 1.0, increasing=True)
-
-    if q0_identity:
-        # State 0 keeps its nominal PMF, so only the state-1 residual is
-        # active and the high end stays at the nominal maximum ratio.
-        lo = _bisect(lambda v: prob.residuals(v, r_max)[1], r_min, 1.0, increasing=True)
-        hi = r_max
+    # (v, w) of each end's equation; v = 0 leaves a zero right side: no pool
+    if u.eps0 == u.nu0 == 0.0:
+        low, high = (u.eps1 / (1.0 - u.eps1), 0.0), (0.0, 0.0)
+    elif u.eps1 == u.nu1 == 0.0:
+        low, high = (0.0, 0.0), (u.eps0 / (1.0 - u.eps0), 0.0)
     else:
-        hi = _bisect(lambda v: prob.residuals(inner_lo(v), v)[0], 1.0, hi_cap, increasing=False)
-        lo = inner_lo(hi)
-    res0, res1 = prob.residuals(lo, hi)
-    if max(abs(res0), abs(res1)) > BAND_RESIDUAL_TOL:
+        low, high = (prob.v_lo, prob.w_lo), (prob.v_hi, prob.w_hi)
+    p0, p1 = model.p0, model.p1
+    lo = _low_end(p0, p1, *low) if low[0] > 0.0 else r_min
+    # the high end is the low end of the state-swapped model, in 1 / ratio
+    hi = 1.0 / _low_end(p1, p0, *high) if high[0] > 0.0 else r_max
+
+    feasible = lo <= 1.0 <= hi
+    # an end past 1 is infeasible; the error quotes the residuals at 1
+    lo, hi = min(lo, 1.0), max(hi, 1.0)
+    q0, q1 = prob.transform(lo, hi)
+    res0, res1 = float(q0.sum()) - 1.0, float(q1.sum()) - 1.0
+    if not feasible or max(abs(res0), abs(res1)) > BAND_RESIDUAL_TOL:
         raise InfeasibleBandError(
             "no ratio band normalizes both least-favorable PMFs "
             f"(best residuals {res0:.3e}, {res1:.3e})"

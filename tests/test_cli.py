@@ -1,19 +1,25 @@
 """End-to-end runs of the command-line front end on temp model files."""
 
+import contextlib
+import copy
 import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import guidedproc
 from guidedproc import cli, io
 from guidedproc.cli import COMPARE_COLUMNS, main
+from guidedproc.fixtures import as_document, graph_document
 
 from test_io import cascade_raw, graph_raw
 
@@ -410,6 +416,65 @@ class TestExitCodes:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+# Input-contract fuzzing: mutated reference documents through the CLI.
+NUMBERS = st.sampled_from(
+    [0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.999999, 1.0 - 1e-12, 1.0,
+     -0.1, -1e-300, 1e308, math.nan, math.inf]
+)
+WRONG_TYPES = st.sampled_from(["0.1", None, [0.1], {"eps0": 0.1}, True])
+VALUES = NUMBERS | WRONG_TYPES
+LEVELS = st.sampled_from([0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3])
+UNCERTAINTY = WRONG_TYPES | st.dictionaries(
+    st.sampled_from(["eps0", "eps1", "nu0", "nu1"]), LEVELS | LEVELS | VALUES, max_size=4
+)
+BASE_DOCUMENTS = (as_document(), graph_document())
+
+
+@st.composite
+def mutated_documents(draw):
+    raw = copy.deepcopy(draw(st.sampled_from(BASE_DOCUMENTS)))
+    holders = raw["stages"] if "stages" in raw else list(raw["nodes"].values())
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["uncertainty"] * 4 + ["field", "top", "delete"]))
+        if kind == "uncertainty":
+            draw(st.sampled_from(holders))["uncertainty"] = draw(UNCERTAINTY)
+        elif kind == "field":
+            holder = draw(st.sampled_from(holders))
+            holder[draw(st.sampled_from(["p0", "p1", "on_cost", "off_cost"]))] = draw(VALUES)
+        elif kind == "top":
+            raw[draw(st.sampled_from(sorted(raw)))] = draw(VALUES)
+        else:
+            raw.pop(draw(st.sampled_from(sorted(raw))))
+    return raw
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    mutated_documents(),
+    st.sampled_from(["robustify", "optimize"]),
+    st.sampled_from([[], ["--prior", "0.3"], ["--prior", "nan"], ["--grid", "1"]]),
+)
+def test_mutated_documents_keep_the_exit_contract(raw, command, flags):
+    # Every input ends in success, malformed input or infeasible, never a
+    # traceback, and a successful bundle carries only finite thresholds.
+    flags = flags if command == "optimize" else []
+    err = StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        model, out = Path(tmp, "model.json"), Path(tmp, "out.json")
+        model.write_text(json.dumps(raw), encoding="utf-8")  # NaN / Infinity literals
+        with contextlib.redirect_stderr(err):
+            rc = main([command, str(model), "--grid", "101", *flags, "-o", str(out)])
+        assert rc in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if rc == 0:
+            bundle = json.loads(out.read_text(encoding="utf-8"))
+            assert all(math.isfinite(t) for t in bundle.get("policy", {}).get("thresholds", []))
+            stops = bundle.get("graph_policy", {}).get("stop_thresholds", {}).values()
+            assert all(t is None or math.isfinite(t) for t in stops)  # null: never continue
+            for stage in bundle.get("stages", []):
+                assert np.isfinite(stage["q0"]).all() and np.isfinite(stage["q1"]).all()
 
 
 def test_imports_do_not_load_scipy():

@@ -300,3 +300,22 @@ class TestDiamond:
             tau = gp.stop_thresholds[i]
             b = gp.grid.points
             np.testing.assert_array_equal(dec == 0, b < tau)
+
+    def test_shared_successor_propagated_once(self, monkeypatch):
+        # Node 4 feeds both 2 and 3; its continuation table is built once
+        # and reused, so each node goes through the grid propagation once
+        # (the root at the prior).
+        import guidedproc.graph as graph_mod
+
+        g = diamond_graph()
+        node_of = {id(st.model): i for i, st in g.nodes.items()}
+        calls = []
+        real = graph_mod.expected_next
+
+        def recording(model, *args):
+            calls.append(node_of[id(model)])
+            return real(model, *args)
+
+        monkeypatch.setattr(graph_mod, "expected_next", recording)
+        solve_graph(g, miss_cost=3.0, fa_cost=1.0, energy_weight=0.002, prior=0.1, grid=self.GRID)
+        assert calls == [4, 2, 3, 1]

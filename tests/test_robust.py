@@ -55,7 +55,51 @@ def spread_model(rng, n_symbols=None) -> FeatureModel:
     return FeatureModel(p0=p0, p1=p1 / p1.sum())
 
 
+def sparse_model(rng) -> FeatureModel:
+    """Random model with about 30% zero masses in each state."""
+    q = int(rng.integers(3, 16))
+    p0 = rng.dirichlet(np.ones(q)) * (rng.random(q) > 0.3)
+    p1 = rng.dirichlet(np.ones(q)) * (rng.random(q) > 0.3)
+    p0[0] += p0.sum() == 0.0
+    p1[-1] += p1.sum() == 0.0
+    return FeatureModel(p0=p0 / p0.sum(), p1=p1 / p1.sum())
+
+
+def end_coefficients(u):
+    """(v, w) of the low-end equation lo*P0L - P1L = v + w*lo and of the
+    high-end equation P1H - hi*P0H = w + v*hi, read off the neighborhood
+    definitions.  None marks an end without pool, at the nominal extreme
+    ratio: the end on an exact state's side, or one whose right side is 0."""
+    if u.eps0 == u.nu0 == 0.0:
+        return ((u.eps1 / (1.0 - u.eps1), 0.0) if u.eps1 else None), None
+    if u.eps1 == u.nu1 == 0.0:
+        return None, ((u.eps0 / (1.0 - u.eps0), 0.0) if u.eps0 else None)
+    low = ((u.eps1 + u.nu1) / (1.0 - u.eps1), u.nu0 / (1.0 - u.eps0))
+    high = ((u.eps0 + u.nu0) / (1.0 - u.eps0), u.nu1 / (1.0 - u.eps1))
+    return low, high
+
+
+def assert_end_equations(model, u, band, rel=1e-12):
+    r = model.ratios()
+    low, high = end_coefficients(u)
+    if low is None:
+        assert band.lo == r.min()
+    else:
+        pool = r < band.lo
+        terms = (band.lo * model.p0[pool].sum(), model.p1[pool].sum(), low[0] + low[1] * band.lo)
+        assert abs(terms[0] - terms[1] - terms[2]) <= rel * sum(terms)
+    if high is None:
+        assert band.hi == r.max()
+    else:
+        pool = r > band.hi
+        terms = (model.p1[pool].sum(), band.hi * model.p0[pool].sum(), high[1] + high[0] * band.hi)
+        assert abs(terms[0] - terms[1] - terms[2]) <= rel * sum(terms)
+
+
 FOUR_WAY = UncertaintyParams(eps0=0.1, eps1=0.1, nu0=0.1, nu1=0.1)
+LEVELS = (0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3)
+# three-symbol model whose Huber band is exactly [2/3, 4] under nu0 = nu1 = 0.1
+TV_MODEL = FeatureModel(p0=[0.5, 0.5, 0.0], p1=[0.2, 0.3, 0.5])
 
 
 class TestSolveBand:
@@ -133,6 +177,72 @@ class TestSolveBand:
         band = solve_band(m, UncertaintyParams(eps0=0.01, eps1=0.05, nu1=0.05))
         assert band.lo <= 1.0 <= band.hi < np.inf
         assert max(abs(band.residual0), abs(band.residual1)) <= BAND_RESIDUAL_TOL
+
+    def test_end_equations_hold_on_seeded_classes(self):
+        # Every returned band solves its two end equations on the pooled
+        # sets, normalizes the independently rebuilt pair and brackets 1.
+        rng = np.random.default_rng(7)
+        makers = (spread_model, sparse_model, random_model)
+        checked = 0
+        for n in range(900):
+            m = makers[n % 3](rng)
+            u = UncertaintyParams(*rng.choice(LEVELS, size=4))
+            try:
+                band = solve_band(m, u)
+            except InfeasibleBandError:
+                continue
+            q0, q1 = oracle_pair(m, u, band.lo, band.hi)
+            assert abs(q0.sum() - 1.0) <= BAND_RESIDUAL_TOL
+            assert abs(q1.sum() - 1.0) <= BAND_RESIDUAL_TOL
+            assert band.lo <= 1.0 <= band.hi
+            assert_end_equations(m, u, band)
+            checked += 1
+        assert checked >= 400
+
+    def test_detector_suite_bands_are_pinned(self):
+        from guidedproc.fixtures import detector_suite
+
+        expected = [
+            (0.39344475437447857, 2.541652897596408),
+            (0.29708997375422863, 3.3659836694026675),
+            (0.2637176090385589, 3.7919348793041237),
+        ]
+        for m, (lo, hi) in zip(detector_suite(), expected):
+            band = solve_band(m, FOUR_WAY)
+            assert band.lo == pytest.approx(lo, rel=1e-12, abs=0.0)
+            assert band.hi == pytest.approx(hi, rel=1e-12, abs=0.0)
+
+    def test_pure_total_variation_band(self):
+        # With eps0 = eps1 = 0 a whole curve of bands normalizes both
+        # PMFs; the band is the Huber point on it.
+        band = solve_band(TV_MODEL, UncertaintyParams(nu0=0.1, nu1=0.1))
+        assert band.lo == pytest.approx(2.0 / 3.0, rel=1e-15, abs=0.0)
+        assert band.hi == pytest.approx(4.0, rel=1e-15, abs=0.0)
+
+    def test_pure_total_variation_is_the_vanishing_contamination_limit(self, rng):
+        checked = 0
+        for _ in range(40):
+            m = random_model(rng)
+            nu0, nu1 = rng.choice(LEVELS[1:], size=2)
+            try:
+                band = solve_band(m, UncertaintyParams(nu0=nu0, nu1=nu1))
+            except InfeasibleBandError:
+                continue
+            near = solve_band(m, UncertaintyParams(1e-9, 1e-9, nu0, nu1))
+            assert band.lo == pytest.approx(near.lo, rel=1e-6, abs=0.0)
+            assert band.hi == pytest.approx(near.hi, rel=1e-6, abs=0.0)
+            checked += 1
+        assert checked >= 30
+
+    def test_end_without_pool_is_the_nominal_ratio(self):
+        # State 1 exact and eps0 = 0: the high end's equation has a zero
+        # right side, so there is no high pool and hi is the nominal
+        # maximum ratio, here infinite.
+        from guidedproc.io import band_payload
+
+        band = solve_band(TV_MODEL, UncertaintyParams(nu0=0.1))
+        assert (band.lo, band.hi) == (0.4, np.inf)
+        assert band_payload(band)["hi"] is None
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.01, 0.12))
