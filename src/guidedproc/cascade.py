@@ -20,8 +20,10 @@ admissible posterior interval so that both choose the same action at every
 reachable belief: a threshold below the interval is raised to its lower
 end, and a stage that never continues gets the smallest float above its
 upper end.  The grid thresholds are kept alongside because the risk
-decomposition must follow the optimizer's stop/continue partition on the
-whole grid, including belief values no trajectory can reach.
+decomposition must follow the optimizer's stop/continue partition at every
+grid node that interpolation reads, and those nodes bracket the reachable
+beliefs rather than equal them.  ``evaluate`` carries the decomposition
+back over that read set only, which a forward pass from the prior collects.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ from .models import (
     UncertaintyParams,
     belief_transition,
     expected_next,
+    symbol_evidence,
+    symbol_posteriors,
 )
 from .robust import (
     BeliefInterval,
@@ -223,6 +227,15 @@ def solve(spec: SystemSpec, grid: BeliefGrid | None = None, transitions=None) ->
     )
 
 
+def _read_set(b: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
+    """Grid nodes ``np.interp`` reads to interpolate at the beliefs: the
+    two ends of each belief's bracket, j <= x < j + 1, in ascending order."""
+    j = np.searchsorted(b, beliefs.ravel(), "right") - 1
+    hit = np.zeros(b.size + 1, dtype=bool)  # the top node's bracket end j + 1 = M
+    hit[j] = hit[j + 1] = True
+    return np.flatnonzero(hit[:-1])
+
+
 def evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> RiskReport:
     """Risk decomposition of the fixed policy: no minimization anywhere.
 
@@ -230,7 +243,13 @@ def evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> RiskReport:
     miss, final miss, final false alarm, raw energy), each following the
     optimizer's grid stop/continue partition, so that weighted energy plus
     the three risk parts reproduces the solver's value tables identically.
-    `transitions` is as for ``solve``.
+    Only the read set is carried: a forward pass from the prior collects,
+    stage by stage, the grid nodes that interpolation at the reachable
+    posteriors reads, and which of them continue; the backward pass fills
+    each table on those nodes alone, so every entry it reads is the value
+    the whole-grid recursion would hold there.  `transitions` is as for
+    ``solve``; columns are taken from it instead of recomputed.  Logs one
+    DEBUG record on the ``guidedproc`` logger: the read-set size per stage.
     """
     grid = policy.grid
     b = grid.points
@@ -239,20 +258,45 @@ def evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> RiskReport:
     K = len(stages)
     dstop = downstream_off_costs(path_graph(spec))
 
-    positive = b >= policy.thresholds[K - 1]
-    zero = np.zeros_like(b)
-    final_m = np.where(positive, 0.0, spec.miss_cost * b)
-    final_fa = np.where(positive, spec.fa_cost * (1.0 - b), 0.0)
-    tables = np.stack([zero, final_m, final_fa, zero])
-    for k in range(K - 2, -1, -1):
-        nxt = stages[k + 1]
-        cont = expected_next(nxt.model, grid, tables, None, transitions and transitions[k + 1])
-        cont[3] += nxt.on_cost
-        stop = np.stack([spec.miss_cost * b, zero, zero, np.full_like(b, dstop[k + 1])])
-        tables = np.where(b >= policy.raw_thresholds[k], cont, stop)
+    first, prior = stages[0], np.array([spec.prior])
+    root = symbol_posteriors(first.model, prior), symbol_evidence(first.model, prior)
+    reads = [_read_set(b, root[0])]
+    steps = []
+    for k in range(K - 1):
+        go = b[reads[k]] >= policy.raw_thresholds[k]
+        cont, stop = reads[k][go], reads[k][~go]
+        # numpy sums one column pairwise but several row by row, as on the
+        # whole grid: a lone continue node is carried twice
+        cols = np.repeat(cont, 2) if cont.size == 1 else cont
+        given = transitions and transitions[k + 1]
+        if given:
+            pair = given[0].take(cols, axis=1), given[1].take(cols, axis=1)
+        else:
+            model = stages[k + 1].model
+            pair = symbol_posteriors(model, b[cols]), symbol_evidence(model, b[cols])
+        steps.append((cont, stop, pair))
+        reads.append(_read_set(b, pair[0]))
 
-    first = stages[0]
-    at_prior = expected_next(first.model, grid, tables, [spec.prior])[:, 0]
+    at = reads[K - 1]
+    positive = b[at] >= policy.thresholds[K - 1]
+    tables = np.zeros((4, b.size))
+    tables[1, at] = np.where(positive, 0.0, spec.miss_cost * b[at])
+    tables[2, at] = np.where(positive, spec.fa_cost * (1.0 - b[at]), 0.0)
+    for k in range(K - 2, -1, -1):
+        cont, stop, pair = steps[k]
+        values = expected_next(stages[k + 1].model, grid, tables, None, pair)
+        values[3] += stages[k + 1].on_cost
+        tables = np.zeros((4, b.size))
+        tables[0, stop] = spec.miss_cost * b[stop]
+        tables[3, stop] = dstop[k + 1]
+        tables[:, cont] = values[:, : cont.size]
+
+    if logger.isEnabledFor(logging.DEBUG):
+        logger.debug(
+            "evaluate: grid nodes read per stage %s of %d",
+            [int(r.size) for r in reads], b.size,
+        )
+    at_prior = expected_next(first.model, grid, tables, None, root)[:, 0]
     r_inter, r_final_m, r_final_fa, e = at_prior.tolist()
     e += first.on_cost
     return RiskReport(

@@ -151,7 +151,7 @@ def _solve_graph_document(doc, prior, grid):
 
 def cmd_optimize(args) -> int:
     doc = io.load_model_file(args.model)
-    grid = BeliefGrid(args.grid or doc.grid_size)
+    grid = BeliefGrid(doc.grid_size if args.grid is None else args.grid)
     if doc.kind == "graph":
         gpol = _solve_graph_document(doc, args.prior, grid)
         bundle = io.result_bundle(doc, graph_policy=io.graph_policy_payload(gpol))
@@ -180,7 +180,7 @@ def cmd_check_optimality(args) -> int:
     doc = io.load_model_file(args.model)
     if doc.kind != "cascade":
         raise ModelFormatError("check-optimality applies to cascade model files")
-    grid = BeliefGrid(args.grid or doc.grid_size)
+    grid = BeliefGrid(doc.grid_size if args.grid is None else args.grid)
     spec, _, policy = _solve_document(doc, args.prior, grid)
     opt = check_cascade_optimality(spec, policy)
     bundle = io.result_bundle(
@@ -195,7 +195,7 @@ def cmd_check_optimality(args) -> int:
 
 def cmd_simulate(args) -> int:
     doc = io.load_model_file(args.model)
-    grid = BeliefGrid(args.grid or doc.grid_size)
+    grid = BeliefGrid(doc.grid_size if args.grid is None else args.grid)
     if doc.kind == "graph":
         if args.mode != "belief":
             raise ModelFormatError("adaptive mode applies to cascade systems")
@@ -324,7 +324,7 @@ def cmd_compare(args) -> int:
         points = np.linspace(lo, hi, n)
     else:
         points = doc.sweep_points()
-    grid_size = args.grid or doc.grid_size
+    grid_size = doc.grid_size if args.grid is None else args.grid
     tasks = [
         (doc.raw, float(pi0), args.n_frames, args.seed, grid_size, row)
         for row, pi0 in enumerate(points)

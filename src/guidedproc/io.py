@@ -350,8 +350,10 @@ def policy_from_payload(payload: dict) -> Policy:
     """Inverse of ``policy_payload``.  Deployed thresholds, v0 and the
     weight must be finite (the weight also nonnegative); a raw threshold
     may be null or infinite, meaning "never continue", but not NaN."""
+    if not isinstance(payload, dict):
+        raise ModelFormatError("policy payload must be a JSON object")
+    grid = BeliefGrid(_as_int(payload, "grid_size", "policy payload"))
     try:
-        grid = BeliefGrid(int(payload["grid_size"]))
         thresholds = tuple(float(t) for t in payload["thresholds"])
         raw = tuple(math.inf if t is None else float(t) for t in payload["raw_thresholds"])
         v0 = float(payload["v0"])
@@ -360,6 +362,8 @@ def policy_from_payload(payload: dict) -> Policy:
         raise ModelFormatError(f"policy payload: {exc}") from exc
     if not all(math.isfinite(t) for t in (*thresholds, v0)) or any(math.isnan(t) for t in raw):
         raise ModelFormatError("policy payload: thresholds and v0 must be finite numbers")
+    if len(raw) != len(thresholds):
+        raise ModelFormatError("policy payload: one raw threshold per threshold")
     if not 0.0 <= lam < math.inf:
         raise ModelFormatError("policy payload: energy_weight must be finite and nonnegative")
     return Policy(

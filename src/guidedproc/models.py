@@ -25,6 +25,7 @@ from .errors import DegenerateContaminationError, ModelFormatError
 
 __all__ = [
     "DEFAULT_GRID_SIZE",
+    "MAX_GRID_SIZE",
     "PMF_ATOL",
     "FeatureModel",
     "UncertaintyParams",
@@ -39,6 +40,12 @@ __all__ = [
 ]
 
 DEFAULT_GRID_SIZE = 1001
+
+# Largest belief grid.  A stage's (Q, M) transition pair (posteriors and
+# evidence, float64) takes 16 * Q * M bytes, and the DP holds one per stage
+# during calibration: at this size a 100-symbol stage needs 160 MB.  The
+# largest grid in use is 10001 (16 MB per such stage).
+MAX_GRID_SIZE = 100_001
 
 # Tolerance for accepting a vector as a PMF.
 PMF_ATOL = 1e-9
@@ -115,8 +122,8 @@ class BeliefGrid:
     points: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if int(self.size) < 2:
-            raise ModelFormatError("belief grid needs at least 2 points")
+        if not 2 <= int(self.size) <= MAX_GRID_SIZE:
+            raise ModelFormatError(f"belief grid needs 2 to {MAX_GRID_SIZE} points")
         object.__setattr__(self, "size", int(self.size))
         pts = np.linspace(0.0, 1.0, self.size)
         pts.setflags(write=False)
@@ -152,20 +159,19 @@ class BeliefTable:
         object.__setattr__(self, "values", vals)
 
 
-def posterior_update(prior, model: FeatureModel, y: int):
+def posterior_update(prior, model: FeatureModel, y):
     """Bayes update of the state-1 belief after observing symbol y.
 
-    Accepts a scalar or an array of priors.  Beliefs 0 and 1 are absorbing;
-    a zero-evidence symbol leaves the belief unchanged.
+    Accepts a scalar or an array of priors, or one prior and an array of
+    symbols.  Beliefs 0 and 1 are absorbing; a zero-evidence symbol leaves
+    the belief unchanged.
     """
     prior_arr = np.asarray(prior, dtype=np.float64)
-    num = float(model.p1[y]) * prior_arr
-    den = num + float(model.p0[y]) * (1.0 - prior_arr)
+    num = model.p1[y] * prior_arr
+    den = num + model.p0[y] * (1.0 - prior_arr)
     with np.errstate(invalid="ignore", divide="ignore"):
         post = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), prior_arr)
-    if prior_arr.ndim == 0:
-        return float(post)
-    return post
+    return float(post) if post.ndim == 0 else post
 
 
 def evidence(prior, model: FeatureModel, y: int):

@@ -216,15 +216,12 @@ def model_posterior_bounds(prior: BeliefInterval, model: FeatureModel) -> Belief
     """Belief interval reachable after one update with the model's own symbols.
 
     Threshold clamping is a knife-edge comparison against these bounds, so
-    they are computed with the exact update arithmetic on the deployed model;
-    mapping the prior through the analytic band ends drifts by the
-    renormalization residual and by the common ratio scale.
+    they are computed with the exact update arithmetic on the deployed model,
+    applied to all live symbols at once; mapping the prior through the
+    analytic band ends drifts by the renormalization residual and by the
+    common ratio scale.
     """
-    reachable = [
-        y
-        for y in range(model.alphabet_size)
-        if model.p0[y] > 0.0 or model.p1[y] > 0.0
-    ]
-    lo = min(posterior_update(prior.lo, model, y) for y in reachable)
-    hi = max(posterior_update(prior.hi, model, y) for y in reachable)
-    return BeliefInterval(lo, hi)
+    live = np.flatnonzero((model.p0 > 0.0) | (model.p1 > 0.0))
+    lo = posterior_update(prior.lo, model, live).min()
+    hi = posterior_update(prior.hi, model, live).max()
+    return BeliefInterval(float(lo), float(hi))

@@ -8,9 +8,11 @@ import pytest
 from guidedproc import (
     BeliefGrid,
     BeliefInterval,
+    FeatureModel,
     InfeasibleBudgetError,
     ModelFormatError,
     Policy,
+    RiskReport,
     StageSpec,
     SystemSpec,
     StreamConfig,
@@ -31,7 +33,9 @@ from guidedproc import (
     symbol_posteriors,
     tail_off_costs,
 )
-from guidedproc.cascade import CALIBRATE_REL_TOL, robustify_stages
+from guidedproc.cascade import CALIBRATE_REL_TOL, path_graph, robustify_stages
+from guidedproc.graph import downstream_off_costs
+from guidedproc.models import expected_next
 from conftest import random_model, random_system
 
 # ---------------------------------------------------------------------------
@@ -268,6 +272,108 @@ class TestDecomposition:
         assert min(r.inter_miss, r.final_miss, r.final_fa, r.energy) >= 0.0
 
 
+def whole_grid_evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> RiskReport:
+    """Oracle: the risk decomposition carried back over every grid node,
+    read at the prior only at the end."""
+    grid = policy.grid
+    b = grid.points
+    lam = policy.energy_weight
+    stages = spec.stages
+    K = len(stages)
+    dstop = downstream_off_costs(path_graph(spec))
+
+    positive = b >= policy.thresholds[K - 1]
+    zero = np.zeros_like(b)
+    final_m = np.where(positive, 0.0, spec.miss_cost * b)
+    final_fa = np.where(positive, spec.fa_cost * (1.0 - b), 0.0)
+    tables = np.stack([zero, final_m, final_fa, zero])
+    for k in range(K - 2, -1, -1):
+        nxt = stages[k + 1]
+        cont = expected_next(nxt.model, grid, tables, None, transitions and transitions[k + 1])
+        cont[3] += nxt.on_cost
+        stop = np.stack([spec.miss_cost * b, zero, zero, np.full_like(b, dstop[k + 1])])
+        tables = np.where(b >= policy.raw_thresholds[k], cont, stop)
+
+    first = stages[0]
+    at_prior = expected_next(first.model, grid, tables, [spec.prior])[:, 0]
+    r_inter, r_final_m, r_final_fa, e = at_prior.tolist()
+    e += first.on_cost
+    return RiskReport(
+        total=lam * e + r_inter + r_final_m + r_final_fa,
+        inter_miss=r_inter,
+        final_miss=r_final_m,
+        final_fa=r_final_fa,
+        energy=e,
+        weighted_energy=lam * e,
+    )
+
+
+def with_zero_masses(rng, spec: SystemSpec) -> SystemSpec:
+    """Zero about a third of each stage's masses, so that some posteriors
+    land exactly on 0 or 1 and some symbols cannot occur."""
+    stages = []
+    for st in spec.stages:
+        p0, p1 = (p * (rng.random(p.size) > 0.35) for p in (st.model.p0, st.model.p1))
+        p0[0] += p0.sum() == 0.0
+        p1[-1] += p1.sum() == 0.0
+        stages.append(replace(st, model=FeatureModel(p0=p0 / p0.sum(), p1=p1 / p1.sum())))
+    return replace(spec, stages=tuple(stages))
+
+
+class TestReadSetEvaluate:
+    def test_equals_the_whole_grid_recursion(self, rng):
+        # priors 0 and 1 read one or two nodes; weight 10 (and random raw
+        # thresholds of inf) leave stages with no continue node
+        cases = 0
+        for i in range(520):
+            grid = BeliefGrid((2, 51, 101, 1001)[i % 4])
+            spec = random_system(
+                rng,
+                n_stages=int(rng.integers(2, 7)),
+                energy_weight=float(rng.choice([0.0, 1e-3, rng.uniform(0.0, 0.2), 10.0])),
+            )
+            if i % 3 == 0:
+                spec = with_zero_masses(rng, spec)
+            spec = replace(spec, prior=float(rng.choice([0.0, 1.0, rng.uniform(), 0.1])))
+            if i % 2:
+                policy = solve(spec, grid)
+            else:
+                raw = tuple(float(t) for t in rng.choice([0.0, math.inf, *rng.random(4)], spec.n_stages))
+                policy = Policy(grid, raw, raw, (), 0.0, spec.energy_weight)
+            transitions = (None, *(belief_transition(st.model, grid) for st in spec.stages[1:]))
+            assert evaluate(spec, policy) == whole_grid_evaluate(spec, policy)
+            assert evaluate(spec, policy, transitions) == whole_grid_evaluate(
+                spec, policy, transitions
+            )
+            cases += 1
+        assert cases >= 500
+
+    def test_reference_monitor_at_the_largest_grid(self):
+        spec, _ = fixtures.monitoring_system()
+        grid = BeliefGrid(10001)
+        transitions = (None, *(belief_transition(st.model, grid) for st in spec.stages[1:]))
+        for prior, lam in ((0.0, 0.002), (0.1, 0.002), (0.3, 0.05), (1.0, 0.0)):
+            run = replace(spec, prior=prior, energy_weight=lam)
+            policy = solve(run, grid, transitions)
+            expected = whole_grid_evaluate(run, policy)
+            assert evaluate(run, policy) == expected
+            assert evaluate(run, policy, transitions) == expected
+
+    def test_one_debug_record(self, rng, caplog):
+        spec = random_system(rng, n_stages=3)
+        policy = solve(spec, BeliefGrid(101))
+        with caplog.at_level(logging.WARNING, logger="guidedproc"):
+            evaluate(spec, policy)
+        assert not caplog.records
+        with caplog.at_level(logging.DEBUG, logger="guidedproc"):
+            evaluate(spec, policy)
+        (record,) = caplog.records
+        assert record.name == "guidedproc" and record.levelno == logging.DEBUG
+        counts, size = record.args
+        assert size == 101 and len(counts) == 3
+        assert all(1 <= n <= 101 for n in counts)
+
+
 class TestCalibration:
     def test_achievable_range(self, rng):
         spec = random_system(rng, n_stages=3)
@@ -382,10 +488,14 @@ class TestCalibration:
         assert not caplog.records
         with caplog.at_level(logging.DEBUG, logger="guidedproc"):
             lam, policy = calibrate_lambda(spec)
-        (record,) = caplog.records
+        # calibrate_lambda's own record comes last, after one per evaluate
+        *evaluated, record = caplog.records
         energy = evaluate(replace(spec, energy_weight=lam, energy_budget=None), policy).energy
         message = record.getMessage()
         assert record.name == "guidedproc" and record.levelno == logging.DEBUG
+        assert message.startswith("calibrate_lambda: ")
+        assert len(evaluated) == int(message.split()[1])  # "calibrate_lambda: N solves"
+        assert all(r.getMessage().startswith("evaluate: ") for r in evaluated)
         for part in ("solves", repr(lam), repr(energy), repr(spec.energy_budget - energy)):
             assert part in message
 

@@ -3,6 +3,7 @@
 import contextlib
 import copy
 import csv
+import functools
 import json
 import math
 import os
@@ -17,9 +18,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import guidedproc
-from guidedproc import cli, io
+from guidedproc import BeliefGrid, cli, io, solve
 from guidedproc.cli import COMPARE_COLUMNS, main
 from guidedproc.fixtures import as_document, graph_document
+from guidedproc.models import MAX_GRID_SIZE
 
 from test_io import cascade_raw, graph_raw
 
@@ -373,11 +375,18 @@ class TestExitCodes:
             lambda bundle: json.dumps({**bundle["policy"], "v0": math.inf}),
             lambda bundle: json.dumps({**bundle["policy"], "grid_size": 1}),
             lambda bundle: json.dumps({**bundle["policy"], "grid_size": math.inf}),
+            lambda bundle: json.dumps({**bundle["policy"], "grid_size": 1e12}),
+            lambda bundle: json.dumps({**bundle["policy"], "grid_size": 2.7}),
+            lambda bundle: json.dumps(
+                {**bundle["policy"], "raw_thresholds": bundle["policy"]["raw_thresholds"][:-1]}
+            ),
+            lambda bundle: json.dumps({**bundle, "policy": 5}),
         ],
         ids=[
             "not-json", "list-of-bundles", "list-of-thresholds", "policy-list",
             "threshold-nan-string", "threshold-infinity", "raw-nan", "weight-negative",
-            "weight-nan", "v0-infinity", "grid-1", "grid-infinity",
+            "weight-nan", "v0-infinity", "grid-1", "grid-infinity", "grid-huge",
+            "grid-fraction", "raw-short", "policy-number",
         ],
     )
     def test_bad_policy_file_exits_2(self, model_file, tmp_path, capsys, write):
@@ -388,6 +397,26 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "guidedproc:" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, flags, grid_size",
+        [
+            ("optimize", ["--grid", "1000000000000"], None),
+            ("check-optimality", ["--grid", "1000000000000"], None),
+            ("optimize", [], 1e12),
+            ("optimize", ["--grid", "0"], None),  # not the model file's grid
+        ],
+        ids=["optimize-flag", "check-optimality-flag", "model-file", "zero-flag"],
+    )
+    def test_grid_size_out_of_range_exits_2(self, tmp_path, capsys, command, flags, grid_size):
+        raw = cascade_raw()
+        if grid_size is not None:
+            raw["grid_size"] = grid_size
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main([command, str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert str(MAX_GRID_SIZE) in err and "Traceback" not in err
 
     @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf8", "deep"])
     @pytest.mark.parametrize("role", ["model", "policy"])
@@ -475,6 +504,68 @@ def test_mutated_documents_keep_the_exit_contract(raw, command, flags):
             assert all(t is None or math.isfinite(t) for t in stops)  # null: never continue
             for stage in bundle.get("stages", []):
                 assert np.isfinite(stage["q0"]).all() and np.isfinite(stage["q1"]).all()
+
+
+# Policy files: mutated payloads of a solved reference policy through
+# ``simulate --policy``.  Grid sizes are drawn rejected or small, so no
+# example allocates a large grid.
+GRID_SIZES = st.sampled_from(
+    [10**12, 10**15, MAX_GRID_SIZE + 1, 2.7, 101.0, True, False, 1, 0, -5, 2, 51, 101]
+)
+POLICY_KEYS = ("grid_size", "thresholds", "raw_thresholds", "v0", "energy_weight")
+ENTRIES = NUMBERS | st.sampled_from(["0.1", "abc", None, [0.1], True])
+
+
+@functools.lru_cache(maxsize=1)
+def reference_policy() -> str:
+    doc = io.parse_model_document(as_document())
+    spec, _ = io.build_from_document(doc)
+    return json.dumps(io.policy_payload(solve(spec, BeliefGrid(doc.grid_size))))
+
+
+@st.composite
+def mutated_policies(draw):
+    reference = json.loads(reference_policy())
+    payload = copy.deepcopy(reference)
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["grid", "list", "entry", "scalar", "delete"]))
+        if kind == "grid":
+            payload["grid_size"] = draw(GRID_SIZES)
+        elif kind == "list":
+            key = draw(st.sampled_from(["thresholds", "raw_thresholds"]))
+            lists = [reference[key][:-1], [*reference[key], 0.5], [], None, "0.1", 5]
+            payload[key] = draw(st.sampled_from(lists))
+        elif kind == "entry":
+            entries = payload.get(draw(st.sampled_from(["thresholds", "raw_thresholds"])))
+            if isinstance(entries, list) and entries:
+                entries[draw(st.integers(0, len(entries) - 1))] = draw(ENTRIES)
+        elif kind == "scalar":
+            payload[draw(st.sampled_from(["v0", "energy_weight"]))] = draw(VALUES)
+        else:
+            payload.pop(draw(st.sampled_from(POLICY_KEYS)), None)
+    return draw(
+        st.sampled_from([payload, {"policy": payload}, [payload], 5, "policy", None])
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_policies())
+def test_mutated_policy_files_keep_the_exit_contract(payload):
+    err = StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        model, policy = Path(tmp, "model.json"), Path(tmp, "policy.json")
+        out = Path(tmp, "out.json")
+        model.write_text(json.dumps(as_document()), encoding="utf-8")
+        policy.write_text(json.dumps(payload), encoding="utf-8")  # NaN / Infinity literals
+        argv = ["simulate", str(model), "--policy", str(policy), "--n-frames", "2000"]
+        with contextlib.redirect_stderr(err):
+            rc = main([*argv, "-o", str(out)])
+        assert rc in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if rc == 0:
+            loaded = json.loads(out.read_text(encoding="utf-8"))["policy"]
+            assert all(math.isfinite(t) for t in loaded["thresholds"])
+            assert len(loaded["raw_thresholds"]) == len(loaded["thresholds"])
 
 
 def test_imports_do_not_load_scipy():

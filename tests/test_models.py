@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from guidedproc import (
     BeliefGrid,
     FeatureModel,
+    ModelFormatError,
     belief_transition,
     evidence,
     expected_next,
@@ -12,6 +13,7 @@ from guidedproc import (
     symbol_evidence,
     symbol_posteriors,
 )
+from guidedproc.models import MAX_GRID_SIZE
 from conftest import random_model
 
 
@@ -105,6 +107,12 @@ class TestGridAndTables:
         g = BeliefGrid(size=11)
         assert g.points[0] == 0.0 and g.points[-1] == 1.0
         assert g.step == pytest.approx(0.1)
+
+    def test_grid_size_is_bounded(self):
+        assert BeliefGrid(size=MAX_GRID_SIZE).points[-1] == 1.0
+        for size in (1, MAX_GRID_SIZE + 1, 10**12):
+            with pytest.raises(ModelFormatError, match=str(MAX_GRID_SIZE)):
+                BeliefGrid(size=size)
 
     def test_floor_index_contains_point(self):
         g = BeliefGrid(size=101)

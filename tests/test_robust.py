@@ -8,6 +8,7 @@ from guidedproc import (
     InfeasibleBandError,
     UncertaintyParams,
     least_favorable,
+    model_posterior_bounds,
     solve_band,
 )
 from guidedproc.robust import BAND_RESIDUAL_TOL
@@ -308,3 +309,30 @@ class TestPosteriorBounds:
 
         with pytest.raises(ModelFormatError):
             BeliefInterval(0.6, 0.4)
+
+    def test_bounds_equal_the_scalar_update(self):
+        # oracle: the scalar Bayes update, one live symbol at a time
+        def scalar_bounds(interval, model):
+            def update(pi, y):
+                num = float(model.p1[y]) * pi
+                den = num + float(model.p0[y]) * (1.0 - pi)
+                return num / den if den > 0.0 else pi
+
+            live = [y for y in range(model.alphabet_size) if model.p0[y] or model.p1[y]]
+            return min(update(interval.lo, y) for y in live), max(
+                update(interval.hi, y) for y in live
+            )
+
+        rng = np.random.default_rng(8)
+        ends = (0.0, 1.0, 1e-300, 0.5, 1.0 - 1e-16)
+        for _ in range(600):
+            q = int(rng.integers(2, 121))
+            p0 = rng.gamma(0.5, size=q) * (rng.random(q) > 0.3)
+            p1 = rng.gamma(0.5, size=q) * (rng.random(q) > 0.3)
+            p0[0] += p0.sum() == 0.0
+            p1[-1] += p1.sum() == 0.0
+            model = FeatureModel(p0=p0 / p0.sum(), p1=p1 / p1.sum())
+            lo, hi = sorted(rng.choice([*ends, *rng.random(3)], size=2))
+            interval = BeliefInterval(float(lo), float(hi))
+            got = model_posterior_bounds(interval, model)
+            assert (got.lo, got.hi) == scalar_bounds(interval, model)
