@@ -12,7 +12,8 @@ activation indicator, and eta moves by mu times the tracking error, clamped
 to the symbol range.  With integer symbols any eta in (y*-1, y*] encodes
 the same decision rule as the exact cut y*, which is what the update
 settles into when the target rate is achievable.  The update itself runs
-in one place, the simulator's adaptive mode; this module prepares its state.
+in one place, the route that the simulator's adaptive mode hands its one
+stream walker; this module prepares its state.
 """
 
 from __future__ import annotations

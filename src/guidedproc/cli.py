@@ -64,13 +64,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--version", action="version", version=f"guidedproc {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def common(sp, grid=True):
         sp.add_argument("model", help="model file (JSON)")
         sp.add_argument("-o", "--output", default=None, help="output path (default stdout)")
-        sp.add_argument("--grid", type=int, default=None, help="belief grid size override")
+        if grid:
+            sp.add_argument("--grid", type=int, default=None, help="belief grid size override")
 
     sp = sub.add_parser("robustify", help="least-favorable stage models under contamination")
-    common(sp)
+    common(sp, grid=False)
 
     sp = sub.add_parser("optimize", help="solve the censoring policy")
     common(sp)
@@ -195,11 +196,13 @@ def cmd_check_optimality(args) -> int:
 
 def cmd_simulate(args) -> int:
     doc = io.load_model_file(args.model)
-    grid = BeliefGrid(doc.grid_size if args.grid is None else args.grid)
+    if args.policy is not None and args.grid is not None:
+        raise ModelFormatError("--grid is not allowed with --policy, whose file fixes the grid")
+    grid_size = doc.grid_size if args.grid is None else args.grid
     if doc.kind == "graph":
         if args.mode != "belief":
             raise ModelFormatError("adaptive mode applies to cascade systems")
-        policy = _solve_graph_document(doc, args.prior, grid)
+        policy = _solve_graph_document(doc, args.prior, BeliefGrid(grid_size))
         config = StreamConfig(
             system=doc.graph, n_frames=args.n_frames, seed=args.seed, prior=policy.prior
         )
@@ -210,7 +213,7 @@ def cmd_simulate(args) -> int:
         spec, _ = io.build_from_document(doc, prior=args.prior)
         policy = io.load_policy_file(args.policy)
     else:
-        spec, _, policy = _solve_document(doc, args.prior, grid)
+        spec, _, policy = _solve_document(doc, args.prior, BeliefGrid(grid_size))
     config = StreamConfig(
         system=spec,
         n_frames=args.n_frames,

@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -27,7 +28,7 @@ from . import __version__
 from .cascade import Policy, RiskReport, StageSpec, build_system
 from .errors import ModelFormatError
 from .graph import DetectionGraph, GraphPolicy
-from .models import BeliefGrid, FeatureModel, UncertaintyParams
+from .models import DEFAULT_GRID_SIZE, MAX_GRID_SIZE, BeliefGrid, FeatureModel, UncertaintyParams
 from .robust import RobustBand
 from .sim import SimReport
 
@@ -85,15 +86,20 @@ class ModelDocument:
         return np.linspace(lo, hi, n)
 
 
+def _finite(v, what) -> float:
+    """A JSON number as a finite float: no strings, bools, NaN or infinities
+    (an integer past the float range counts as infinite)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ModelFormatError(f"{what} must be a finite number")
+    return float(v)
+
+
 def _as_float(raw, key, where, required=True, default=None):
     if key not in raw:
         if required:
             raise ModelFormatError(f"{where}: missing '{key}'")
         return default
-    v = raw[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ModelFormatError(f"{where}: '{key}' must be a finite number")
-    return float(v)
+    return _finite(raw[key], f"{where}: '{key}'")
 
 
 def _as_int(raw, key, where, required=True, default=None):
@@ -186,7 +192,9 @@ def parse_model_document(raw: dict) -> ModelDocument:
     budget = _as_float(raw, "energy_budget", "model", required=False)
     if weight is not None and budget is not None:
         raise ModelFormatError("model: give energy_weight or energy_budget, not both")
-    grid_size = _as_int(raw, "grid_size", "model", required=False, default=BeliefGrid().size)
+    grid_size = _as_int(raw, "grid_size", "model", required=False, default=DEFAULT_GRID_SIZE)
+    if not 2 <= grid_size <= MAX_GRID_SIZE:
+        raise ModelFormatError(f"model: belief grid needs 2 to {MAX_GRID_SIZE} points")
 
     duty = None
     if "duty_cycle" in raw:
@@ -347,25 +355,27 @@ def policy_payload(policy: Policy) -> dict:
 
 
 def policy_from_payload(payload: dict) -> Policy:
-    """Inverse of ``policy_payload``.  Deployed thresholds, v0 and the
-    weight must be finite (the weight also nonnegative); a raw threshold
-    may be null or infinite, meaning "never continue", but not NaN."""
+    """Inverse of ``policy_payload``, reading numbers as model files do.
+    Deployed thresholds, v0 and the weight must be finite (the weight also
+    nonnegative); a raw threshold may be null or +inf: "never continue"."""
+    where = "policy payload"
     if not isinstance(payload, dict):
-        raise ModelFormatError("policy payload must be a JSON object")
-    grid = BeliefGrid(_as_int(payload, "grid_size", "policy payload"))
-    try:
-        thresholds = tuple(float(t) for t in payload["thresholds"])
-        raw = tuple(math.inf if t is None else float(t) for t in payload["raw_thresholds"])
-        v0 = float(payload["v0"])
-        lam = float(payload["energy_weight"])
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"policy payload: {exc}") from exc
-    if not all(math.isfinite(t) for t in (*thresholds, v0)) or any(math.isnan(t) for t in raw):
-        raise ModelFormatError("policy payload: thresholds and v0 must be finite numbers")
+        raise ModelFormatError(f"{where} must be a JSON object")
+    grid = BeliefGrid(_as_int(payload, "grid_size", where))
+    v0 = _as_float(payload, "v0", where)
+    lam = _as_float(payload, "energy_weight", where)
+    thresholds, raw = payload.get("thresholds"), payload.get("raw_thresholds")
+    if not (isinstance(thresholds, list) and isinstance(raw, list)):
+        raise ModelFormatError(f"{where}: 'thresholds' and 'raw_thresholds' must be lists")
+    thresholds = tuple(_finite(t, f"{where}: a threshold") for t in thresholds)
+    raw = tuple(
+        math.inf if t is None or t == math.inf else _finite(t, f"{where}: a raw threshold")
+        for t in raw
+    )
     if len(raw) != len(thresholds):
-        raise ModelFormatError("policy payload: one raw threshold per threshold")
-    if not 0.0 <= lam < math.inf:
-        raise ModelFormatError("policy payload: energy_weight must be finite and nonnegative")
+        raise ModelFormatError(f"{where}: one raw threshold per threshold")
+    if lam < 0.0:
+        raise ModelFormatError(f"{where}: energy_weight must be nonnegative")
     return Policy(
         grid=grid,
         thresholds=thresholds,

@@ -156,15 +156,16 @@ def _low_end(p0: np.ndarray, p1: np.ndarray, v: float, w: float) -> float:
     return float((c1[k] + v) / slope) if slope > 0.0 else math.inf
 
 
-def solve_band(model: FeatureModel, u: UncertaintyParams) -> RobustBand:
-    """Band ends that make both least-favorable vectors proper PMFs."""
+def _band_and_pair(model: FeatureModel, u: UncertaintyParams):
+    """The band, with its least-favorable pair before renormalization (None
+    with zero uncertainty, where the model is its own least-favorable pair)."""
     prob = _BandProblem(model, u)
     if not np.isfinite(prob.r).any():
         raise InfeasibleBandError("model has no symbol with positive state-0 mass")
     r_min = float(prob.r.min())
     r_max = float(prob.r.max())
     if u.is_zero:
-        return RobustBand(r_min, r_max)
+        return RobustBand(r_min, r_max), None
     if r_min >= 1.0 or r_max <= 1.0:
         # All ratios equal 1: nothing distinguishes the states and no band
         # can restore the mass removed by contamination.
@@ -192,7 +193,12 @@ def solve_band(model: FeatureModel, u: UncertaintyParams) -> RobustBand:
             "no ratio band normalizes both least-favorable PMFs "
             f"(best residuals {res0:.3e}, {res1:.3e})"
         )
-    return RobustBand(lo, hi, res0, res1)
+    return RobustBand(lo, hi, res0, res1), (q0, q1)
+
+
+def solve_band(model: FeatureModel, u: UncertaintyParams) -> RobustBand:
+    """Band ends that make both least-favorable vectors proper PMFs."""
+    return _band_and_pair(model, u)[0]
 
 
 def least_favorable(
@@ -205,10 +211,10 @@ def least_favorable(
     renormalized proportionally after the band solve; the discarded residual
     stays recorded on the band.
     """
-    band = solve_band(model, u)
-    if u.is_zero:
+    band, pair = _band_and_pair(model, u)
+    if pair is None:
         return model, band
-    q0, q1 = _BandProblem(model, u).transform(band.lo, band.hi)
+    q0, q1 = pair
     return FeatureModel(q0 / q0.sum(), q1 / q1.sum()), band
 
 

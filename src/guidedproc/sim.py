@@ -20,9 +20,13 @@ strictly inside the cell; frames in such cells (at most Q - 1 per state)
 take the binary search.  Every draw thus equals the plain binary search,
 and the variate layout is untouched.
 
-Belief-rule cascades and graphs share one walker: a cascade runs as its
-path graph (``cascade.path_graph``).  Nodes are visited root first in
-topological order, and each node sees only the frames routed to it.
+Belief-rule cascades, graphs and adaptive mode share one walker: a cascade
+runs as its path graph (``cascade.path_graph``).  Nodes are visited root
+first in topological order, and each node sees only the frames routed to
+it, in frame order.  Adaptive mode routes a stage's frames through that
+stage's rate and eta recursion; a stage's state depends only on the frames
+that reach it, so this is the frame-by-frame rule exactly.  Its burn-in
+frames are walked but not reported; belief-rule streams ignore burn_in.
 
 Energy accounting mirrors the optimizer's: the root is always paid,
 continuing into a node pays its processing cost, and censoring pays the
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -115,13 +119,9 @@ def _generator(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=chunk_index << 128))
 
 
-def _chunks(n_frames: int, first_chunk: int = 0):
-    done, c = 0, first_chunk
-    while done < n_frames:
-        count = min(CHUNK_FRAMES, n_frames - done)
-        yield c, count
-        done += count
-        c += 1
+def _chunks(n_frames: int):
+    for c, start in enumerate(range(0, n_frames, CHUNK_FRAMES)):
+        yield c, min(CHUNK_FRAMES, n_frames - start)
 
 
 GUIDE_CELLS = 1 << 12  # a power of two, so u * GUIDE_CELLS is exact
@@ -250,7 +250,7 @@ def simulate(config: StreamConfig, policy=None) -> SimReport:
         prior = system.prior if config.prior is None else config.prior
         tau, n = policy.thresholds, system.n_stages
 
-        def route(node, beliefs):  # node i + 1 follows node i; the last declares 1
+        def route(node, idx, beliefs, symbols):  # node i + 1 follows node i; the last declares 1
             return np.where(beliefs >= tau[node - 1], node % n + 1, 0)
 
         acc = _Accumulator(system.miss_cost, system.fa_cost, policy.energy_weight)
@@ -263,23 +263,28 @@ def simulate(config: StreamConfig, policy=None) -> SimReport:
         # root prior: the graph policy was solved for one; allow stream override
         prior = policy.prior if config.prior is None else config.prior
         acc = _Accumulator(policy.miss_cost, policy.fa_cost, policy.energy_weight)
-        return _walk(config, system, prior, policy.decision_at, acc)
+        route = lambda node, idx, beliefs, symbols: policy.decision_at(node, beliefs)
+        return _walk(config, system, prior, route, acc)
     if isinstance(system, DutyCycleSpec):
         return _simulate_duty_cycle(config, system)
     raise ModelFormatError(f"cannot simulate a {type(system).__name__}")
 
 
-def _walk(config: StreamConfig, graph: DetectionGraph, prior: float, route, acc) -> SimReport:
-    """Belief-rule stream through a detection graph.
+def _walk(
+    config: StreamConfig, graph: DetectionGraph, prior: float, route, acc, skip: int = 0
+) -> SimReport:
+    """Stream through a detection graph.
 
-    route(node, beliefs) maps the updated beliefs of the frames at a node
-    to 0 (stop), a successor id, or at a terminal the declared label.
+    route(node, idx, beliefs, symbols) maps the frames at a node (their
+    chunk indices, ascending on a path graph, updated beliefs and this
+    node's symbols) to 0 (stop), a successor id, or at a terminal the
+    declared label.  The first `skip` frames are walked but not reported.
     """
     topo = list(reversed(post_order(graph)))  # root first
     dstop = downstream_off_costs(graph)
     row = {nid: j for j, nid in enumerate(sorted(graph.nodes))}
     sampler = {nid: _SymbolSampler(node.model) for nid, node in graph.nodes.items()}
-    for c, count in _chunks(config.n_frames):
+    for c, count in _chunks(skip + config.n_frames):
         gen = _generator(config.seed, c)
         x = gen.random(count) < prior
         u = gen.random((len(row), count))
@@ -294,7 +299,7 @@ def _walk(config: StreamConfig, graph: DetectionGraph, prior: float, route, acc)
             node = graph.nodes[nid]
             y = sampler[nid](x[idx], u[row[nid], idx])
             pi = _posterior_step(pi, node.model.p0[y], node.model.p1[y])
-            action = route(nid, pi)
+            action = route(nid, idx, pi, y)
             if graph.is_terminal(nid):
                 declared[idx] = action == 1
                 continue
@@ -303,82 +308,55 @@ def _walk(config: StreamConfig, graph: DetectionGraph, prior: float, route, acc)
                 go = action == s
                 energy[idx[go]] += graph.nodes[s].on_cost
                 frontier.setdefault(s, []).append((idx[go], pi[go]))
-        acc.add(x, declared, energy)
+        first = max(skip - c * CHUNK_FRAMES, 0)  # chunk index of the first reported frame
+        if first < count:
+            acc.add(x[first:], declared[first:], energy[first:])
     return acc.report()
 
 
 def _simulate_adaptive(config: StreamConfig, spec: SystemSpec, policy: Policy) -> SimReport:
-    """Cascade stream under the adaptive feature-domain rule.  Fallback
-    stages decide on the belief, which carries every earlier stage's
-    evidence, feature-rule stages included."""
+    """Cascade stream under the adaptive feature-domain rule, a route through
+    the walker (see the module docstring).  Fallback stages decide on the
+    belief, which carries every earlier stage's evidence."""
     state = prepare_adaptive(spec, policy, config.mu)
     prior = spec.prior if config.prior is None else config.prior
-    n_stages = spec.n_stages
-    dstop = downstream_off_costs(path_graph(spec))  # stage k is node k + 1
-    on_costs = [s.on_cost for s in spec.stages]
-    samplers = [_SymbolSampler(s.model) for s in spec.stages]
+    n, mu = spec.n_stages, config.mu
     feature_rule = state.feature_rule.tolist()
-    # the belief must carry every stage's evidence up to the last fallback
-    n_belief = max((k + 1 for k, f in enumerate(feature_rule) if not f), default=0)
     targets = state.targets.tolist()
     limits = state.eta_limits.tolist()
     eta = state.eta.tolist()
     rates = state.rate_estimates.tolist()
-    mu = config.mu
+    visits, acts = [0] * n, [0] * n
+    walked, first = 0, 0  # frames of earlier chunks; chunk index of the first measured
+
+    def route(node, idx, beliefs, symbols):
+        nonlocal walked, first
+        k = node - 1
+        if k == 0:  # the root opens each chunk with all of its frames
+            first, walked = config.burn_in - walked, walked + idx.size
+        feature = feature_rule[k]
+        rule = symbols.tolist() if feature else (beliefs >= policy.thresholds[k]).tolist()
+        e, r, target, limit = eta[k], rates[k], targets[k], limits[k]
+        acted = []
+        for v in rule:
+            act = v >= e if feature else v
+            r += mu * ((1.0 if act else 0.0) - r)
+            nxt = e + mu * (r - target)
+            e = 0.0 if nxt < 0.0 else (limit if nxt > limit else nxt)
+            acted.append(act)
+        eta[k], rates[k] = e, r
+        acted = np.array(acted, dtype=bool)
+        m = int(np.searchsorted(idx, first))  # idx[m:] are measured
+        visits[k] += idx.size - m
+        acts[k] += int(np.count_nonzero(acted[m:]))
+        return np.where(acted, node % n + 1, 0)  # the last stage declares 1
+
     acc = _Accumulator(spec.miss_cost, spec.fa_cost, policy.energy_weight)
-    visits = [0] * n_stages
-    acts = [0] * n_stages
-    total = config.burn_in + config.n_frames
-    done = 0
-    for c, count in _chunks(total):
-        gen = _generator(config.seed, c)
-        x_arr = gen.random(count) < prior
-        u = gen.random((n_stages, count))
-        ys = [sample(x_arr, u[k]) for k, sample in enumerate(samplers)]
-        # beliefs depend on the symbols alone, so the fallback decisions of
-        # the whole chunk are settled here, ahead of the scalar loop
-        pi, belief_act = prior, []
-        for k in range(n_belief):
-            model = spec.stages[k].model
-            pi = _posterior_step(pi, model.p0[ys[k]], model.p1[ys[k]])
-            belief_act.append((pi >= policy.thresholds[k]).tolist())
-        ys = [y.tolist() for y in ys]
-        xs = x_arr.tolist()
-        # scalar loop: the thresholds adapt frame by frame
-        chunk_x = np.empty(count, dtype=bool)
-        chunk_decl = np.empty(count, dtype=bool)
-        chunk_energy = np.empty(count)
-        measuring_from = config.burn_in - done  # local index; may be <= 0
-        for t in range(count):
-            measured = t >= measuring_from
-            energy = on_costs[0]
-            declared = False
-            for k in range(n_stages):
-                act = ys[k][t] >= eta[k] if feature_rule[k] else belief_act[k][t]
-                rates[k] += mu * ((1.0 if act else 0.0) - rates[k])
-                nxt = eta[k] + mu * (rates[k] - targets[k])
-                eta[k] = 0.0 if nxt < 0.0 else (limits[k] if nxt > limits[k] else nxt)
-                if measured:
-                    visits[k] += 1
-                    acts[k] += act
-                if k < n_stages - 1:
-                    if not act:
-                        energy += dstop[k + 1]
-                        break
-                    energy += on_costs[k + 1]
-                else:
-                    declared = act
-            chunk_x[t] = xs[t]
-            chunk_decl[t] = declared
-            chunk_energy[t] = energy
-        if measuring_from < count:
-            keep = slice(max(measuring_from, 0), None)
-            acc.add(chunk_x[keep], chunk_decl[keep], chunk_energy[keep])
-        done += count
+    report = _walk(config, path_graph(spec), prior, route, acc, skip=config.burn_in)
     rate_errors = tuple(
-        abs(acts[k] / visits[k] - targets[k]) if visits[k] else 0.0 for k in range(n_stages)
+        abs(acts[k] / visits[k] - targets[k]) if visits[k] else 0.0 for k in range(n)
     )
-    return acc.report(final_eta=tuple(eta), rate_errors=rate_errors)
+    return replace(report, final_eta=tuple(eta), rate_errors=rate_errors)
 
 
 def _simulate_duty_cycle(config: StreamConfig, dc_spec: DutyCycleSpec) -> SimReport:

@@ -381,12 +381,16 @@ class TestExitCodes:
                 {**bundle["policy"], "raw_thresholds": bundle["policy"]["raw_thresholds"][:-1]}
             ),
             lambda bundle: json.dumps({**bundle, "policy": 5}),
+            lambda bundle: json.dumps(
+                {**bundle["policy"], "thresholds": [str(t) for t in bundle["policy"]["thresholds"]]}
+            ),
+            lambda bundle: json.dumps({**bundle["policy"], "v0": True}),
         ],
         ids=[
             "not-json", "list-of-bundles", "list-of-thresholds", "policy-list",
             "threshold-nan-string", "threshold-infinity", "raw-nan", "weight-negative",
             "weight-nan", "v0-infinity", "grid-1", "grid-infinity", "grid-huge",
-            "grid-fraction", "raw-short", "policy-number",
+            "grid-fraction", "raw-short", "policy-number", "threshold-string", "v0-bool",
         ],
     )
     def test_bad_policy_file_exits_2(self, model_file, tmp_path, capsys, write):
@@ -405,8 +409,9 @@ class TestExitCodes:
             ("check-optimality", ["--grid", "1000000000000"], None),
             ("optimize", [], 1e12),
             ("optimize", ["--grid", "0"], None),  # not the model file's grid
+            ("robustify", [], 1),  # checked at load, though robustify builds no grid
         ],
-        ids=["optimize-flag", "check-optimality-flag", "model-file", "zero-flag"],
+        ids=["optimize-flag", "check-optimality-flag", "model-file", "zero-flag", "robustify"],
     )
     def test_grid_size_out_of_range_exits_2(self, tmp_path, capsys, command, flags, grid_size):
         raw = cascade_raw()
@@ -430,6 +435,15 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert "not valid JSON" in err and "Traceback" not in err
+
+    def test_grid_with_policy_exits_2(self, model_file, tmp_path, capsys):
+        # the policy file fixes the grid, so a --grid flag would go unused
+        policy = tmp_path / "policy.json"
+        run_json(["optimize", model_file], policy)
+        argv = ["simulate", model_file, "--policy", str(policy), "--grid", "101"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "--grid" in err and "Traceback" not in err
 
     def test_bare_policy_payload_is_a_policy_file(self, model_file, tmp_path):
         bundle = run_json(["optimize", model_file], tmp_path / "bundle.json")
@@ -488,13 +502,14 @@ def mutated_documents(draw):
 def test_mutated_documents_keep_the_exit_contract(raw, command, flags):
     # Every input ends in success, malformed input or infeasible, never a
     # traceback, and a successful bundle carries only finite thresholds.
-    flags = flags if command == "optimize" else []
+    # robustify takes no grid; optimize solves on a small one
+    flags = ["--grid", "101", *flags] if command == "optimize" else []
     err = StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         model, out = Path(tmp, "model.json"), Path(tmp, "out.json")
         model.write_text(json.dumps(raw), encoding="utf-8")  # NaN / Infinity literals
         with contextlib.redirect_stderr(err):
-            rc = main([command, str(model), "--grid", "101", *flags, "-o", str(out)])
+            rc = main([command, str(model), *flags, "-o", str(out)])
         assert rc in (0, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
         if rc == 0:

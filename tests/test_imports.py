@@ -1,15 +1,20 @@
 """Import hygiene: every module under the package uses what it imports,
-and every name it exports exists.
+and every name it exports exists; and every CLI option is read.
 
-No linter ships with the project, so this stdlib AST scan is the guard.
-The package ``__init__`` is skipped by the scan: its imports are re-exports.
+No linter ships with the project, so these stdlib AST scans are the guard.
+The package ``__init__`` is skipped by the import scan: its imports are
+re-exports.
 """
 
+import argparse
 import ast
 import importlib
+import inspect
+import textwrap
 from pathlib import Path
 
 import guidedproc
+from guidedproc import cli
 
 PACKAGE = Path(guidedproc.__file__).resolve().parent
 
@@ -51,3 +56,26 @@ def test_every_exported_name_resolves():
         if hasattr(m, "__all__")
     }
     assert {name: names for name, names in missing.items() if names} == {}
+
+
+def unread_options() -> dict[str, list[str]]:
+    """Per subcommand of ``cli._build_parser``, the option dests that its
+    ``cmd_*`` function never reads as ``args.<dest>``."""
+    parser = cli._build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    unread = {}
+    for name, sub in commands.choices.items():
+        tree = ast.parse(textwrap.dedent(inspect.getsource(cli._COMMANDS[name])))
+        read = {
+            n.attr
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id == "args"
+        }
+        unread[name] = sorted({a.dest for a in sub._actions} - {"help"} - read)
+    return unread
+
+
+def test_every_cli_option_is_read():
+    unread = unread_options()
+    assert set(unread) == set(cli._COMMANDS)
+    assert {name: dests for name, dests in unread.items() if dests} == {}

@@ -219,6 +219,20 @@ def feature_then_fallback_system():
     return SystemSpec(stages=stages, miss_cost=3.0, fa_cost=1.0, prior=0.2, energy_weight=0.01)
 
 
+def middle_fallback_system():
+    """A non-monotone stage between two monotone ones: it is neither first
+    nor last, and its belief rule sees the first stage's evidence."""
+    good = FeatureModel(p0=[0.4, 0.3, 0.2, 0.1], p1=[0.1, 0.2, 0.3, 0.4])
+    bad = FeatureModel(p0=[0.2, 0.3, 0.5], p1=[0.5, 0.3, 0.2])
+    last = FeatureModel(p0=[0.5, 0.3, 0.15, 0.05], p1=[0.05, 0.15, 0.3, 0.5])
+    stages = (
+        StageSpec(model=good, on_cost=1.0),
+        StageSpec(model=bad, on_cost=3.0, off_cost=0.1),
+        StageSpec(model=last, on_cost=8.0, off_cost=0.2),
+    )
+    return SystemSpec(stages=stages, miss_cost=3.0, fa_cost=1.0, prior=0.2, energy_weight=0.01)
+
+
 def assert_counts_match(report, counts, mean_e):
     assert report.n_frames == counts["n"]
     assert report.n_target == counts["n_target"]
@@ -310,8 +324,14 @@ class TestStreamContract:
             (trigger_system, 1e-3, CHUNK_FRAMES + 500, 2000),
             (fallback_system, 0.5, 1000, 4000),
             (feature_then_fallback_system, 1e-3, 1000, 4000),
+            (middle_fallback_system, 1e-2, 1000, 4000),
+            (trigger_system, 1e-3, 0, CHUNK_FRAMES + 500),
+            (middle_fallback_system, 1e-3, CHUNK_FRAMES, 3000),
         ],
-        ids=["trigger-long-burn-in", "fallback-clamped", "feature-then-fallback"],
+        ids=[
+            "trigger-long-burn-in", "fallback-clamped", "feature-then-fallback",
+            "middle-fallback", "no-burn-in-across-chunks", "burn-in-one-chunk",
+        ],
     )
     def test_adaptive_matches_scalar_replay(self, system, mu, burn_in, n_frames):
         spec = system()
@@ -331,6 +351,8 @@ class TestStreamContract:
             assert clamps == {"low", "high"}
         if system is feature_then_fallback_system:
             assert prepare_adaptive(spec, policy, mu).feature_rule.tolist() == [True, False]
+        if system is middle_fallback_system:
+            assert prepare_adaptive(spec, policy, mu).feature_rule.tolist() == [True, False, True]
 
     def test_duty_cycle_counts_match_scalar_replay(self):
         dc = DutyCycleSpec(
@@ -423,6 +445,17 @@ class TestDeterminism:
         a = simulate(StreamConfig(system=spec, n_frames=50_000, seed=1), policy)
         b = simulate(StreamConfig(system=spec, n_frames=50_000, seed=2), policy)
         assert (a.miss_count, a.fa_count) != (b.miss_count, b.fa_count)
+
+    def test_belief_streams_ignore_burn_in(self, trigger):
+        # burn_in belongs to adaptive mode; belief-rule walks measure every frame
+        g = diamond_graph()
+        gp = solve_graph(g, miss_cost=3.0, fa_cost=1.0, energy_weight=0.02, prior=0.1)
+        for system, policy in (trigger, (g, gp)):
+            a, b = (
+                simulate(StreamConfig(system=system, n_frames=5000, seed=2, burn_in=n), policy)
+                for n in (0, 1000)
+            )
+            assert a == b and a.n_frames == 5000
 
     def test_adaptive_runs_are_reproducible(self, trigger):
         spec, policy = trigger
