@@ -28,8 +28,6 @@ from .models import (
     evidence,
     expected_next,
     posterior_update,
-    symbol_evidence,
-    symbol_posteriors,
 )
 from .robust import (
     BeliefInterval,
@@ -60,6 +58,7 @@ from .dutycycle import (
     dominance_check,
     energy_equivalent_rho,
     ideal_duty_cycle,
+    positive_symbols,
     single_stage_risks,
 )
 from .adaptive import (
@@ -91,8 +90,6 @@ __all__ = [
     "BeliefTable",
     "posterior_update",
     "evidence",
-    "symbol_posteriors",
-    "symbol_evidence",
     "belief_transition",
     "expected_next",
     "RobustBand",
@@ -119,6 +116,7 @@ __all__ = [
     "energy_equivalent_rho",
     "dominance_check",
     "ideal_duty_cycle",
+    "positive_symbols",
     "single_stage_risks",
     "AdaptiveState",
     "stationary_targets",

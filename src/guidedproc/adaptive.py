@@ -5,7 +5,7 @@ threshold crossed at that stage maps to a threshold on the raw symbol, so
 the deployed sensor never needs posterior arithmetic: it compares y to a
 per-stage scalar eta and nudges eta whenever the observed activation rate
 drifts from the rate the solved policy would produce.  Stages that fail the
-monotonicity check keep the belief-domain rule.
+monotonicity check keep the belief-domain rule, on the stream's belief.
 
 Updates use one shared step size mu: the rate estimate is an EWMA of the
 activation indicator, and eta moves by mu times the tracking error, clamped
@@ -24,7 +24,7 @@ import numpy as np
 
 from .cascade import Policy, SystemSpec
 from .errors import GuidedProcError, ModelFormatError
-from .models import FeatureModel, symbol_evidence, symbol_posteriors
+from .models import FeatureModel, belief_transition
 
 __all__ = [
     "AdaptiveState",
@@ -51,38 +51,30 @@ def stationary_targets(spec: SystemSpec, policy: Policy) -> tuple[np.ndarray, np
     stage i conditioned on reaching it; reach[i] the unconditional reach
     probability.  Computed by enumerating the reachable belief atoms stage
     by stage, so the values match an infinite simulation exactly rather
-    than up to grid interpolation.
+    than up to grid interpolation: the atoms are the distinct continuing
+    posteriors, each weighing the (symbol, belief) masses landing on it.
     """
     n = spec.n_stages
     targets = np.zeros(n)
     reach = np.zeros(n)
-    dist: dict[float, float] = {float(spec.prior): 1.0}
+    beliefs, weights = np.array([float(spec.prior)]), np.ones(1)
     p_reach = 1.0
     for k, stage in enumerate(spec.stages):
-        if not dist:
+        if not beliefs.size:
             break
         reach[k] = p_reach
-        tau = policy.thresholds[k]
-        beliefs = np.array(sorted(dist))
-        weights = np.array([dist[b] for b in beliefs])
-        post = symbol_posteriors(stage.model, beliefs)
-        ev = symbol_evidence(stage.model, beliefs)
-        go = post >= tau
-        act_by_belief = np.sum(ev * go, axis=0)
-        act = float(weights @ act_by_belief)
+        post, ev = belief_transition(stage.model, beliefs)
+        go = post >= policy.thresholds[k]
+        act = float(weights @ np.sum(ev * go, axis=0))
         targets[k] = act
         if k == n - 1 or act <= 0.0:
             break
-        nxt: dict[float, float] = {}
-        ys, bs = np.nonzero(go)
-        for y, j in zip(ys, bs):
-            w = weights[j] * ev[y, j]
-            if w > 0.0:
-                key = float(post[y, j])
-                nxt[key] = nxt.get(key, 0.0) + w
-        if len(nxt) > _MAX_BELIEF_STATES:
+        w = ev * weights  # masks read symbol-major: bincount adds each atom in that order
+        live = go & (w > 0.0)
+        beliefs, atom = np.unique(post[live], return_inverse=True)
+        if beliefs.size > _MAX_BELIEF_STATES:
             raise GuidedProcError("reachable belief set too large to enumerate exactly")
-        dist = {b: w / act for b, w in nxt.items()}
+        weights = np.bincount(atom, weights=w[live], minlength=beliefs.size) / act
         p_reach *= act
     return targets, reach
 
@@ -116,8 +108,8 @@ def feature_cut(model: FeatureModel, belief: float, tau: float) -> int:
     """
     if not is_monotone_ratio(model):
         raise ModelFormatError("feature cut undefined for non-monotone likelihood ratio")
-    post = symbol_posteriors(model, np.array([belief]))[:, 0]
-    hits = np.flatnonzero(post >= tau)
+    post, _ = belief_transition(model, [belief])
+    hits = np.flatnonzero(post[:, 0] >= tau)
     return int(hits[0]) if hits.size else model.alphabet_size
 
 

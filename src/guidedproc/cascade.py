@@ -43,8 +43,6 @@ from .models import (
     UncertaintyParams,
     belief_transition,
     expected_next,
-    symbol_evidence,
-    symbol_posteriors,
 )
 from .robust import (
     BeliefInterval,
@@ -64,6 +62,7 @@ __all__ = [
     "path_graph",
     "solve",
     "evaluate",
+    "achievable_energy_range",
     "calibrate_lambda",
     "check_cascade_optimality",
     "robustify_stages",
@@ -198,8 +197,8 @@ def solve(spec: SystemSpec, grid: BeliefGrid | None = None, transitions=None) ->
     threshold onto its stage's admissible posterior interval: a threshold
     below it is raised to its lower end, and a stage that never continues
     gets the smallest float above its upper end.  `transitions` may hold
-    each stage's ``belief_transition`` on this grid (entry 0 is not read),
-    for callers that solve one cascade at many weights.
+    each stage's ``belief_transition`` at the grid points (entry 0 is not
+    read), for callers that solve one cascade at many weights.
     """
     if spec.energy_weight is None:
         raise ModelFormatError("solve needs energy_weight; use calibrate_lambda for budgets")
@@ -258,8 +257,7 @@ def evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> RiskReport:
     K = len(stages)
     dstop = downstream_off_costs(path_graph(spec))
 
-    first, prior = stages[0], np.array([spec.prior])
-    root = symbol_posteriors(first.model, prior), symbol_evidence(first.model, prior)
+    root = belief_transition(stages[0].model, [spec.prior])
     reads = [_read_set(b, root[0])]
     steps = []
     for k in range(K - 1):
@@ -272,8 +270,7 @@ def evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> RiskReport:
         if given:
             pair = given[0].take(cols, axis=1), given[1].take(cols, axis=1)
         else:
-            model = stages[k + 1].model
-            pair = symbol_posteriors(model, b[cols]), symbol_evidence(model, b[cols])
+            pair = belief_transition(stages[k + 1].model, b[cols])
         steps.append((cont, stop, pair))
         reads.append(_read_set(b, pair[0]))
 
@@ -284,7 +281,7 @@ def evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> RiskReport:
     tables[2, at] = np.where(positive, spec.fa_cost * (1.0 - b[at]), 0.0)
     for k in range(K - 2, -1, -1):
         cont, stop, pair = steps[k]
-        values = expected_next(stages[k + 1].model, grid, tables, None, pair)
+        values = expected_next(grid, tables, pair)
         values[3] += stages[k + 1].on_cost
         tables = np.zeros((4, b.size))
         tables[0, stop] = spec.miss_cost * b[stop]
@@ -296,9 +293,9 @@ def evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> RiskReport:
             "evaluate: grid nodes read per stage %s of %d",
             [int(r.size) for r in reads], b.size,
         )
-    at_prior = expected_next(first.model, grid, tables, None, root)[:, 0]
+    at_prior = expected_next(grid, tables, root)[:, 0]
     r_inter, r_final_m, r_final_fa, e = at_prior.tolist()
-    e += first.on_cost
+    e += stages[0].on_cost
     return RiskReport(
         total=lam * e + r_inter + r_final_m + r_final_fa,
         inter_miss=r_inter,
@@ -351,7 +348,7 @@ def calibrate_lambda(spec: SystemSpec, grid: BeliefGrid | None = None) -> tuple[
         )
     # posteriors and evidence depend on the grid and the stage models only;
     # the first stage is read at the prior alone
-    transitions = (None, *(belief_transition(st.model, grid) for st in spec.stages[1:]))
+    transitions = (None, *(belief_transition(st.model, grid.points) for st in spec.stages[1:]))
     solves = 0
 
     def solved(lam: float) -> tuple[Policy, float, float]:

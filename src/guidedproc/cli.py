@@ -200,6 +200,8 @@ def cmd_simulate(args) -> int:
         raise ModelFormatError("--grid is not allowed with --policy, whose file fixes the grid")
     grid_size = doc.grid_size if args.grid is None else args.grid
     if doc.kind == "graph":
+        if args.policy is not None:
+            raise ModelFormatError("--policy applies to cascade model files")
         if args.mode != "belief":
             raise ModelFormatError("adaptive mode applies to cascade systems")
         policy = _solve_graph_document(doc, args.prior, BeliefGrid(grid_size))

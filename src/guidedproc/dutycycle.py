@@ -17,11 +17,12 @@ import numpy as np
 
 from .cascade import Policy, RiskReport, SystemSpec
 from .errors import ModelFormatError
-from .models import FeatureModel, symbol_posteriors
+from .models import FeatureModel, belief_transition
 
 __all__ = [
     "DutyCycleSpec",
     "DominanceVerdict",
+    "positive_symbols",
     "single_stage_risks",
     "dc_risk",
     "energy_equivalent_rho",
@@ -66,17 +67,21 @@ class DominanceVerdict:
         return self.beats_always_off and self.censor_miss_within_saving
 
 
+def positive_symbols(
+    model: FeatureModel, prior: float, miss_cost: float, fa_cost: float
+) -> np.ndarray:
+    """Per symbol, whether the one-shot Bayes detector declares positive:
+    its posterior from `prior` clears fa/(fa+miss)."""
+    post, _ = belief_transition(model, [prior])
+    return post[:, 0] >= fa_cost / (fa_cost + miss_cost)
+
+
 def single_stage_risks(
     model: FeatureModel, prior: float, miss_cost: float, fa_cost: float
 ) -> tuple[float, float]:
-    """Analytic (miss, false-alarm) risk of the one-shot Bayes detector.
-
-    Declares positive iff the posterior clears fa/(fa+miss).
-    """
-    tau = fa_cost / (fa_cost + miss_cost)
-    priors = np.array([prior])
-    post = symbol_posteriors(model, priors)[:, 0]
-    declare_pos = post >= tau
+    """Analytic (miss, false-alarm) risk of the one-shot Bayes detector
+    that declares positive on ``positive_symbols``."""
+    declare_pos = positive_symbols(model, prior, miss_cost, fa_cost)
     r_miss = miss_cost * prior * float(model.p1[~declare_pos].sum())
     r_fa = fa_cost * (1.0 - prior) * float(model.p0[declare_pos].sum())
     return r_miss, r_fa

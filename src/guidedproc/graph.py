@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import ModelFormatError
-from .models import BeliefGrid, BeliefTable, expected_next
+from .models import BeliefGrid, BeliefTable, belief_transition, expected_next
 
 if TYPE_CHECKING:  # cascade imports this module to solve its path graph
     from .cascade import StageSpec
@@ -165,8 +165,8 @@ def solve_graph(
     successor (its processing cost plus expected continuation value).  Ties
     between stop and the best successor continue; ties among successors go
     to the smallest id.  `transitions` may map node ids to their
-    ``belief_transition`` on this grid, for callers that solve one graph at
-    many weights.
+    ``belief_transition`` at the grid points, for callers that solve one
+    graph at many weights.
     """
     if not (0.0 < miss_cost < math.inf and 0.0 < fa_cost < math.inf):
         raise ModelFormatError("miss_cost and fa_cost must be positive and finite")
@@ -203,8 +203,9 @@ def solve_graph(
                 assert n in tables, "post-order violated"
                 if n not in onward:
                     nxt = graph.nodes[n]
-                    step = expected_next(nxt.model, grid, tables[n].values, None, transitions.get(n))
-                    onward[n] = lam * nxt.on_cost + step
+                    pair = transitions.get(n) or belief_transition(nxt.model, b)
+                    onward[n] = lam * nxt.on_cost + expected_next(grid, tables[n].values, pair)
+                    del pair  # 16·Q·M bytes: freed before the next node's pair is built
                 cand[j] = onward[n]
             best = np.argmin(cand, axis=0)  # first minimum: lowest successor id
             cont = cand[best, np.arange(grid.size)]
@@ -217,8 +218,8 @@ def solve_graph(
         decisions[i].setflags(write=False)
 
     root = graph.nodes[graph.root]
-    at_prior = expected_next(root.model, grid, tables[graph.root].values, [prior])
-    v0 = lam * root.on_cost + float(at_prior[0])
+    at_prior = belief_transition(root.model, [prior])
+    v0 = lam * root.on_cost + float(expected_next(grid, tables[graph.root].values, at_prior)[0])
     return GraphPolicy(
         grid=grid,
         order=tuple(order),

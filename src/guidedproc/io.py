@@ -114,13 +114,11 @@ def _as_int(raw, key, where, required=True, default=None):
 
 
 def _load_pmf(values, where) -> np.ndarray:
-    if not isinstance(values, (list, tuple)) or len(values) < 2 or any(
-        isinstance(v, bool) or not isinstance(v, (int, float)) for v in values
-    ):
+    if not isinstance(values, (list, tuple)) or len(values) < 2:
         raise ModelFormatError(f"{where}: PMF must be a list of at least 2 masses")
-    arr = np.asarray(values, dtype=np.float64)
-    if not np.all(np.isfinite(arr)) or np.any(arr < 0.0):
-        raise ModelFormatError(f"{where}: PMF entries must be finite and nonnegative")
+    arr = np.array([_finite(v, f"{where}: each PMF entry") for v in values])
+    if np.any(arr < 0.0):
+        raise ModelFormatError(f"{where}: PMF entries must be nonnegative")
     s = float(arr.sum())
     if abs(s - 1.0) > RENORM_FAIL:
         raise ModelFormatError(f"{where}: PMF sums to {s!r}, beyond the {RENORM_FAIL} tolerance")

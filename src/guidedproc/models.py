@@ -3,11 +3,13 @@
 A stage observes a quantized feature Y with alphabet {0, ..., Q-1} whose
 conditional PMFs p(y|0), p(y|1) depend on a hidden binary state.  All
 higher-level machinery (censoring cascades, duty cyclers, detection graphs)
-reduces to three primitives defined here: the per-symbol likelihood ratio,
-the Bayes posterior update of the state belief, and the evidence (marginal
-symbol probability) under the current belief.  Value functions over beliefs
-are stored on a uniform grid and read back with piecewise-linear
-interpolation, which is exact at grid points and preserves concavity.
+rests on two steps defined here: one Bayes step, whose denominator is the
+evidence (marginal symbol probability), read per symbol by
+``posterior_update``/``evidence`` and for all symbols by
+``belief_transition``; and one propagation step, ``expected_next``.  Value
+functions over beliefs are stored on a uniform grid and read back with
+piecewise-linear interpolation, which is exact at grid points and preserves
+concavity.
 
 Conventions for degenerate symbols follow the absorbing-belief reading:
 a symbol with p0 = p1 = 0 carries no information (ratio 1, belief kept),
@@ -33,8 +35,6 @@ __all__ = [
     "BeliefTable",
     "posterior_update",
     "evidence",
-    "symbol_posteriors",
-    "symbol_evidence",
     "belief_transition",
     "expected_next",
 ]
@@ -159,6 +159,15 @@ class BeliefTable:
         object.__setattr__(self, "values", vals)
 
 
+def _bayes(prior, p0, p1) -> tuple[np.ndarray, np.ndarray]:
+    """(posterior, evidence) of a symbol with masses p0, p1 under the two
+    states, elementwise with broadcasting; the evidence is the denominator."""
+    num = p1 * prior
+    den = num + p0 * (1.0 - prior)
+    live = den > 0.0  # 0 / 1 where den is 0, and num <= den: no float warning
+    return np.where(live, num / np.where(live, den, 1.0), prior), den
+
+
 def posterior_update(prior, model: FeatureModel, y):
     """Bayes update of the state-1 belief after observing symbol y.
 
@@ -166,63 +175,37 @@ def posterior_update(prior, model: FeatureModel, y):
     symbols.  Beliefs 0 and 1 are absorbing; a zero-evidence symbol leaves
     the belief unchanged.
     """
-    prior_arr = np.asarray(prior, dtype=np.float64)
-    num = model.p1[y] * prior_arr
-    den = num + model.p0[y] * (1.0 - prior_arr)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        post = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), prior_arr)
+    post, _ = _bayes(np.asarray(prior, dtype=np.float64), model.p0[y], model.p1[y])
     return float(post) if post.ndim == 0 else post
 
 
 def evidence(prior, model: FeatureModel, y: int):
     """Marginal probability of symbol y under the current belief."""
-    prior_arr = np.asarray(prior, dtype=np.float64)
-    ev = float(model.p1[y]) * prior_arr + float(model.p0[y]) * (1.0 - prior_arr)
-    if prior_arr.ndim == 0:
-        return float(ev)
-    return ev
+    _, ev = _bayes(np.asarray(prior, dtype=np.float64), model.p0[y], model.p1[y])
+    return float(ev) if ev.ndim == 0 else ev
 
 
-def symbol_posteriors(model: FeatureModel, priors: np.ndarray) -> np.ndarray:
-    """(Q, n) matrix of posteriors for every symbol and every prior."""
-    priors = np.asarray(priors, dtype=np.float64)
-    num = model.p1[:, None] * priors[None, :]
-    den = num + model.p0[:, None] * (1.0 - priors[None, :])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), priors[None, :])
-
-
-def symbol_evidence(model: FeatureModel, priors: np.ndarray) -> np.ndarray:
-    """(Q, n) matrix of symbol probabilities for every prior."""
-    priors = np.asarray(priors, dtype=np.float64)
-    return model.p1[:, None] * priors[None, :] + model.p0[:, None] * (1.0 - priors[None, :])
-
-
-def belief_transition(model: FeatureModel, grid: BeliefGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(posteriors, evidence) of every symbol at every grid belief, each (Q, M).
+def belief_transition(model: FeatureModel, beliefs) -> tuple[np.ndarray, np.ndarray]:
+    """(posteriors, evidence) of every symbol at every belief, each (Q, n).
 
     The half of ``expected_next`` that depends on the stage model and the
-    grid only.  A caller that propagates many tables through one stage
-    builds it once and passes it back as ``expected_next``'s `transition`.
+    beliefs only, and the one builder of such pairs: a caller that
+    propagates many tables through one stage builds it once, on the grid
+    points, and passes it to each ``expected_next`` call.
     """
-    return symbol_posteriors(model, grid.points), symbol_evidence(model, grid.points)
+    priors = np.asarray(beliefs, dtype=np.float64)
+    return _bayes(priors[None, :], model.p0[:, None], model.p1[:, None])
 
 
-def expected_next(
-    model: FeatureModel, grid: BeliefGrid, tables, beliefs=None, transition=None
-) -> np.ndarray:
+def expected_next(grid: BeliefGrid, tables, transition) -> np.ndarray:
     """sum_y evidence(b, y) * table(posterior(b, y)) at each belief b.
 
     The one belief-propagation step of every backward pass.  `tables` is one
-    (M,) grid table or a (T, M) stack, read by linear interpolation; beliefs
-    default to the grid points.  `transition`, when given, is the
-    ``belief_transition`` pair of this model on this grid and stands in for
-    recomputing it; the result is bit-identical.  Returns shape (n,) or (T, n).
+    (M,) grid table or a (T, M) stack, read by linear interpolation;
+    `transition` is the ``belief_transition`` pair of the stage at the n
+    beliefs b, the grid points or any others.  Returns shape (n,) or (T, n).
     """
     b = grid.points
-    if transition is None:
-        priors = b if beliefs is None else np.asarray(beliefs, dtype=np.float64)
-        transition = symbol_posteriors(model, priors), symbol_evidence(model, priors)
     post, ev = transition
     tables = np.asarray(tables, dtype=np.float64)
     out = np.stack([np.sum(ev * np.interp(post, b, t), axis=0) for t in np.atleast_2d(tables)])

@@ -22,11 +22,13 @@ and the variate layout is untouched.
 
 Belief-rule cascades, graphs and adaptive mode share one walker: a cascade
 runs as its path graph (``cascade.path_graph``).  Nodes are visited root
-first in topological order, and each node sees only the frames routed to
-it, in frame order.  Adaptive mode routes a stage's frames through that
-stage's rate and eta recursion; a stage's state depends only on the frames
-that reach it, so this is the frame-by-frame rule exactly.  Its burn-in
-frames are walked but not reported; belief-rule streams ignore burn_in.
+first in topological order; each node sees only the frames routed to it,
+in frame order, and updates their beliefs with ``models.posterior_update``,
+the Bayes step that the solver's tables and bounds rest on.  Adaptive mode
+routes a stage's frames through that stage's rate and eta recursion; a
+stage's state depends only on the frames that reach it, so this is the
+frame-by-frame rule exactly.  Its burn-in frames are walked but not
+reported; belief-rule streams ignore burn_in.
 
 Energy accounting mirrors the optimizer's: the root is always paid,
 continuing into a node pays its processing cost, and censoring pays the
@@ -43,10 +45,10 @@ import numpy as np
 
 from .adaptive import prepare_adaptive
 from .cascade import Policy, SystemSpec, path_graph
-from .dutycycle import DutyCycleSpec
+from .dutycycle import DutyCycleSpec, positive_symbols
 from .errors import ModelFormatError
 from .graph import DetectionGraph, GraphPolicy, downstream_off_costs, post_order
-from .models import FeatureModel, symbol_posteriors
+from .models import FeatureModel, posterior_update
 
 __all__ = ["StreamConfig", "SimReport", "simulate", "CHUNK_FRAMES"]
 
@@ -158,13 +160,6 @@ class _SymbolSampler:
             y0 = np.searchsorted(c0, uh, side="right")
             y[hard] = np.where(x[hard], np.searchsorted(c1, uh, side="right"), y0)
         return y
-
-
-def _posterior_step(pi, p0v, p1v):
-    num = p1v * pi
-    den = num + p0v * (1.0 - pi)
-    safe = np.where(den > 0.0, den, 1.0)
-    return np.where(den > 0.0, num / safe, pi)
 
 
 class _Accumulator:
@@ -298,7 +293,7 @@ def _walk(
             idx, pi = (np.concatenate(a) for a in zip(*frontier.pop(nid)))
             node = graph.nodes[nid]
             y = sampler[nid](x[idx], u[row[nid], idx])
-            pi = _posterior_step(pi, node.model.p0[y], node.model.p1[y])
+            pi = posterior_update(pi, node.model, y)
             action = route(nid, idx, pi, y)
             if graph.is_terminal(nid):
                 declared[idx] = action == 1
@@ -362,9 +357,7 @@ def _simulate_adaptive(config: StreamConfig, spec: SystemSpec, policy: Policy) -
 def _simulate_duty_cycle(config: StreamConfig, dc_spec: DutyCycleSpec) -> SimReport:
     """Stream the duty cycler: a coin gates the detector each frame."""
     prior = dc_spec.prior if config.prior is None else config.prior
-    tau = dc_spec.fa_cost / (dc_spec.fa_cost + dc_spec.miss_cost)
-    post = symbol_posteriors(dc_spec.detector, np.array([prior]))[:, 0]
-    positive_symbol = post >= tau  # decision per symbol at fixed prior
+    positive = positive_symbols(dc_spec.detector, prior, dc_spec.miss_cost, dc_spec.fa_cost)
     sample = _SymbolSampler(dc_spec.detector)
     acc = _Accumulator(dc_spec.miss_cost, dc_spec.fa_cost, config.energy_weight)
     for c, count in _chunks(config.n_frames):
@@ -372,7 +365,7 @@ def _simulate_duty_cycle(config: StreamConfig, dc_spec: DutyCycleSpec) -> SimRep
         x = gen.random(count) < prior
         on = gen.random(count) < dc_spec.rho
         y = sample(x, gen.random(count))
-        declared = on & positive_symbol[y]
+        declared = on & positive[y]
         energy = np.where(on, dc_spec.on_cost, dc_spec.off_cost)
         acc.add(x, declared, energy)
     return acc.report()

@@ -1,9 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from guidedproc import (
     FeatureModel,
+    GuidedProcError,
     ModelFormatError,
+    Policy,
     StageSpec,
     SystemSpec,
     evidence,
@@ -14,7 +18,9 @@ from guidedproc import (
     solve,
     stationary_targets,
 )
-from conftest import random_model, sorted_model
+from guidedproc import adaptive, fixtures
+from conftest import random_model, random_system, sorted_model
+from test_models import bayes_by_hand
 
 # ---------------------------------------------------------------------------
 # Oracle: long-run activation rates by explicit tree enumeration.  Every
@@ -59,6 +65,95 @@ def small_system(rng, monotone=True, n_stages=3):
     return SystemSpec(
         stages=tuple(stages), miss_cost=3.0, fa_cost=1.0, prior=0.15, energy_weight=5e-3
     )
+
+
+def dict_enumeration(spec, thresholds):
+    """Oracle for the atom aggregation: the reachable beliefs kept in a dict
+    from belief to weight, filled one continuing (symbol, belief) pair at a
+    time in np.nonzero's order, then sorted for the next stage."""
+    n = spec.n_stages
+    targets = np.zeros(n)
+    reach = np.zeros(n)
+    dist = {float(spec.prior): 1.0}
+    p_reach = 1.0
+    for k, stage in enumerate(spec.stages):
+        if not dist:
+            break
+        reach[k] = p_reach
+        beliefs = np.array(sorted(dist))
+        weights = np.array([dist[b] for b in beliefs])
+        post, ev = bayes_by_hand(stage.model, beliefs)
+        go = post >= thresholds[k]
+        act = float(weights @ np.sum(ev * go, axis=0))
+        targets[k] = act
+        if k == n - 1 or act <= 0.0:
+            break
+        nxt = {}
+        ys, bs = np.nonzero(go)
+        for y, j in zip(ys, bs):
+            w = weights[j] * ev[y, j]
+            if w > 0.0:
+                key = float(post[y, j])
+                nxt[key] = nxt.get(key, 0.0) + w
+        dist = {b: w / act for b, w in nxt.items()}
+        p_reach *= act
+    return targets, reach
+
+
+def zero_some_masses(rng, model):
+    """About a third of the masses zeroed: some symbols impossible under one
+    state or both, some posteriors exactly 0 or 1."""
+    p0, p1 = (p * (rng.random(p.size) > 0.35) for p in (model.p0, model.p1))
+    p0[0] += p0.sum() == 0.0
+    p1[-1] += p1.sum() == 0.0
+    return FeatureModel(p0=p0 / p0.sum(), p1=p1 / p1.sum())
+
+
+def duplicate_columns(rng, model):
+    """Each symbol repeated with its masses split evenly, so that symbols
+    with equal posteriors land on one atom."""
+    reps = rng.integers(1, 4, size=model.alphabet_size)
+    p0, p1 = (np.repeat(p / reps, reps) for p in (model.p0, model.p1))
+    return FeatureModel(p0=p0, p1=p1)
+
+
+class TestTargetsBitForBit:
+    @staticmethod
+    def check(spec, thresholds):
+        policy = Policy(None, tuple(thresholds), tuple(thresholds), (), 0.0, 0.0)
+        got = stationary_targets(spec, policy)
+        want = dict_enumeration(spec, thresholds)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @staticmethod
+    def thresholds(rng, spec):
+        # solved ones, and random ones that continue more often
+        solved = solve(spec).thresholds
+        return solved, tuple(rng.choice([0.0, *rng.uniform(0.0, 0.6, 3)], spec.n_stages))
+
+    @pytest.mark.parametrize("remodel", [zero_some_masses, duplicate_columns])
+    def test_random_systems(self, rng, remodel):
+        for _ in range(25):
+            spec = random_system(rng, n_stages=int(rng.integers(2, 5)))
+            stages = tuple(replace(st, model=remodel(rng, st.model)) for st in spec.stages)
+            spec = replace(spec, stages=stages)
+            for thresholds in self.thresholds(rng, spec):
+                self.check(spec, thresholds)
+
+    def test_reference_systems(self, rng):
+        monitor, _ = fixtures.monitoring_system()
+        for spec in (monitor, fixtures.trigger_system()):
+            for thresholds in self.thresholds(rng, spec):
+                self.check(spec, thresholds)
+
+    def test_atom_guard(self, monkeypatch, rng):
+        spec = small_system(rng, monotone=False)
+        thresholds = (0.0,) * spec.n_stages  # every frame continues
+        self.check(spec, thresholds)
+        monkeypatch.setattr(adaptive, "_MAX_BELIEF_STATES", 5)
+        policy = Policy(None, thresholds, thresholds, (), 0.0, 0.0)
+        with pytest.raises(GuidedProcError, match="too large"):
+            stationary_targets(spec, policy)
 
 
 class TestMonotonicity:

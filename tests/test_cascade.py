@@ -29,8 +29,6 @@ from guidedproc import (
     posterior_update,
     simulate,
     solve,
-    symbol_evidence,
-    symbol_posteriors,
     tail_off_costs,
 )
 from guidedproc.cascade import CALIBRATE_REL_TOL, path_graph, robustify_stages
@@ -195,8 +193,8 @@ class TestDeployedThresholds:
             assert all(math.isfinite(t) for t in policy.thresholds)
             beliefs = np.array([spec.prior])
             for k, st in enumerate(spec.stages[:-1]):
-                post = symbol_posteriors(st.model, beliefs)
-                post = post[symbol_evidence(st.model, beliefs) > 0.0]
+                post, ev = belief_transition(st.model, beliefs)
+                post = post[ev > 0.0]
                 go = post >= policy.raw_thresholds[k]
                 assert np.array_equal(post >= policy.thresholds[k], go)
                 beliefs = np.unique(post[go])
@@ -272,6 +270,11 @@ class TestDecomposition:
         assert min(r.inter_miss, r.final_miss, r.final_fa, r.energy) >= 0.0
 
 
+def grid_transitions(spec: SystemSpec, grid: BeliefGrid) -> tuple:
+    """Per-stage transitions as calibrate_lambda builds them (entry 0 unread)."""
+    return (None, *(belief_transition(st.model, grid.points) for st in spec.stages[1:]))
+
+
 def whole_grid_evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> RiskReport:
     """Oracle: the risk decomposition carried back over every grid node,
     read at the prior only at the end."""
@@ -289,13 +292,14 @@ def whole_grid_evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> R
     tables = np.stack([zero, final_m, final_fa, zero])
     for k in range(K - 2, -1, -1):
         nxt = stages[k + 1]
-        cont = expected_next(nxt.model, grid, tables, None, transitions and transitions[k + 1])
+        pair = transitions[k + 1] if transitions else belief_transition(nxt.model, b)
+        cont = expected_next(grid, tables, pair)
         cont[3] += nxt.on_cost
         stop = np.stack([spec.miss_cost * b, zero, zero, np.full_like(b, dstop[k + 1])])
         tables = np.where(b >= policy.raw_thresholds[k], cont, stop)
 
     first = stages[0]
-    at_prior = expected_next(first.model, grid, tables, [spec.prior])[:, 0]
+    at_prior = expected_next(grid, tables, belief_transition(first.model, [spec.prior]))[:, 0]
     r_inter, r_final_m, r_final_fa, e = at_prior.tolist()
     e += first.on_cost
     return RiskReport(
@@ -340,7 +344,7 @@ class TestReadSetEvaluate:
             else:
                 raw = tuple(float(t) for t in rng.choice([0.0, math.inf, *rng.random(4)], spec.n_stages))
                 policy = Policy(grid, raw, raw, (), 0.0, spec.energy_weight)
-            transitions = (None, *(belief_transition(st.model, grid) for st in spec.stages[1:]))
+            transitions = grid_transitions(spec, grid)
             assert evaluate(spec, policy) == whole_grid_evaluate(spec, policy)
             assert evaluate(spec, policy, transitions) == whole_grid_evaluate(
                 spec, policy, transitions
@@ -351,7 +355,7 @@ class TestReadSetEvaluate:
     def test_reference_monitor_at_the_largest_grid(self):
         spec, _ = fixtures.monitoring_system()
         grid = BeliefGrid(10001)
-        transitions = (None, *(belief_transition(st.model, grid) for st in spec.stages[1:]))
+        transitions = grid_transitions(spec, grid)
         for prior, lam in ((0.0, 0.002), (0.1, 0.002), (0.3, 0.05), (1.0, 0.0)):
             run = replace(spec, prior=prior, energy_weight=lam)
             policy = solve(run, grid, transitions)
@@ -424,7 +428,7 @@ class TestCalibration:
         for _ in range(3):
             spec = random_system(rng)
             grid = BeliefGrid(501)
-            transitions = (None, *(belief_transition(st.model, grid) for st in spec.stages[1:]))
+            transitions = grid_transitions(spec, grid)
             plain, cached = solve(spec, grid), solve(spec, grid, transitions)
             assert (plain.thresholds, plain.raw_thresholds, plain.v0) == (
                 cached.thresholds, cached.raw_thresholds, cached.v0

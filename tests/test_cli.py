@@ -174,6 +174,17 @@ class TestSimulate:
     def test_graph_refuses_adaptive(self, graph_file):
         assert main(["simulate", graph_file, "--mode", "adaptive"]) == 2
 
+    def test_graph_refuses_a_policy_file(self, graph_file, model_file, tmp_path, capsys):
+        # graph policies have no file format: the flag is an error, not
+        # silently replaced by a fresh solve
+        run_json(["optimize", model_file], tmp_path / "policy.json")
+        capsys.readouterr()
+        for policy in (tmp_path / "policy.json", tmp_path / "missing.json"):
+            argv = ["simulate", graph_file, "--policy", str(policy), "--n-frames", "1000"]
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "--policy" in err and "Traceback" not in err
+
 
 class TestCompare:
     def read_rows(self, path):
@@ -300,8 +311,9 @@ class TestExitCodes:
             ),
             (lambda r: r.update(miss_cost=math.inf), "miss_cost"),
             (lambda r: r.update(prior=math.nan), "prior"),
+            (lambda r: r["stages"][0]["p0"].__setitem__(0, 10**400), "p0"),
         ],
-        ids=["budget-nan", "miss-cost-infinity", "prior-nan"],
+        ids=["budget-nan", "miss-cost-infinity", "prior-nan", "pmf-integer-past-float-range"],
     )
     def test_non_finite_numbers_exit_2(self, tmp_path, capsys, mangle, field):
         raw = cascade_raw()
@@ -480,12 +492,16 @@ def mutated_documents(draw):
     raw = copy.deepcopy(draw(st.sampled_from(BASE_DOCUMENTS)))
     holders = raw["stages"] if "stages" in raw else list(raw["nodes"].values())
     for _ in range(draw(st.integers(1, 3))):
-        kind = draw(st.sampled_from(["uncertainty"] * 4 + ["field", "top", "delete"]))
+        kind = draw(st.sampled_from(["uncertainty"] * 4 + ["field", "entry", "top", "delete"]))
         if kind == "uncertainty":
             draw(st.sampled_from(holders))["uncertainty"] = draw(UNCERTAINTY)
         elif kind == "field":
             holder = draw(st.sampled_from(holders))
             holder[draw(st.sampled_from(["p0", "p1", "on_cost", "off_cost"]))] = draw(VALUES)
+        elif kind == "entry":
+            pmf = draw(st.sampled_from(holders))[draw(st.sampled_from(["p0", "p1"]))]
+            if isinstance(pmf, list):  # not already replaced by a "field" value
+                pmf[draw(st.integers(0, len(pmf) - 1))] = draw(VALUES | st.just(10**400))
         elif kind == "top":
             raw[draw(st.sampled_from(sorted(raw)))] = draw(VALUES)
         else:

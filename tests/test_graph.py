@@ -303,19 +303,26 @@ class TestDiamond:
 
     def test_shared_successor_propagated_once(self, monkeypatch):
         # Node 4 feeds both 2 and 3; its continuation table is built once
-        # and reused, so each node goes through the grid propagation once
-        # (the root at the prior).
+        # and reused, so each node's transition is built once and goes
+        # through the grid propagation once (the root at the prior).
         import guidedproc.graph as graph_mod
 
         g = diamond_graph()
         node_of = {id(st.model): i for i, st in g.nodes.items()}
-        calls = []
-        real = graph_mod.expected_next
+        built, propagated, node_of_pair = [], [], {}
+        build, propagate = graph_mod.belief_transition, graph_mod.expected_next
 
-        def recording(model, *args):
-            calls.append(node_of[id(model)])
-            return real(model, *args)
+        def building(model, beliefs):
+            pair = build(model, beliefs)
+            built.append(node_of[id(model)])
+            node_of_pair[id(pair)] = built[-1]
+            return pair
 
-        monkeypatch.setattr(graph_mod, "expected_next", recording)
+        def propagating(grid, tables, transition):
+            propagated.append(node_of_pair[id(transition)])
+            return propagate(grid, tables, transition)
+
+        monkeypatch.setattr(graph_mod, "belief_transition", building)
+        monkeypatch.setattr(graph_mod, "expected_next", propagating)
         solve_graph(g, miss_cost=3.0, fa_cost=1.0, energy_weight=0.002, prior=0.1, grid=self.GRID)
-        assert calls == [4, 2, 3, 1]
+        assert built == propagated == [4, 2, 3, 1]

@@ -1,5 +1,6 @@
 """Import hygiene: every module under the package uses what it imports,
-and every name it exports exists; and every CLI option is read.
+every name it exports exists, and its ``__all__`` lists exactly the public
+functions and classes it defines; and every CLI option is read.
 
 No linter ships with the project, so these stdlib AST scans are the guard.
 The package ``__init__`` is skipped by the import scan: its imports are
@@ -56,6 +57,43 @@ def test_every_exported_name_resolves():
         if hasattr(m, "__all__")
     }
     assert {name: names for name, names in missing.items() if names} == {}
+
+
+def unlisted_and_foreign(module) -> tuple[list[str], list[str]]:
+    """The public functions and classes a module defines but leaves out of
+    its ``__all__``, and the functions and classes it lists but does not
+    define (constants may be listed freely)."""
+    def api(names):
+        return {
+            n for n in names
+            if not n.startswith("_")
+            and (inspect.isfunction(getattr(module, n)) or inspect.isclass(getattr(module, n)))
+        }
+
+    listed = api(n for n in module.__all__ if hasattr(module, n))
+    defined = {n for n in api(vars(module)) if getattr(module, n).__module__ == module.__name__}
+    return sorted(defined - listed), sorted(listed - defined)
+
+
+def test_all_lists_exactly_the_public_functions_and_classes():
+    modules = [
+        importlib.import_module(f"guidedproc.{p.stem}")
+        for p in sorted(PACKAGE.glob("*.py"))
+        if p.name != "__init__.py"
+    ]
+    mismatched = {m.__name__: unlisted_and_foreign(m) for m in modules if hasattr(m, "__all__")}
+    assert {name: pair for name, pair in mismatched.items() if pair != ([], [])} == {}
+    assert {m.__name__ for m in modules if not hasattr(m, "__all__")} == {"guidedproc.cli"}
+
+
+def test_all_scan_flags_both_directions():
+    import types
+
+    module = types.ModuleType("m")
+    exec("import json\nfrom json import dumps\ndef f(): pass\ndef g(): pass\n", vars(module))
+    module.__all__ = ["f", "dumps", "CONSTANT"]
+    module.CONSTANT = 1
+    assert unlisted_and_foreign(module) == (["g"], ["dumps"])
 
 
 def unread_options() -> dict[str, list[str]]:

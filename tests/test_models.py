@@ -10,8 +10,6 @@ from guidedproc import (
     evidence,
     expected_next,
     posterior_update,
-    symbol_evidence,
-    symbol_posteriors,
 )
 from guidedproc.models import MAX_GRID_SIZE
 from conftest import random_model
@@ -87,8 +85,7 @@ class TestPosterior:
     @given(pmf_pairs(), st.floats(0.0, 1.0))
     def test_posterior_is_martingale(self, model, prior):
         """Sum over symbols of evidence times posterior returns the prior."""
-        post = symbol_posteriors(model, np.array([prior]))
-        ev = symbol_evidence(model, np.array([prior]))
+        post, ev = belief_transition(model, [prior])
         assert ev.sum() == pytest.approx(1.0, abs=1e-12)
         assert float((ev * post).sum()) == pytest.approx(prior, abs=1e-12)
 
@@ -129,12 +126,23 @@ class TestGridAndTables:
             assert ev == pytest.approx(m.p1[y] * pri + m.p0[y] * (1 - pri), abs=1e-15)
 
 
+def bayes_by_hand(model, beliefs):
+    """(posteriors, evidence), each (Q, n), written out with numpy: the
+    reference that the package's one Bayes kernel must match bit for bit."""
+    beliefs = np.asarray(beliefs, dtype=np.float64)
+    p0, p1 = model.p0.reshape(-1, 1), model.p1.reshape(-1, 1)
+    num = p1 * beliefs
+    den = num + p0 * (1.0 - beliefs)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        post = np.where(den > 0.0, num / np.where(den > 0.0, den, 1.0), beliefs)
+    return post, den
+
+
 class TestExpectedNext:
     @staticmethod
     def inline(model, b, table):
         # the propagation as solve, evaluate and solve_graph each wrote it
-        post = symbol_posteriors(model, b)
-        ev = symbol_evidence(model, b)
+        post, ev = bayes_by_hand(model, b)
         return np.sum(ev * np.interp(post, b, table), axis=0)
 
     def test_matches_inline_propagation_bit_for_bit(self, rng):
@@ -143,11 +151,12 @@ class TestExpectedNext:
             b = g.points
             for _ in range(5):
                 m = random_model(rng)
+                transition = belief_transition(m, b)
                 tables = rng.random((4, size))
                 np.testing.assert_array_equal(
-                    expected_next(m, g, tables[0]), self.inline(m, b, tables[0])
+                    expected_next(g, tables[0], transition), self.inline(m, b, tables[0])
                 )
-                stacked = expected_next(m, g, tables)
+                stacked = expected_next(g, tables, transition)
                 assert stacked.shape == (4, size)
                 for row, t in zip(stacked, tables):
                     np.testing.assert_array_equal(row, self.inline(m, b, t))
@@ -159,10 +168,11 @@ class TestExpectedNext:
             m = random_model(rng)
             table = rng.random(g.size)
             prior = float(rng.uniform())
-            post0 = symbol_posteriors(m, np.array([prior]))[:, 0]
-            ev0 = symbol_evidence(m, np.array([prior]))[:, 0]
+            ev0 = m.p1 * prior + m.p0 * (1.0 - prior)
+            post0 = m.p1 * prior / ev0  # random_model has no zero masses
             ref = float(np.sum(ev0 * np.interp(post0, b, table)))
-            assert float(expected_next(m, g, table, [prior])[0]) == ref
+            at_prior = belief_transition(m, [prior])
+            assert float(expected_next(g, table, at_prior)[0]) == ref
 
     @staticmethod
     def model_with_zero_masses(rng):
@@ -177,12 +187,32 @@ class TestExpectedNext:
 
     @pytest.mark.parametrize("size", [101, 1001, 10001])
     def test_precomputed_transition_is_bit_identical(self, rng, size):
+        # the grid pair equals the arithmetic by hand, and its columns equal
+        # the pair built at those beliefs alone, as evaluate takes either
         g = BeliefGrid(size=size)
         for _ in range(4):
             m = self.model_with_zero_masses(rng)
-            transition = belief_transition(m, g)
+            transition = belief_transition(m, g.points)
+            for got, ref in zip(transition, bayes_by_hand(m, g.points)):
+                assert np.array_equal(got, ref)
+            cols = np.sort(rng.choice(size, size=7, replace=False))
+            part = belief_transition(m, g.points[cols])
             tables = rng.random((4, size))
             for t in (tables[0], tables):
                 assert np.array_equal(
-                    expected_next(m, g, t, transition=transition), expected_next(m, g, t)
+                    expected_next(g, t, part), expected_next(g, t, transition)[..., cols]
                 )
+
+    def test_scalar_api_matches_the_pair_bit_for_bit(self, rng):
+        # the stream walker updates with posterior_update and the robust
+        # bounds come from it; both must equal the pair the DP reads
+        for _ in range(20):
+            m = self.model_with_zero_masses(rng)
+            beliefs = np.concatenate([[0.0, 1.0], rng.random(9)])
+            post, ev = belief_transition(m, beliefs)
+            for y in range(m.alphabet_size):
+                assert np.array_equal(posterior_update(beliefs, m, y), post[y])
+                assert np.array_equal(evidence(beliefs, m, y), ev[y])
+                for j, pi in enumerate(beliefs.tolist()):
+                    assert posterior_update(pi, m, y) == post[y, j]
+                    assert evidence(pi, m, y) == ev[y, j]
