@@ -143,18 +143,21 @@ def _solve_document(doc, prior, grid, energy_weight=None, energy_budget=None):
     return spec, bands, policy
 
 
-def _solve_graph_document(doc, prior, grid):
-    if doc.energy_weight is None:
+def _solve_graph_document(doc, prior, grid, energy_weight=None):
+    weight = doc.energy_weight if energy_weight is None else energy_weight
+    if weight is None:
         raise ModelFormatError("graph model files need energy_weight")
     prior = doc.default_prior() if prior is None else prior
-    return solve_graph(doc.graph, doc.miss_cost, doc.fa_cost, doc.energy_weight, prior, grid)
+    return solve_graph(doc.graph, doc.miss_cost, doc.fa_cost, weight, prior, grid)
 
 
 def cmd_optimize(args) -> int:
     doc = io.load_model_file(args.model)
     grid = BeliefGrid(doc.grid_size if args.grid is None else args.grid)
     if doc.kind == "graph":
-        gpol = _solve_graph_document(doc, args.prior, grid)
+        if args.energy_budget is not None:
+            raise ModelFormatError("--energy-budget applies to cascade model files")
+        gpol = _solve_graph_document(doc, args.prior, grid, args.energy_weight)
         bundle = io.result_bundle(doc, graph_policy=io.graph_policy_payload(gpol))
         return _emit(bundle, args.output)
     spec, bands, policy = _solve_document(

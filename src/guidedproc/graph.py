@@ -172,8 +172,12 @@ def solve_graph(
         raise ModelFormatError("miss_cost and fa_cost must be positive and finite")
     if not 0.0 <= prior <= 1.0:
         raise ModelFormatError("prior must lie in [0, 1]")
-    if not 0.0 <= energy_weight < math.inf:
-        raise ModelFormatError("energy_weight must be finite and nonnegative")
+    # no value exceeds the larger price plus every node's weighted costs;
+    # twice that stays finite through the sums over symbols
+    costs = sum(n.on_cost + n.off_cost for n in graph.nodes.values())
+    ceiling = 2.0 * (energy_weight * costs + max(miss_cost, fa_cost))
+    if not (energy_weight >= 0.0 and math.isfinite(ceiling)):
+        raise ModelFormatError("energy_weight must be nonnegative and keep the costs finite")
     grid = BeliefGrid() if grid is None else grid
     b = grid.points
     lam = energy_weight

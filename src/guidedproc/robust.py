@@ -22,22 +22,19 @@ At these ends the low pool carries state-0 mass P0L - w_lo and state-1 mass
 P1L + v_lo, the high pool P0H + v_hi and P1H - w_hi, so both transformed
 vectors are proper PMFs.  Each left side is convex and piecewise linear in its
 end, with breakpoints at the ratios, and the right side is a line: each
-equation has one crossing, read off the prefix sums of the sorted ratios.
-The high end is the low end of the state-swapped model, in reciprocal ratio.
+equation has one crossing away from 0, read off the prefix sums of the sorted
+ratios.  The high end is the low end of the state-swapped model, in
+reciprocal ratio.  The same two equations serve every class, one state exact
+or not: an end with both coefficients zero has no pool and is the nominal
+extreme ratio, and an end at ratio 0 or inf pools the symbols at that ratio.
 
-When one state is exact (eps = nu = 0) its transform is the identity at every
-band, and a whole curve of bands normalizes the other state.  The end on the
-exact state's side is then pinned at the nominal extreme ratio and the other
-end solves the remaining normalization condition: with state 0 exact,
-l_hi = r_max and l_lo * P0L - P1L = eps1 / (1 - eps1); with state 1 exact,
-l_lo = r_min and P1H - l_hi * P0H = l_hi * eps0 / (1 - eps0).  An end whose
-right side is zero has no pool and is the nominal extreme ratio.  With zero
-uncertainty the band is the nominal ratio range.
-
-A band with no crossing, with l_lo > 1 or l_hi < 1, or whose transformed
-vectors miss unit mass by more than ``BAND_RESIDUAL_TOL`` raises
-``InfeasibleBandError``; the residuals recorded on the band are those sums
-minus 1.
+The deployed ratios are s * clip(r, l_lo, l_hi), s = (1 - eps1) / (1 - eps0).
+A band with s * l_lo <= 1 <= s * l_hi exists exactly when the two classes are
+separable: their least total-variation distance max(D, 0), with
+D = sum_y ((1 - eps0) p0 - (1 - eps1) p1)_+ - eps1, exceeds nu0 + nu1.
+Overlapping classes raise ``InfeasibleBandError``, as does a band whose
+transformed vectors miss unit mass by more than ``BAND_RESIDUAL_TOL``; the
+residuals recorded on the band are those sums minus 1.
 """
 
 from __future__ import annotations
@@ -118,18 +115,22 @@ class _BandProblem:
         q1 = (1.0 - self.u.eps1) * p1
 
         low = r < lo
-        if np.any(low):
-            pooled = self.v_lo * p0[low] + self.w_lo * p1[low]
-            denom = self.v_lo + self.w_lo * lo
-            q0[low] = (1.0 - self.u.eps0) * pooled / denom
-            q1[low] = (1.0 - self.u.eps1) * lo * pooled / denom
+        pooled = self.v_lo * p0[low] + self.w_lo * p1[low]
+        denom = self.v_lo + self.w_lo * lo
+        q0[low] = (1.0 - self.u.eps0) * pooled / denom
+        q1[low] = (1.0 - self.u.eps1) * lo * pooled / denom
 
         high = r > hi  # empty whenever hi is infinite
-        if np.any(high):
-            pooled = self.w_hi * p0[high] + self.v_hi * p1[high]
-            denom = self.w_hi + self.v_hi * hi
-            q0[high] = (1.0 - self.u.eps0) * pooled / denom
-            q1[high] = (1.0 - self.u.eps1) * hi * pooled / denom
+        pooled = self.w_hi * p0[high] + self.v_hi * p1[high]
+        denom = self.w_hi + self.v_hi * hi
+        q0[high] = (1.0 - self.u.eps0) * pooled / denom
+        q1[high] = (1.0 - self.u.eps1) * hi * pooled / denom
+        # an end at ratio 0 or inf with v = 0 (the other state exact) pools
+        # the symbols at that ratio, which shed w of their mass
+        if lo == 0.0 and self.w_lo > 0.0:
+            q0[r == 0.0] *= 1.0 - self.w_lo / p0[r == 0.0].sum()
+        if hi == math.inf and self.w_hi > 0.0:
+            q1[r == math.inf] *= 1.0 - self.w_hi / p1[r == math.inf].sum()
         return q0, q1
 
 
@@ -137,10 +138,11 @@ def _low_end(p0: np.ndarray, p1: np.ndarray, v: float, w: float) -> float:
     """Root lo of lo * P0(r < lo) - P1(r < lo) = v + w * lo, r = p1 / p0.
 
     The left side is zero up to the least ratio and convex piecewise linear
-    with breakpoints at the ratios; the right side is a line with v > 0, so
-    they cross once.  The crossing lies on the segment that ends at the first
-    breakpoint where the left side is ahead, or beyond the last finite ratio
-    when there is no such breakpoint; inf when the lines never meet.
+    with breakpoints at the ratios; the right side is a line with v, w >= 0,
+    so they cross once away from 0.  The crossing lies on the segment that
+    ends at the first breakpoint where the left side is ahead, or beyond the
+    last finite ratio when there is no such breakpoint; 0 when v = 0 and the
+    symbols of ratio 0 outweigh w, inf when the lines never meet.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         r = p1 / p0
@@ -160,38 +162,28 @@ def _band_and_pair(model: FeatureModel, u: UncertaintyParams):
     """The band, with its least-favorable pair before renormalization (None
     with zero uncertainty, where the model is its own least-favorable pair)."""
     prob = _BandProblem(model, u)
-    if not np.isfinite(prob.r).any():
-        raise InfeasibleBandError("model has no symbol with positive state-0 mass")
     r_min = float(prob.r.min())
     r_max = float(prob.r.max())
     if u.is_zero:
         return RobustBand(r_min, r_max), None
-    if r_min >= 1.0 or r_max <= 1.0:
-        # All ratios equal 1: nothing distinguishes the states and no band
-        # can restore the mass removed by contamination.
-        raise InfeasibleBandError("uninformative model cannot absorb contamination")
-
-    # (v, w) of each end's equation; v = 0 leaves a zero right side: no pool
-    if u.eps0 == u.nu0 == 0.0:
-        low, high = (u.eps1 / (1.0 - u.eps1), 0.0), (0.0, 0.0)
-    elif u.eps1 == u.nu1 == 0.0:
-        low, high = (0.0, 0.0), (u.eps0 / (1.0 - u.eps0), 0.0)
-    else:
-        low, high = (prob.v_lo, prob.w_lo), (prob.v_hi, prob.w_hi)
     p0, p1 = model.p0, model.p1
-    lo = _low_end(p0, p1, *low) if low[0] > 0.0 else r_min
-    # the high end is the low end of the state-swapped model, in 1 / ratio
-    hi = 1.0 / _low_end(p1, p0, *high) if high[0] > 0.0 else r_max
+    lo = _low_end(p0, p1, prob.v_lo, prob.w_lo) if prob.v_lo or prob.w_lo else r_min
+    # the high end is the low end of the state-swapped model, in 1 / ratio,
+    # where an end at 0 is an infinite high end
+    t = _low_end(p1, p0, prob.v_hi, prob.w_hi) if prob.v_hi or prob.w_hi else None
+    hi = r_max if t is None else 1.0 / t if t > 0.0 else math.inf
 
-    feasible = lo <= 1.0 <= hi
-    # an end past 1 is infeasible; the error quotes the residuals at 1
-    lo, hi = min(lo, 1.0), max(hi, 1.0)
+    # the deployed ratios are s * clip(r, lo, hi); a band that cannot put
+    # them on both sides of 1 leaves the two classes overlapping
+    s = (1.0 - u.eps1) / (1.0 - u.eps0)
+    if not lo * s <= 1.0 <= hi * s:
+        raise InfeasibleBandError("the uncertainty classes overlap: no ratio band separates them")
     q0, q1 = prob.transform(lo, hi)
     res0, res1 = float(q0.sum()) - 1.0, float(q1.sum()) - 1.0
-    if not feasible or max(abs(res0), abs(res1)) > BAND_RESIDUAL_TOL:
+    if max(abs(res0), abs(res1)) > BAND_RESIDUAL_TOL:
         raise InfeasibleBandError(
             "no ratio band normalizes both least-favorable PMFs "
-            f"(best residuals {res0:.3e}, {res1:.3e})"
+            f"(residuals {res0:.3e}, {res1:.3e})"
         )
     return RobustBand(lo, hi, res0, res1), (q0, q1)
 

@@ -12,6 +12,7 @@ import sys
 import tempfile
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -89,6 +90,18 @@ class TestOptimize:
         assert gp["order"][-1] == 1  # root closes the post-order
         assert set(gp["stop_thresholds"]) == {"1", "2"}
         assert gp["v0"] > 0.0
+
+    def test_graph_energy_flags(self, graph_file, tmp_path, capsys):
+        # --energy-weight replaces the file's weight; a graph has no budget
+        # calibration, so --energy-budget is refused rather than dropped
+        default = run_json(["optimize", graph_file], tmp_path / "default.json")["graph_policy"]
+        gp = run_json(["optimize", graph_file, "--energy-weight", "5"], tmp_path / "out.json")
+        assert default["energy_weight"] != 5.0
+        assert gp["graph_policy"]["energy_weight"] == 5.0
+        assert gp["graph_policy"]["v0"] > default["v0"]
+        assert main(["optimize", graph_file, "--energy-budget", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "--energy-budget" in err and "Traceback" not in err
 
 
 class TestRobustify:
@@ -340,18 +353,41 @@ class TestExitCodes:
         assert main(["optimize", str(path)]) == 3
 
     def test_unabsorbable_contamination_exits_3(self, tmp_path, capsys):
-        # state 0 is exact and never emits state 1's third symbol: no band
-        # normalizes state 1, and both pooling coefficients of the high pool vanish
+        # state 0 is exact and lies inside the state-1 class, whose nu1 = 0.1
+        # covers the separation D = 0.08: the classes overlap
         raw = cascade_raw()
         raw["stages"][0] = {
-            "p0": [0.0, 1.0, 0.0], "p1": [0.0, 0.99, 0.01], "on_cost": 1.0,
-            "uncertainty": {"eps1": 0.2},
+            "p0": [0.0, 1.0, 0.0], "p1": [0.0, 0.9, 0.1], "on_cost": 1.0,
+            "uncertainty": {"eps1": 0.2, "nu1": 0.1},
         }
         path = tmp_path / "m.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["robustify", str(path)]) == 3
         err = capsys.readouterr().err
-        assert "infeasible" in err and "Traceback" not in err
+        assert "infeasible" in err and "overlap" in err and "Traceback" not in err
+        # with nu1 = 0 the classes are apart (D = 0.008): the band's high end
+        # has no finite crossing and is written as null
+        raw["stages"][0].update(p1=[0.0, 0.99, 0.01], uncertainty={"eps1": 0.2})
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        stage = run_json(["robustify", str(path)], tmp_path / "out.json")["stages"][0]
+        assert stage["band"]["hi"] is None
+        assert stage["q1"] == pytest.approx([0.0, 0.992, 0.008], rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "kind, flags",
+        [("cascade", ["--energy-weight", "1e308"]), ("cascade", []), ("graph", [])],
+        ids=["flag", "model-file", "graph-file"],
+    )
+    def test_overflowing_energy_weight_exits_2(self, tmp_path, capsys, kind, flags):
+        # a finite weight whose weighted costs overflow would write Infinity
+        raw = cascade_raw() if kind == "cascade" else graph_raw()
+        if not flags:
+            raw["energy_weight"] = 1e308
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["optimize", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "energy_weight" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_negative_seed_exits_2(self, model_file, capsys, command):
@@ -473,6 +509,15 @@ class TestExitCodes:
             main(["frobnicate"])
 
 
+def strict_json(text):
+    """JSON with no NaN or Infinity literals."""
+
+    def refuse(name):
+        raise ValueError(f"non-finite JSON constant {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 # Input-contract fuzzing: mutated reference documents through the CLI.
 NUMBERS = st.sampled_from(
     [0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 0.999999, 1.0 - 1e-12, 1.0,
@@ -529,7 +574,7 @@ def test_mutated_documents_keep_the_exit_contract(raw, command, flags):
         assert rc in (0, 2, 3), err.getvalue()
         assert "Traceback" not in err.getvalue()
         if rc == 0:
-            bundle = json.loads(out.read_text(encoding="utf-8"))
+            bundle = strict_json(out.read_text(encoding="utf-8"))
             assert all(math.isfinite(t) for t in bundle.get("policy", {}).get("thresholds", []))
             stops = bundle.get("graph_policy", {}).get("stop_thresholds", {}).values()
             assert all(t is None or math.isfinite(t) for t in stops)  # null: never continue
@@ -597,6 +642,71 @@ def test_mutated_policy_files_keep_the_exit_contract(payload):
             loaded = json.loads(out.read_text(encoding="utf-8"))["policy"]
             assert all(math.isfinite(t) for t in loaded["thresholds"])
             assert len(loaded["raw_thresholds"]) == len(loaded["thresholds"])
+
+
+# Flag strings: mutated numeric flags on optimize, simulate and compare for a
+# cascade and a graph file.  Frame counts, burn-in and sweep lengths are
+# drawn small or rejected, so no example streams long or solves many rows.
+FLAG_VALUES = {  # flag: (accepted values, refused values)
+    "--energy-weight": (["0", "1e-3", "5", "1e308"], ["-1", "nan", "inf", "abc", ""]),
+    "--energy-budget": (["30", "60", "1e308", "0"], ["-1", "nan", "-inf", "abc"]),
+    "--n-frames": (["1", "100", "2000"], ["0", "-1", "1.5", "1e3", "abc"]),
+    "--seed": (["0", "1", str(2**128 - 1)], [str(2**128), "-1", "1.5", "abc"]),
+    "--mu": (["1e-3", "0.5", "1", "0"], ["2", "-0.1", "nan", "inf", "abc"]),
+    "--burn-in": (["0", "10", "500"], ["-1", "1.5", "abc"]),
+    "--sweep": (
+        ["0.1:0.1:1", "0.05:0.2:3", "0:1:2"],
+        ["0.2:0.1:2", "-0.1:0.2:2", "0.1:inf:2", "nan:0.2:2", "0.1:0.2:0", "0.1:0.2:1.5",
+         "0.1:0.2", "a:b:c", ""],
+    ),
+}
+COMMAND_FLAGS = {
+    "optimize": ["--energy-weight", "--energy-budget"],
+    "simulate": ["--n-frames", "--seed", "--mu", "--burn-in"],
+    "compare": ["--sweep", "--n-frames", "--seed"],
+}
+SMALL_RUN = {
+    "simulate": ["--n-frames", "2000"],
+    "compare": ["--n-frames", "500", "--sweep", "0.1:0.1:1"],
+}
+
+
+@st.composite
+def mutated_flags(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = []
+    for flag in draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), min_size=1, unique=True)):
+        accepted, refused = FLAG_VALUES[flag]
+        flags += [flag, draw(st.sampled_from(accepted) | st.sampled_from(refused))]
+    if command == "simulate" and draw(st.booleans()):
+        flags += ["--mode", "adaptive"]
+    # later flags win: a drawn frame count or sweep replaces the small default
+    return command, [*SMALL_RUN.get(command, []), *flags]
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(mutated_flags(), st.sampled_from(BASE_DOCUMENTS))
+def test_mutated_flags_keep_the_exit_contract(command_flags, raw):
+    command, flags = command_flags
+    err = StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("GUIDEDPROC_THREADS", None)  # serial compare: no worker process
+        model, out = Path(tmp, "model.json"), Path(tmp, "out")
+        model.write_text(json.dumps(raw), encoding="utf-8")
+        argv = [command, str(model), "--grid", "101", *flags, "-o", str(out)]
+        with contextlib.redirect_stderr(err):
+            try:
+                rc = main(argv)
+            except SystemExit as exc:  # argparse refuses a flag that is not a number
+                rc = exc.code
+        assert rc in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        if rc == 0 and command == "compare":
+            with open(out, encoding="utf-8") as fh:
+                for row in csv.DictReader(fh):
+                    assert all(math.isfinite(float(row[c])) for c in COMPARE_COLUMNS[:10]), row
+        elif rc == 0:
+            strict_json(out.read_text(encoding="utf-8"))
 
 
 def test_imports_do_not_load_scipy():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -15,11 +17,12 @@ from guidedproc.robust import BAND_RESIDUAL_TOL
 from conftest import random_model
 
 # ---------------------------------------------------------------------------
-# Oracle: rebuild the least-favorable pair for a *given* band directly from
+# Oracles: rebuild the least-favorable pair for a *given* band directly from
 # the neighborhood definitions, independently of the solver internals.
 # Low-pool symbols must come out with ratio exactly band.lo, high-pool
 # symbols with ratio band.hi, and in-band symbols keep the nominal ratio
 # scaled by (1-eps1)/(1-eps0).  Both vectors must be PMFs at the solved band.
+# Whether a band exists at all is read off the closed-form separation D.
 # ---------------------------------------------------------------------------
 
 
@@ -43,6 +46,16 @@ def oracle_pair(model, u, lo, hi):
         den = u.nu1 / (1.0 - u.eps1) + ((u.eps0 + u.nu0) / (1.0 - u.eps0)) * hi
         q0[high] = (1.0 - u.eps0) * mix / den
         q1[high] = (1.0 - u.eps1) * hi * mix / den
+    # An end at ratio 0 (inf) with the other state exact pools the symbols
+    # at that ratio: they give up nu0 (nu1) of state-0 (state-1) mass.
+    if lo == 0.0 and u.nu0 > 0.0:
+        zero = r == 0.0
+        mass = model.p0[zero].sum()
+        q0[zero] = ((1.0 - u.eps0) * mass - u.nu0) * model.p0[zero] / mass
+    if hi == np.inf and u.nu1 > 0.0:
+        inf = r == np.inf
+        mass = model.p1[inf].sum()
+        q1[inf] = ((1.0 - u.eps1) * mass - u.nu1) * model.p1[inf] / mass
     return q0, q1
 
 
@@ -70,14 +83,27 @@ def end_coefficients(u):
     """(v, w) of the low-end equation lo*P0L - P1L = v + w*lo and of the
     high-end equation P1H - hi*P0H = w + v*hi, read off the neighborhood
     definitions.  None marks an end without pool, at the nominal extreme
-    ratio: the end on an exact state's side, or one whose right side is 0."""
-    if u.eps0 == u.nu0 == 0.0:
-        return ((u.eps1 / (1.0 - u.eps1), 0.0) if u.eps1 else None), None
-    if u.eps1 == u.nu1 == 0.0:
-        return None, ((u.eps0 / (1.0 - u.eps0), 0.0) if u.eps0 else None)
+    ratio: one whose coefficients are both 0."""
     low = ((u.eps1 + u.nu1) / (1.0 - u.eps1), u.nu0 / (1.0 - u.eps0))
     high = ((u.eps0 + u.nu0) / (1.0 - u.eps0), u.nu1 / (1.0 - u.eps1))
-    return low, high
+    return (low if any(low) else None), (high if any(high) else None)
+
+
+def separation(model, u):
+    """D of the two classes: max(D, 0) is the least total-variation distance
+    between the eps-contaminated sets around p0 and p1, so the classes
+    overlap exactly when max(D, 0) <= nu0 + nu1."""
+    gap = (1.0 - u.eps0) * model.p0 - (1.0 - u.eps1) * model.p1
+    return float(np.maximum(gap, 0.0).sum()) - u.eps1
+
+
+def overlaps(model, u):
+    return max(separation(model, u), 0.0) <= u.nu0 + u.nu1
+
+
+def deployed_scale(u):
+    """Common factor s of the deployed ratios, s * clip(r, lo, hi)."""
+    return (1.0 - u.eps1) / (1.0 - u.eps0)
 
 
 def assert_end_equations(model, u, band, rel=1e-12):
@@ -85,18 +111,55 @@ def assert_end_equations(model, u, band, rel=1e-12):
     low, high = end_coefficients(u)
     if low is None:
         assert band.lo == r.min()
+    elif band.lo == 0.0:
+        # the zero ratios pool and shed nu0 (state 1 exact: v = 0)
+        assert low[0] == 0.0 and model.p0[r == 0.0].sum() > low[1]
     else:
         pool = r < band.lo
         terms = (band.lo * model.p0[pool].sum(), model.p1[pool].sum(), low[0] + low[1] * band.lo)
         assert abs(terms[0] - terms[1] - terms[2]) <= rel * sum(terms)
     if high is None:
         assert band.hi == r.max()
+    elif band.hi == np.inf:
+        # the infinite ratios pool and shed nu1 (state 0 exact: v = 0)
+        assert high[0] == 0.0 and model.p1[r == np.inf].sum() > high[1]
     else:
         pool = r > band.hi
         terms = (model.p1[pool].sum(), band.hi * model.p0[pool].sum(), high[1] + high[0] * band.hi)
         assert abs(terms[0] - terms[1] - terms[2]) <= rel * sum(terms)
 
 
+def seeded_classes(seed, n, zero_share=0.0):
+    """n (model, class) pairs: 3-39 symbols, each mass zero with probability
+    zero_share, and each of eps0, eps1, nu0, nu1 drawn from SEPARATION_LEVELS."""
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        q = int(rng.integers(3, 40))
+        p0 = rng.dirichlet(np.ones(q)) * (rng.random(q) >= zero_share)
+        p1 = rng.dirichlet(np.ones(q)) * (rng.random(q) >= zero_share)
+        p0[0] += p0.sum() == 0.0
+        p1[-1] += p1.sum() == 0.0
+        m = FeatureModel(p0=p0 / p0.sum(), p1=p1 / p1.sum())
+        yield m, UncertaintyParams(*rng.choice(SEPARATION_LEVELS, size=4))
+
+
+def assert_band_iff_separable(m, u):
+    """A band exactly when the classes are apart; its rebuilt pair is then a
+    PMF pair whose deployed ratios straddle 1."""
+    if overlaps(m, u):
+        with pytest.raises(InfeasibleBandError, match="classes overlap"):
+            solve_band(m, u)
+        return False
+    band = solve_band(m, u)
+    q0, q1 = oracle_pair(m, u, band.lo, band.hi)
+    assert abs(q0.sum() - 1.0) <= BAND_RESIDUAL_TOL
+    assert abs(q1.sum() - 1.0) <= BAND_RESIDUAL_TOL
+    s = deployed_scale(u)
+    assert band.lo * s <= 1.0 <= band.hi * s
+    return True
+
+
+SEPARATION_LEVELS = (0.0, 0.0, 0.01, 0.05, 0.1, 0.2)
 FOUR_WAY = UncertaintyParams(eps0=0.1, eps1=0.1, nu0=0.1, nu1=0.1)
 LEVELS = (0.0, 0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3)
 # three-symbol model whose Huber band is exactly [2/3, 4] under nu0 = nu1 = 0.1
@@ -138,24 +201,35 @@ class TestSolveBand:
             assert r.min() < band.lo < band.hi < r.max()
 
     def test_one_sided_uncertainty_pins_high_end(self):
-        # No state-0 uncertainty: only the low pool is needed, the high end
-        # stays at the nominal maximum ratio.
+        # State 0 exact: with eps1 alone the high end's coefficients are both
+        # 0, so it has no pool and stays at the nominal maximum ratio; nu1
+        # gives it a pool, and the end moves to the eps0 -> 0 limit.
         from guidedproc.fixtures import detector_suite
 
         m = detector_suite()[0]
-        u = UncertaintyParams(eps1=0.1, nu1=0.05)
-        band = solve_band(m, u)
-        assert band.hi == float(m.ratios().max())
-        assert band.lo > float(m.ratios().min())
+        r = m.ratios()
+        band = solve_band(m, UncertaintyParams(eps1=0.1))
+        assert band.hi == float(r.max())
+        assert band.lo > float(r.min())
+        band = solve_band(m, UncertaintyParams(eps1=0.1, nu1=0.05))
+        near = solve_band(m, UncertaintyParams(eps0=1e-12, eps1=0.1, nu1=0.05))
+        assert float(r.min()) < band.lo < band.hi < float(r.max())
+        assert band.lo == pytest.approx(near.lo, rel=1e-6, abs=0.0)
+        assert band.hi == pytest.approx(near.hi, rel=1e-6, abs=0.0)
 
     def test_one_sided_uncertainty_pins_low_end(self):
         from guidedproc.fixtures import detector_suite
 
         m = detector_suite()[0]
-        u = UncertaintyParams(eps0=0.1, nu0=0.05)
-        band = solve_band(m, u)
-        assert band.lo == float(m.ratios().min())
-        assert band.hi < float(m.ratios().max())
+        r = m.ratios()
+        band = solve_band(m, UncertaintyParams(eps0=0.1))
+        assert band.lo == float(r.min())
+        assert band.hi < float(r.max())
+        band = solve_band(m, UncertaintyParams(eps0=0.1, nu0=0.05))
+        near = solve_band(m, UncertaintyParams(eps0=0.1, eps1=1e-12, nu0=0.05))
+        assert float(r.min()) < band.lo < band.hi < float(r.max())
+        assert band.lo == pytest.approx(near.lo, rel=1e-6, abs=0.0)
+        assert band.hi == pytest.approx(near.hi, rel=1e-6, abs=0.0)
 
     def test_uninformative_model_is_infeasible(self):
         p = np.array([0.25, 0.25, 0.5])
@@ -164,12 +238,34 @@ class TestSolveBand:
             solve_band(m, UncertaintyParams(eps0=0.05))
 
     def test_unabsorbable_contamination_is_infeasible(self):
-        # State 0 is exact and its only mass sits on a symbol state 1 never
-        # emits; the high pool then has zero pooling coefficients, and no
-        # band normalizes state 1.
+        # State 0 is exact and puts all its mass where state 1 puts 0.9:
+        # D = 0.08 <= nu1 = 0.1, so p0 itself lies in the state-1 class.
+        m = FeatureModel(p0=[0.0, 1.0, 0.0], p1=[0.0, 0.9, 0.1])
+        u = UncertaintyParams(eps1=0.2, nu1=0.1)
+        assert separation(m, u) == pytest.approx(0.08)
+        with pytest.raises(InfeasibleBandError, match="classes overlap"):
+            solve_band(m, u)
+
+    def test_separable_contamination_gets_the_nearest_member(self):
+        # D = 0.008 > 0: the classes are apart, and the least-favorable
+        # state-1 PMF is the member of its class nearest to p0.
         m = FeatureModel(p0=[0.0, 1.0, 0.0], p1=[0.0, 0.99, 0.01])
-        with pytest.raises(InfeasibleBandError, match="no ratio band"):
-            solve_band(m, UncertaintyParams(eps1=0.2))
+        u = UncertaintyParams(eps1=0.2)
+        assert separation(m, u) == pytest.approx(0.008)
+        robust, band = least_favorable(m, u)
+        assert (band.lo, band.hi) == (pytest.approx(1.24), np.inf)
+        np.testing.assert_allclose(robust.p1, [0.0, 0.992, 0.008], rtol=1e-12)
+        np.testing.assert_array_equal(robust.p0, m.p0)
+
+    def test_infinite_ratio_pool_sheds_nu1(self):
+        # State 0 exact and nu1 > 0, with more state-1 mass on the infinite
+        # ratio than nu1: the high end is infinite and those symbols give up
+        # nu1, the state-1 member nearest to p0.
+        band = solve_band(TV_MODEL, UncertaintyParams(nu1=0.1))
+        robust, _ = least_favorable(TV_MODEL, UncertaintyParams(nu1=0.1))
+        assert (band.lo, band.hi) == (pytest.approx(0.6), np.inf)
+        np.testing.assert_allclose(robust.p1, [0.3, 0.3, 0.4], rtol=1e-12)
+        np.testing.assert_array_equal(robust.p0, TV_MODEL.p0)
 
     def test_outer_bracket_covers_one_when_finite_ratios_are_tiny(self):
         # One infinite ratio and every finite ratio far below 1: the search
@@ -195,10 +291,36 @@ class TestSolveBand:
             q0, q1 = oracle_pair(m, u, band.lo, band.hi)
             assert abs(q0.sum() - 1.0) <= BAND_RESIDUAL_TOL
             assert abs(q1.sum() - 1.0) <= BAND_RESIDUAL_TOL
-            assert band.lo <= 1.0 <= band.hi
+            s = deployed_scale(u)
+            assert band.lo * s <= 1.0 <= band.hi * s
             assert_end_equations(m, u, band)
             checked += 1
         assert checked >= 400
+
+    @pytest.mark.parametrize("seed, zero_share, overlapping", [(11, 0.0, 50), (12, 0.3, 20)])
+    def test_band_exists_iff_classes_are_separable(self, seed, zero_share, overlapping):
+        # One state exact or not, every class gets a band exactly when the
+        # closed-form separation D exceeds nu0 + nu1.  Zero masses put
+        # symbols at ratio 0 and inf, where an end with the other state
+        # exact pools them.
+        classes = seeded_classes(seed, 1500, zero_share)
+        separable = [assert_band_iff_separable(m, u) for m, u in classes]
+        assert separable.count(False) >= overlapping and separable.count(True) >= 1000
+
+    def test_one_sided_band_is_continuous_at_zero_uncertainty(self):
+        # An exact state is the limit of a vanishing class around it.
+        checked = 0
+        for m, u in seeded_classes(13, 600):
+            for state in "01":
+                exact = replace(u, **{f"eps{state}": 0.0, f"nu{state}": 0.0})
+                if exact.is_zero or overlaps(m, exact):
+                    continue
+                near = replace(exact, **{f"eps{state}": 1e-12})
+                band, limit = solve_band(m, exact), solve_band(m, near)
+                assert band.lo == pytest.approx(limit.lo, rel=1e-6, abs=0.0)
+                assert band.hi == pytest.approx(limit.hi, rel=1e-6, abs=0.0)
+                checked += 1
+        assert checked >= 500
 
     def test_detector_suite_bands_are_pinned(self):
         from guidedproc.fixtures import detector_suite
@@ -236,14 +358,16 @@ class TestSolveBand:
         assert checked >= 30
 
     def test_end_without_pool_is_the_nominal_ratio(self):
-        # State 1 exact and eps0 = 0: the high end's equation has a zero
-        # right side, so there is no high pool and hi is the nominal
-        # maximum ratio, here infinite.
+        # State 0 exact and nu1 = 0: both coefficients of the high end are
+        # 0, so there is no high pool and hi is the nominal maximum ratio,
+        # here infinite.  With nu0 alone both ends pool.
         from guidedproc.io import band_payload
 
-        band = solve_band(TV_MODEL, UncertaintyParams(nu0=0.1))
-        assert (band.lo, band.hi) == (0.4, np.inf)
+        band = solve_band(TV_MODEL, UncertaintyParams(eps1=0.1))
+        assert (band.lo, band.hi) == (pytest.approx(0.55 / 0.9), np.inf)
         assert band_payload(band)["hi"] is None
+        band = solve_band(TV_MODEL, UncertaintyParams(nu0=0.1))
+        assert (band.lo, band.hi) == (pytest.approx(0.5), pytest.approx(5.0))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.floats(0.01, 0.12))
