@@ -52,7 +52,8 @@ def stationary_targets(spec: SystemSpec, policy: Policy) -> tuple[np.ndarray, np
     probability.  Computed by enumerating the reachable belief atoms stage
     by stage, so the values match an infinite simulation exactly rather
     than up to grid interpolation: the atoms are the distinct continuing
-    posteriors, each weighing the (symbol, belief) masses landing on it.
+    posteriors, each weighing the (ratio class, belief) masses landing on
+    it.
     """
     n = spec.n_stages
     targets = np.zeros(n)
@@ -69,7 +70,7 @@ def stationary_targets(spec: SystemSpec, policy: Policy) -> tuple[np.ndarray, np
         targets[k] = act
         if k == n - 1 or act <= 0.0:
             break
-        w = ev * weights  # masks read symbol-major: bincount adds each atom in that order
+        w = ev * weights  # masks read class-major: bincount adds each atom in that order
         live = go & (w > 0.0)
         beliefs, atom = np.unique(post[live], return_inverse=True)
         if beliefs.size > _MAX_BELIEF_STATES:
@@ -102,14 +103,15 @@ class AdaptiveState:
 
 
 def feature_cut(model: FeatureModel, belief: float, tau: float) -> int:
-    """Smallest symbol whose posterior from `belief` clears tau.
+    """Smallest symbol whose posterior from `belief` (its ratio class's)
+    clears tau.
 
     Requires a monotone likelihood ratio; alphabet size means "never".
     """
     if not is_monotone_ratio(model):
         raise ModelFormatError("feature cut undefined for non-monotone likelihood ratio")
     post, _ = belief_transition(model, [belief])
-    hits = np.flatnonzero(post[:, 0] >= tau)
+    hits = np.flatnonzero(post[model.class_of, 0] >= tau)
     return int(hits[0]) if hits.size else model.alphabet_size
 
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleBudgetError, ModelFormatError
-from .graph import DetectionGraph, downstream_off_costs, solve_graph
+from .graph import DetectionGraph, declaration_table, downstream_off_costs, solve_graph
 from .models import (
     BeliefGrid,
     BeliefTable,
@@ -190,15 +190,19 @@ def path_graph(spec: SystemSpec) -> DetectionGraph:
     )
 
 
-def solve(spec: SystemSpec, grid: BeliefGrid | None = None, transitions=None) -> Policy:
+def solve(
+    spec: SystemSpec, grid: BeliefGrid | None = None, transitions=None, terminal=None
+) -> Policy:
     """Backward DP over the belief grid; returns the threshold policy.
 
     Solves the path graph of the stages, then maps each intermediate
     threshold onto its stage's admissible posterior interval: a threshold
     below it is raised to its lower end, and a stage that never continues
-    gets the smallest float above its upper end.  `transitions` may hold
-    each stage's ``belief_transition`` at the grid points (entry 0 is not
-    read), for callers that solve one cascade at many weights.
+    gets the smallest float above its upper end.  For callers that solve
+    one cascade at many weights, `transitions` may hold each stage's
+    ``belief_transition`` at the grid points (entry 0 is not read), and
+    `terminal` the last stage's ``declaration_table`` carried through its
+    transition by ``expected_next``.
     """
     if spec.energy_weight is None:
         raise ModelFormatError("solve needs energy_weight; use calibrate_lambda for budgets")
@@ -206,8 +210,9 @@ def solve(spec: SystemSpec, grid: BeliefGrid | None = None, transitions=None) ->
     lam = float(spec.energy_weight)
     ids = range(1, spec.n_stages + 1)
     by_node = dict(zip(ids, transitions)) if transitions else None
+    ahead = None if terminal is None else {spec.n_stages: terminal}
     gp = solve_graph(
-        path_graph(spec), spec.miss_cost, spec.fa_cost, lam, spec.prior, grid, by_node
+        path_graph(spec), spec.miss_cost, spec.fa_cost, lam, spec.prior, grid, by_node, ahead
     )
     raw = tuple(gp.stop_thresholds[i] for i in ids)
     # a finite raw threshold above the interval already stops every
@@ -346,16 +351,20 @@ def calibrate_lambda(spec: SystemSpec, grid: BeliefGrid | None = None) -> tuple[
         raise InfeasibleBudgetError(
             f"budget {target!r} outside achievable energy range [{floor!r}, {ceil!r}]"
         )
-    # posteriors and evidence depend on the grid and the stage models only;
-    # the first stage is read at the prior alone
+    # posteriors and evidence depend on the grid and the stage models only,
+    # and so does the terminal declaration table; the first stage is read
+    # at the prior alone
     transitions = (None, *(belief_transition(st.model, grid.points) for st in spec.stages[1:]))
+    terminal = expected_next(
+        grid, declaration_table(grid, spec.miss_cost, spec.fa_cost), transitions[-1]
+    )
     solves = 0
 
     def solved(lam: float) -> tuple[Policy, float, float]:
         nonlocal solves
         solves += 1
         run = replace(spec, energy_weight=lam, energy_budget=None)
-        pol = solve(run, grid, transitions)
+        pol = solve(run, grid, transitions, terminal)
         rep = evaluate(run, pol, transitions)
         # the risk parts of a partition do not depend on the weight
         return pol, rep.inter_miss + rep.final_miss + rep.final_fa, rep.energy

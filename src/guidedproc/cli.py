@@ -216,7 +216,7 @@ def cmd_simulate(args) -> int:
         return _emit(bundle, args.output)
     if args.policy is not None:
         spec, _ = io.build_from_document(doc, prior=args.prior)
-        policy = io.load_policy_file(args.policy)
+        policy = io.load_policy_file(args.policy, spec)
     else:
         spec, _, policy = _solve_document(doc, args.prior, BeliefGrid(grid_size))
     config = StreamConfig(

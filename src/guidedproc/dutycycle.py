@@ -71,9 +71,9 @@ def positive_symbols(
     model: FeatureModel, prior: float, miss_cost: float, fa_cost: float
 ) -> np.ndarray:
     """Per symbol, whether the one-shot Bayes detector declares positive:
-    its posterior from `prior` clears fa/(fa+miss)."""
+    the posterior of its ratio class from `prior` clears fa/(fa+miss)."""
     post, _ = belief_transition(model, [prior])
-    return post[:, 0] >= fa_cost / (fa_cost + miss_cost)
+    return post[model.class_of, 0] >= fa_cost / (fa_cost + miss_cost)
 
 
 def single_stage_risks(

@@ -31,6 +31,8 @@ __all__ = [
     "GraphPolicy",
     "post_order",
     "downstream_off_costs",
+    "check_energy_weight",
+    "declaration_table",
     "solve_graph",
 ]
 
@@ -127,6 +129,27 @@ def downstream_off_costs(graph: DetectionGraph) -> dict[int, float]:
     }
 
 
+def check_energy_weight(energy_weight: float, nodes, miss_cost: float, fa_cost: float) -> None:
+    """Refuse a weight that is negative or that overflows the costs.
+
+    No value or stream risk exceeds the larger price plus every node's
+    weighted on and off costs; twice that must stay finite, so the sums
+    over classes and frames do too.
+    """
+    costs = sum(n.on_cost + n.off_cost for n in nodes)
+    ceiling = 2.0 * (energy_weight * costs + max(miss_cost, fa_cost))
+    if not (energy_weight >= 0.0 and math.isfinite(ceiling)):
+        raise ModelFormatError("energy_weight must be nonnegative and keep the costs finite")
+
+
+def declaration_table(grid: BeliefGrid, miss_cost: float, fa_cost: float) -> np.ndarray:
+    """A terminal node's value: the cheaper declaration at each grid belief,
+    positive (fa * (1 - b)) from fa / (fa + miss) up, else negative
+    (miss * b).  It does not depend on the energy weight."""
+    b = grid.points
+    return np.where(b >= fa_cost / (fa_cost + miss_cost), fa_cost * (1.0 - b), miss_cost * b)
+
+
 @dataclass(frozen=True)
 class GraphPolicy:
     grid: BeliefGrid
@@ -157,6 +180,7 @@ def solve_graph(
     prior: float,
     grid: BeliefGrid | None = None,
     transitions=None,
+    propagated=None,
 ) -> GraphPolicy:
     """Exact-on-the-grid value iteration over the DAG.
 
@@ -164,20 +188,17 @@ def solve_graph(
     stopping (miss risk plus weighted downstream idle energy) against each
     successor (its processing cost plus expected continuation value).  Ties
     between stop and the best successor continue; ties among successors go
-    to the smallest id.  `transitions` may map node ids to their
-    ``belief_transition`` at the grid points, for callers that solve one
-    graph at many weights.
+    to the smallest id.  For callers that solve one graph at many weights,
+    `transitions` may map node ids to their ``belief_transition`` at the
+    grid points, and `propagated` may map terminal ids to their
+    ``declaration_table`` carried through that transition by
+    ``expected_next``, which no weight changes.
     """
     if not (0.0 < miss_cost < math.inf and 0.0 < fa_cost < math.inf):
         raise ModelFormatError("miss_cost and fa_cost must be positive and finite")
     if not 0.0 <= prior <= 1.0:
         raise ModelFormatError("prior must lie in [0, 1]")
-    # no value exceeds the larger price plus every node's weighted costs;
-    # twice that stays finite through the sums over symbols
-    costs = sum(n.on_cost + n.off_cost for n in graph.nodes.values())
-    ceiling = 2.0 * (energy_weight * costs + max(miss_cost, fa_cost))
-    if not (energy_weight >= 0.0 and math.isfinite(ceiling)):
-        raise ModelFormatError("energy_weight must be nonnegative and keep the costs finite")
+    check_energy_weight(energy_weight, graph.nodes.values(), miss_cost, fa_cost)
     grid = BeliefGrid() if grid is None else grid
     b = grid.points
     lam = energy_weight
@@ -187,6 +208,7 @@ def solve_graph(
     decisions: dict[int, np.ndarray] = {}
     thresholds: dict[int, float] = {}
     transitions = transitions or {}
+    propagated = propagated or {}
     # continuation table of each node, computed when a first predecessor
     # needs it: a shared successor is propagated once
     onward: dict[int, np.ndarray] = {}
@@ -196,9 +218,8 @@ def solve_graph(
         node = graph.nodes[i]
         succ = graph.successors(i)
         if not succ:
-            declare_pos = b >= tau_term
-            v = np.where(declare_pos, fa_cost * (1.0 - b), miss_cost * b)
-            decisions[i] = declare_pos.astype(np.int64)
+            v = declaration_table(grid, miss_cost, fa_cost)
+            decisions[i] = (b >= tau_term).astype(np.int64)
             thresholds[i] = tau_term
         else:
             stop = miss_cost * b + lam * dstop[i]
@@ -207,9 +228,12 @@ def solve_graph(
                 assert n in tables, "post-order violated"
                 if n not in onward:
                     nxt = graph.nodes[n]
-                    pair = transitions.get(n) or belief_transition(nxt.model, b)
-                    onward[n] = lam * nxt.on_cost + expected_next(grid, tables[n].values, pair)
-                    del pair  # 16·Q·M bytes: freed before the next node's pair is built
+                    ahead = propagated.get(n)
+                    if ahead is None:
+                        pair = transitions.get(n) or belief_transition(nxt.model, b)
+                        ahead = expected_next(grid, tables[n].values, pair)
+                        del pair  # 16·C·M bytes: freed before the next node's pair is built
+                    onward[n] = lam * nxt.on_cost + ahead
                 cand[j] = onward[n]
             best = np.argmin(cand, axis=0)  # first minimum: lowest successor id
             cont = cand[best, np.arange(grid.size)]

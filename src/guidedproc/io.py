@@ -25,9 +25,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .cascade import Policy, RiskReport, StageSpec, build_system
+from .cascade import Policy, RiskReport, StageSpec, SystemSpec, build_system
 from .errors import ModelFormatError
-from .graph import DetectionGraph, GraphPolicy
+from .graph import DetectionGraph, GraphPolicy, check_energy_weight
 from .models import DEFAULT_GRID_SIZE, MAX_GRID_SIZE, BeliefGrid, FeatureModel, UncertaintyParams
 from .robust import RobustBand
 from .sim import SimReport
@@ -273,13 +273,13 @@ def load_model_file(path) -> ModelDocument:
     return parse_model_document(_read_json(path))
 
 
-def load_policy_file(path) -> Policy:
+def load_policy_file(path, spec: SystemSpec) -> Policy:
     """The policy of a result bundle written by ``optimize``, or a bare
-    policy payload."""
+    policy payload, to be run on the cascade `spec`."""
     raw = _read_json(path)
     if not isinstance(raw, dict):
         raise ModelFormatError(f"{path}: a policy file must hold a JSON object")
-    return policy_from_payload(raw.get("policy", raw))
+    return policy_from_payload(raw.get("policy", raw), spec)
 
 
 def dump_model_file(raw: dict, path) -> None:
@@ -352,10 +352,12 @@ def policy_payload(policy: Policy) -> dict:
     }
 
 
-def policy_from_payload(payload: dict) -> Policy:
+def policy_from_payload(payload: dict, spec: SystemSpec) -> Policy:
     """Inverse of ``policy_payload``, reading numbers as model files do.
-    Deployed thresholds, v0 and the weight must be finite (the weight also
-    nonnegative); a raw threshold may be null or +inf: "never continue"."""
+    Deployed thresholds, v0 and the weight must be finite, and the weight
+    must pass ``graph.check_energy_weight`` on `spec`'s costs, as a solved
+    one does, so that no stream risk overflows; a raw threshold may be null
+    or +inf: "never continue"."""
     where = "policy payload"
     if not isinstance(payload, dict):
         raise ModelFormatError(f"{where} must be a JSON object")
@@ -372,8 +374,7 @@ def policy_from_payload(payload: dict) -> Policy:
     )
     if len(raw) != len(thresholds):
         raise ModelFormatError(f"{where}: one raw threshold per threshold")
-    if lam < 0.0:
-        raise ModelFormatError(f"{where}: energy_weight must be nonnegative")
+    check_energy_weight(lam, spec.stages, spec.miss_cost, spec.fa_cost)
     return Policy(
         grid=grid,
         thresholds=thresholds,

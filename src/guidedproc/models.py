@@ -4,12 +4,23 @@ A stage observes a quantized feature Y with alphabet {0, ..., Q-1} whose
 conditional PMFs p(y|0), p(y|1) depend on a hidden binary state.  All
 higher-level machinery (censoring cascades, duty cyclers, detection graphs)
 rests on two steps defined here: one Bayes step, whose denominator is the
-evidence (marginal symbol probability), read per symbol by
-``posterior_update``/``evidence`` and for all symbols by
-``belief_transition``; and one propagation step, ``expected_next``.  Value
-functions over beliefs are stored on a uniform grid and read back with
-piecewise-linear interpolation, which is exact at grid points and preserves
-concavity.
+evidence (marginal probability), and one propagation step,
+``expected_next``.  Value functions over beliefs are stored on a uniform
+grid and read back with piecewise-linear interpolation, which is exact at
+grid points and preserves concavity.
+
+Symbols versus classes.  A symbol moves the belief only through its
+likelihood ratio p1/p0, so symbols whose ratios are equal floats form one
+ratio class, and the Bayes step runs on the classes: ``belief_transition``
+returns one (posterior, evidence) row per class, and ``posterior_update``
+reads the summed masses of y's class.  The DP, the risk decomposition, the
+belief bounds and the stream walker therefore share one arithmetic.  A
+least-favorable model pools every symbol outside its ratio band onto two
+ratios, so its C classes are far fewer than its Q symbols.  Everything
+that names a symbol stays per symbol: ``evidence``, the sampler, the
+ratios and the feature-domain rule.  Classes are numbered by first
+appearance in the alphabet, so a model whose ratios are all distinct has
+one class per symbol, in symbol order, with the symbol's own masses.
 
 Conventions for degenerate symbols follow the absorbing-belief reading:
 a symbol with p0 = p1 = 0 carries no information (ratio 1, belief kept),
@@ -41,10 +52,11 @@ __all__ = [
 
 DEFAULT_GRID_SIZE = 1001
 
-# Largest belief grid.  A stage's (Q, M) transition pair (posteriors and
-# evidence, float64) takes 16 * Q * M bytes, and the DP holds one per stage
-# during calibration: at this size a 100-symbol stage needs 160 MB.  The
-# largest grid in use is 10001 (16 MB per such stage).
+# Largest belief grid.  A stage's (C, M) transition pair (posteriors and
+# evidence, float64, one row per ratio class) takes 16 * C * M bytes, and
+# the DP holds one per stage during calibration: at this size a stage with
+# 100 distinct ratios needs 160 MB.  The largest grid in use is 10001 (16 MB
+# per such stage).
 MAX_GRID_SIZE = 100_001
 
 # Tolerance for accepting a vector as a PMF.
@@ -65,16 +77,38 @@ def _as_pmf(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FeatureModel:
-    """Conditional PMFs of one quantized feature under the two states."""
+    """Conditional PMFs of one quantized feature under the two states.
+
+    class_of[y] is the ratio class of symbol y (see the module docstring);
+    class_p0 and class_p1 hold each class's masses, summed over its symbols
+    in alphabet order.
+    """
 
     p0: np.ndarray
     p1: np.ndarray
+    class_of: np.ndarray = field(init=False, repr=False, compare=False)
+    class_p0: np.ndarray = field(init=False, repr=False, compare=False)
+    class_p1: np.ndarray = field(init=False, repr=False, compare=False)
+    # the masses of each symbol's class, per symbol: one gather per update
+    _symbol_class_masses: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "p0", _as_pmf(self.p0, "p0"))
         object.__setattr__(self, "p1", _as_pmf(self.p1, "p1"))
         if self.p0.shape != self.p1.shape:
             raise ModelFormatError("p0 and p1 must share one alphabet")
+        _, first, inverse = np.unique(self.ratios(), return_index=True, return_inverse=True)
+        rank = np.empty(first.size, dtype=np.intp)
+        rank[np.argsort(first)] = np.arange(first.size)  # number by first appearance
+        class_of = rank[inverse]
+        masses = [np.bincount(class_of, weights=p, minlength=first.size) for p in (self.p0, self.p1)]
+        per_symbol = tuple(m[class_of] for m in masses)
+        for arr in (class_of, *masses, *per_symbol):
+            arr.setflags(write=False)
+        object.__setattr__(self, "class_of", class_of)
+        object.__setattr__(self, "class_p0", masses[0])
+        object.__setattr__(self, "class_p1", masses[1])
+        object.__setattr__(self, "_symbol_class_masses", per_symbol)
 
     @property
     def alphabet_size(self) -> int:
@@ -159,11 +193,17 @@ class BeliefTable:
         object.__setattr__(self, "values", vals)
 
 
-def _bayes(prior, p0, p1) -> tuple[np.ndarray, np.ndarray]:
-    """(posterior, evidence) of a symbol with masses p0, p1 under the two
-    states, elementwise with broadcasting; the evidence is the denominator."""
+def _joint(prior, p0, p1) -> tuple[np.ndarray, np.ndarray]:
+    """(p1 * prior, evidence): the state-1 joint mass of a symbol or class
+    with masses p0, p1, and its marginal mass, the Bayes step's denominator;
+    elementwise with broadcasting."""
     num = p1 * prior
-    den = num + p0 * (1.0 - prior)
+    return num, num + p0 * (1.0 - prior)
+
+
+def _bayes(prior, p0, p1) -> tuple[np.ndarray, np.ndarray]:
+    """(posterior, evidence) of a symbol or class with masses p0, p1."""
+    num, den = _joint(prior, p0, p1)
     live = den > 0.0  # 0 / 1 where den is 0, and num <= den: no float warning
     return np.where(live, num / np.where(live, den, 1.0), prior), den
 
@@ -171,22 +211,27 @@ def _bayes(prior, p0, p1) -> tuple[np.ndarray, np.ndarray]:
 def posterior_update(prior, model: FeatureModel, y):
     """Bayes update of the state-1 belief after observing symbol y.
 
+    Reads the masses of y's ratio class, so every symbol of a class lands
+    on the class's posterior in ``belief_transition``, bit for bit.
     Accepts a scalar or an array of priors, or one prior and an array of
-    symbols.  Beliefs 0 and 1 are absorbing; a zero-evidence symbol leaves
+    symbols.  Beliefs 0 and 1 are absorbing; a zero-evidence class leaves
     the belief unchanged.
     """
-    post, _ = _bayes(np.asarray(prior, dtype=np.float64), model.p0[y], model.p1[y])
+    q0, q1 = model._symbol_class_masses
+    post, _ = _bayes(np.asarray(prior, dtype=np.float64), q0[y], q1[y])
     return float(post) if post.ndim == 0 else post
 
 
-def evidence(prior, model: FeatureModel, y: int):
-    """Marginal probability of symbol y under the current belief."""
-    _, ev = _bayes(np.asarray(prior, dtype=np.float64), model.p0[y], model.p1[y])
+def evidence(prior, model: FeatureModel, y):
+    """Marginal probability of symbol y (not of its class) under the
+    current belief."""
+    _, ev = _joint(np.asarray(prior, dtype=np.float64), model.p0[y], model.p1[y])
     return float(ev) if ev.ndim == 0 else ev
 
 
 def belief_transition(model: FeatureModel, beliefs) -> tuple[np.ndarray, np.ndarray]:
-    """(posteriors, evidence) of every symbol at every belief, each (Q, n).
+    """(posteriors, evidence) of every ratio class at every belief, each
+    (C, n); row c belongs to the symbols y with ``model.class_of[y] == c``.
 
     The half of ``expected_next`` that depends on the stage model and the
     beliefs only, and the one builder of such pairs: a caller that
@@ -194,11 +239,11 @@ def belief_transition(model: FeatureModel, beliefs) -> tuple[np.ndarray, np.ndar
     points, and passes it to each ``expected_next`` call.
     """
     priors = np.asarray(beliefs, dtype=np.float64)
-    return _bayes(priors[None, :], model.p0[:, None], model.p1[:, None])
+    return _bayes(priors[None, :], model.class_p0[:, None], model.class_p1[:, None])
 
 
 def expected_next(grid: BeliefGrid, tables, transition) -> np.ndarray:
-    """sum_y evidence(b, y) * table(posterior(b, y)) at each belief b.
+    """sum_c evidence(b, c) * table(posterior(b, c)) at each belief b.
 
     The one belief-propagation step of every backward pass.  `tables` is one
     (M,) grid table or a (T, M) stack, read by linear interpolation;

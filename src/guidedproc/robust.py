@@ -214,7 +214,8 @@ def model_posterior_bounds(prior: BeliefInterval, model: FeatureModel) -> Belief
     """Belief interval reachable after one update with the model's own symbols.
 
     Threshold clamping is a knife-edge comparison against these bounds, so
-    they are computed with the exact update arithmetic on the deployed model,
+    they are computed with the exact update arithmetic on the deployed model
+    (the ratio-class update that the DP and the stream walker share),
     applied to all live symbols at once; mapping the prior through the
     analytic band ends drifts by the renormalization residual and by the
     common ratio scale.

@@ -8,6 +8,13 @@ the same layout of variates (state, then one uniform per stage or node, in
 ascending node id) whether or not the policy ends up consuming them, which
 keeps the stream aligned across policies sharing a seed.
 
+Symbols versus classes: a stream draws symbols and updates beliefs on
+their ratio classes (see ``models``).  Sampling runs on the full alphabet,
+so the map from variates to symbols does not depend on how symbols group.
+The update reads the masses of the drawn symbol's class, as the solver's
+tables and the belief bounds do, so stream and solver beliefs agree bit
+for bit.
+
 Symbols come from the inverse CDF, y = searchsorted(c, u, side="right"),
 with each state's CDF c divided by its last entry so that it ends at
 exactly 1 (a float cumsum short of 1 would hand u near 1 to a zero-mass
@@ -23,11 +30,11 @@ and the variate layout is untouched.
 Belief-rule cascades, graphs and adaptive mode share one walker: a cascade
 runs as its path graph (``cascade.path_graph``).  Nodes are visited root
 first in topological order; each node sees only the frames routed to it,
-in frame order, and updates their beliefs with ``models.posterior_update``,
-the Bayes step that the solver's tables and bounds rest on.  Adaptive mode
-routes a stage's frames through that stage's rate and eta recursion; a
-stage's state depends only on the frames that reach it, so this is the
-frame-by-frame rule exactly.  Its burn-in frames are walked but not
+in frame order, and updates their beliefs with ``models.posterior_update``:
+one gather of class masses per frame, whatever the number of classes.
+Adaptive mode routes a stage's frames through that stage's rate and eta
+recursion; a stage's state depends only on the frames that reach it, so
+this is the frame-by-frame rule exactly.  Its burn-in frames are walked but not
 reported; belief-rule streams ignore burn_in.
 
 Energy accounting mirrors the optimizer's: the root is always paid,

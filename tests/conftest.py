@@ -18,6 +18,15 @@ def sorted_model(rng, n_symbols=None) -> FeatureModel:
     return FeatureModel(p0=m.p0[order], p1=m.p1[order])
 
 
+def duplicate_columns(rng, model) -> FeatureModel:
+    """Each symbol repeated 1-3 times with its masses split evenly: the
+    copies share one likelihood ratio, so they form one ratio class and
+    land on one belief atom."""
+    reps = rng.integers(1, 4, size=model.alphabet_size)
+    p0, p1 = (np.repeat(p / reps, reps) for p in (model.p0, model.p1))
+    return FeatureModel(p0=p0, p1=p1)
+
+
 def random_system(rng, n_stages=None, energy_weight=None) -> SystemSpec:
     k = int(n_stages or rng.integers(2, 5))
     stages = []

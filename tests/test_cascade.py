@@ -32,9 +32,9 @@ from guidedproc import (
     tail_off_costs,
 )
 from guidedproc.cascade import CALIBRATE_REL_TOL, path_graph, robustify_stages
-from guidedproc.graph import downstream_off_costs
+from guidedproc.graph import declaration_table, downstream_off_costs
 from guidedproc.models import expected_next
-from conftest import random_model, random_system
+from conftest import duplicate_columns, random_model, random_system
 
 # ---------------------------------------------------------------------------
 # Oracle: exact Bayes risk of a two-stage threshold policy by brute-force
@@ -324,6 +324,22 @@ def with_zero_masses(rng, spec: SystemSpec) -> SystemSpec:
     return replace(spec, stages=tuple(stages))
 
 
+class TestRatioClasses:
+    @pytest.mark.parametrize("size", [101, 1001])
+    def test_split_symbols_keep_the_policy(self, rng, size):
+        # symbols split into columns of equal ratio form one class again,
+        # whose masses differ from the unsplit symbol's by rounding only
+        grid = BeliefGrid(size)
+        for k in range(30):
+            spec = random_system(rng)
+            if k % 2:
+                spec = with_zero_masses(rng, spec)
+            split = tuple(replace(st, model=duplicate_columns(rng, st.model)) for st in spec.stages)
+            whole, parts = solve(spec, grid), solve(replace(spec, stages=split), grid)
+            assert parts.raw_thresholds == whole.raw_thresholds
+            assert abs(parts.v0 - whole.v0) <= 1e-15
+
+
 class TestReadSetEvaluate:
     def test_equals_the_whole_grid_recursion(self, rng):
         # priors 0 and 1 read one or two nodes; weight 10 (and random raw
@@ -425,17 +441,26 @@ class TestCalibration:
         assert lam >= 0.0
 
     def test_transitions_change_no_bit(self, rng):
-        for _ in range(3):
+        # calibrate_lambda hands solve the grid transitions and the terminal
+        # table propagated once; neither may change a bit at any weight
+        for k in range(6):
             spec = random_system(rng)
+            if k % 2:
+                spec = with_zero_masses(rng, spec)
             grid = BeliefGrid(501)
             transitions = grid_transitions(spec, grid)
-            plain, cached = solve(spec, grid), solve(spec, grid, transitions)
-            assert (plain.thresholds, plain.raw_thresholds, plain.v0) == (
-                cached.thresholds, cached.raw_thresholds, cached.v0
-            )
-            for a, b in zip(plain.value_tables, cached.value_tables):
-                assert np.array_equal(a.values, b.values)
-            assert evaluate(spec, plain) == evaluate(spec, cached, transitions)
+            declare = declaration_table(grid, spec.miss_cost, spec.fa_cost)
+            terminal = expected_next(grid, declare, transitions[-1])
+            for lam in (0.0, spec.energy_weight, 10.0 * spec.energy_weight):
+                run = replace(spec, energy_weight=lam)
+                plain = solve(run, grid)
+                for cached in (solve(run, grid, transitions), solve(run, grid, transitions, terminal)):
+                    assert (plain.thresholds, plain.raw_thresholds, plain.v0) == (
+                        cached.thresholds, cached.raw_thresholds, cached.v0
+                    )
+                    for a, b in zip(plain.value_tables, cached.value_tables):
+                        assert np.array_equal(a.values, b.values)
+                    assert evaluate(run, plain) == evaluate(run, cached, transitions)
 
     def test_calibration_finds_the_breakpoint(self):
         # seeded property test against a plain bisection kept here

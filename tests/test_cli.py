@@ -389,6 +389,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "energy_weight" in err and "Traceback" not in err
 
+    def test_policy_file_with_overflowing_energy_weight_exits_2(self, model_file, tmp_path, capsys):
+        # the stream risk would be Infinity; the weight gets the solver's check
+        bundle = run_json(["optimize", model_file], tmp_path / "policy.json")
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps({**bundle["policy"], "energy_weight": 1e308}), encoding="utf-8")
+        argv = ["simulate", model_file, "--policy", str(path), "--n-frames", "1000"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "energy_weight" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_negative_seed_exits_2(self, model_file, capsys, command):
         argv = [command, model_file, "--seed", "-1", "--n-frames", "1000"]

@@ -239,7 +239,8 @@ class TestPayloads:
         assert payload["raw_thresholds"] == [None, 0.25]
         # must survive strict JSON, which has no Infinity literal
         wire = json.loads(json.dumps(payload, allow_nan=False))
-        back = io.policy_from_payload(wire)
+        spec, _ = io.build_from_document(io.parse_model_document(cascade_raw()))
+        back = io.policy_from_payload(wire, spec)
         assert back.raw_thresholds == (math.inf, 0.25)
         assert back.thresholds == policy.thresholds
         assert back.grid.size == 101
@@ -249,14 +250,15 @@ class TestPayloads:
         doc = io.parse_model_document(cascade_raw())
         spec, _ = io.build_from_document(doc)
         policy = solve(spec)
-        back = io.policy_from_payload(io.policy_payload(policy))
+        back = io.policy_from_payload(io.policy_payload(policy), spec)
         a, b = evaluate(spec, policy), evaluate(spec, back)
         assert b.total == pytest.approx(a.total, abs=1e-15)
         assert b.energy == pytest.approx(a.energy, abs=1e-12)
 
     def test_policy_payload_missing_key(self):
         with pytest.raises(ModelFormatError, match="policy payload"):
-            io.policy_from_payload({"grid_size": 101})
+            spec, _ = io.build_from_document(io.parse_model_document(cascade_raw()))
+            io.policy_from_payload({"grid_size": 101}, spec)
 
     def test_risk_payload_decomposition(self):
         doc = io.parse_model_document(cascade_raw())

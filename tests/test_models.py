@@ -12,7 +12,7 @@ from guidedproc import (
     posterior_update,
 )
 from guidedproc.models import MAX_GRID_SIZE
-from conftest import random_model
+from conftest import duplicate_columns, random_model
 
 
 def pmf_pairs(min_size=2, max_size=12):
@@ -187,13 +187,14 @@ class TestExpectedNext:
 
     @pytest.mark.parametrize("size", [101, 1001, 10001])
     def test_precomputed_transition_is_bit_identical(self, rng, size):
-        # the grid pair equals the arithmetic by hand, and its columns equal
-        # the pair built at those beliefs alone, as evaluate takes either
+        # the grid pair equals the arithmetic by hand on the class masses,
+        # and its columns equal the pair built at those beliefs alone, as
+        # evaluate takes either
         g = BeliefGrid(size=size)
         for _ in range(4):
             m = self.model_with_zero_masses(rng)
             transition = belief_transition(m, g.points)
-            for got, ref in zip(transition, bayes_by_hand(m, g.points)):
+            for got, ref in zip(transition, bayes_by_hand(class_model(m), g.points)):
                 assert np.array_equal(got, ref)
             cols = np.sort(rng.choice(size, size=7, replace=False))
             part = belief_transition(m, g.points[cols])
@@ -205,14 +206,69 @@ class TestExpectedNext:
 
     def test_scalar_api_matches_the_pair_bit_for_bit(self, rng):
         # the stream walker updates with posterior_update and the robust
-        # bounds come from it; both must equal the pair the DP reads
-        for _ in range(20):
+        # bounds come from it; both must equal the pair the DP reads, at the
+        # symbol's class.  evidence stays per symbol.
+        for k in range(20):
             m = self.model_with_zero_masses(rng)
+            if k % 2:
+                m = duplicate_columns(rng, m)
             beliefs = np.concatenate([[0.0, 1.0], rng.random(9)])
-            post, ev = belief_transition(m, beliefs)
+            post, _ = belief_transition(m, beliefs)
+            _, ev = bayes_by_hand(m, beliefs)
             for y in range(m.alphabet_size):
-                assert np.array_equal(posterior_update(beliefs, m, y), post[y])
+                c = m.class_of[y]
+                assert np.array_equal(posterior_update(beliefs, m, y), post[c])
                 assert np.array_equal(evidence(beliefs, m, y), ev[y])
                 for j, pi in enumerate(beliefs.tolist()):
-                    assert posterior_update(pi, m, y) == post[y, j]
+                    assert posterior_update(pi, m, y) == post[c, j]
                     assert evidence(pi, m, y) == ev[y, j]
+
+
+def class_model(model):
+    """One symbol per ratio class, carrying the class masses."""
+    return FeatureModel(p0=model.class_p0, p1=model.class_p1)
+
+
+def ratio_classes_by_hand(model):
+    """(class of each symbol, class p0, class p1): symbols grouped by equal
+    ratio floats in a dict, numbered by first appearance, masses added one
+    symbol at a time in alphabet order."""
+    index, masses, class_of = {}, [], []
+    for y, r in enumerate(model.ratios().tolist()):
+        if r not in index:
+            index[r] = len(masses)
+            masses.append([0.0, 0.0])
+        c = index[r]
+        class_of.append(c)
+        masses[c][0] += float(model.p0[y])
+        masses[c][1] += float(model.p1[y])
+    m = np.array(masses)
+    return np.array(class_of), m[:, 0], m[:, 1]
+
+
+class TestRatioClasses:
+    def test_classes_match_the_dict_grouping(self, rng):
+        for _ in range(30):
+            m = duplicate_columns(rng, TestExpectedNext.model_with_zero_masses(rng))
+            class_of, c0, c1 = ratio_classes_by_hand(m)
+            assert np.array_equal(m.class_of, class_of)
+            assert np.array_equal(m.class_p0, c0) and np.array_equal(m.class_p1, c1)
+            assert m.class_p0.size < m.alphabet_size
+
+    @pytest.mark.parametrize("size", [11, 1001])
+    def test_distinct_ratios_change_nothing(self, rng, size):
+        # the class index is the identity, every transition is the
+        # per-symbol arithmetic by hand, and evidence (which only adds) is
+        # the transition's evidence row
+        b = BeliefGrid(size=size).points
+        for _ in range(20):
+            m = random_model(rng)
+            assert np.unique(m.ratios()).size == m.alphabet_size
+            assert np.array_equal(m.class_of, np.arange(m.alphabet_size))
+            assert np.array_equal(m.class_p0, m.p0) and np.array_equal(m.class_p1, m.p1)
+            transition = belief_transition(m, b)
+            for got, ref in zip(transition, bayes_by_hand(m, b)):
+                assert np.array_equal(got, ref)
+            for y in range(m.alphabet_size):
+                assert np.array_equal(evidence(b, m, y), transition[1][y])
+                assert evidence(float(b[y % size]), m, y) == transition[1][y, y % size]

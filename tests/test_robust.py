@@ -14,7 +14,7 @@ from guidedproc import (
     solve_band,
 )
 from guidedproc.robust import BAND_RESIDUAL_TOL
-from conftest import random_model
+from conftest import duplicate_columns, random_model
 
 # ---------------------------------------------------------------------------
 # Oracles: rebuild the least-favorable pair for a *given* band directly from
@@ -435,11 +435,14 @@ class TestPosteriorBounds:
             BeliefInterval(0.6, 0.4)
 
     def test_bounds_equal_the_scalar_update(self):
-        # oracle: the scalar Bayes update, one live symbol at a time
+        # oracle: the scalar Bayes update on the masses of each live
+        # symbol's ratio class, one symbol at a time; some models split
+        # symbols into tied columns
         def scalar_bounds(interval, model):
             def update(pi, y):
-                num = float(model.p1[y]) * pi
-                den = num + float(model.p0[y]) * (1.0 - pi)
+                c = model.class_of[y]
+                num = float(model.class_p1[c]) * pi
+                den = num + float(model.class_p0[c]) * (1.0 - pi)
                 return num / den if den > 0.0 else pi
 
             live = [y for y in range(model.alphabet_size) if model.p0[y] or model.p1[y]]
@@ -456,6 +459,10 @@ class TestPosteriorBounds:
             p0[0] += p0.sum() == 0.0
             p1[-1] += p1.sum() == 0.0
             model = FeatureModel(p0=p0 / p0.sum(), p1=p1 / p1.sum())
+            if rng.random() < 0.25:  # positive masses, so the extremes are finite ratios
+                model = duplicate_columns(rng, random_model(rng))
+            elif rng.random() < 0.33:
+                model = duplicate_columns(rng, model)
             lo, hi = sorted(rng.choice([*ends, *rng.random(3)], size=2))
             interval = BeliefInterval(float(lo), float(hi))
             got = model_posterior_bounds(interval, model)

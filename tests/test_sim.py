@@ -13,6 +13,7 @@ from guidedproc import (
     StageSpec,
     StreamConfig,
     SystemSpec,
+    build_system,
     dc_risk,
     evaluate,
     posterior_update,
@@ -22,6 +23,7 @@ from guidedproc import (
     solve_graph,
     tail_off_costs,
 )
+from guidedproc import sim as sim_module
 from guidedproc.sim import GUIDE_CELLS, _SymbolSampler
 from guidedproc.fixtures import (
     DUTY_OFF_MJ,
@@ -529,6 +531,44 @@ class TestStatisticalAgreement:
         exact = exact_policy_risk(g, gp, 0.1)
         r = simulate(StreamConfig(system=g, n_frames=400_000, seed=3), gp)
         assert abs(r.empirical_risk - exact) <= 3.0 * r.risk_se
+
+
+class TestBeliefBounds:
+    def test_walker_posteriors_stay_inside_the_bounds(self, monkeypatch):
+        # deployed thresholds are clamped to bounds computed with the class
+        # arithmetic the walker updates with; on models with ratio ties and
+        # zero masses every belief the walker produces must lie inside them
+        from test_cascade import with_zero_masses
+        from conftest import duplicate_columns, random_system
+
+        seen = []
+
+        def recording(pi, model, y):
+            out = posterior_update(pi, model, y)
+            seen.append((model, out))
+            return out
+
+        monkeypatch.setattr(sim_module, "posterior_update", recording)
+        rng = np.random.default_rng(31)
+        monitor, _ = monitoring_system()
+        systems = [monitor]
+        for _ in range(12):
+            spec = with_zero_masses(rng, random_system(rng, n_stages=3, energy_weight=2e-3))
+            spec, _ = build_system(
+                [duplicate_columns(rng, st.model) for st in spec.stages],
+                [st.on_cost for st in spec.stages],
+                [st.off_cost for st in spec.stages],
+                spec.miss_cost, spec.fa_cost, spec.prior, energy_weight=spec.energy_weight,
+            )
+            systems.append(spec)
+        for spec in systems:
+            seen.clear()
+            simulate(StreamConfig(system=spec, n_frames=30_000, seed=4), solve(spec))
+            bounds = {id(st.model): st.bounds for st in spec.stages}
+            assert {id(m) for m, _ in seen} <= set(bounds)
+            for model, beliefs in seen:
+                b = bounds[id(model)]
+                assert b.lo <= beliefs.min() and beliefs.max() <= b.hi
 
 
 class TestValidation:
