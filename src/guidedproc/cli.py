@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io as _stdio
 import os
 import sys
@@ -59,7 +60,10 @@ COMPARE_COLUMNS = [
 ]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call and shared by every
+    later ``main`` call in the process."""
     p = argparse.ArgumentParser(prog="guidedproc", description=__doc__.splitlines()[0])
     p.add_argument("--version", action="version", version=f"guidedproc {__version__}")
     sub = p.add_subparsers(dest="command", required=True)

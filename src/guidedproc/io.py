@@ -116,7 +116,18 @@ def _as_int(raw, key, where, required=True, default=None):
 def _load_pmf(values, where) -> np.ndarray:
     if not isinstance(values, (list, tuple)) or len(values) < 2:
         raise ModelFormatError(f"{where}: PMF must be a list of at least 2 masses")
-    arr = np.array([_finite(v, f"{where}: each PMF entry") for v in values])
+    arr = None
+    if all(t is not bool and issubclass(t, (int, float)) for t in set(map(type, values))):
+        try:
+            arr = np.array(values, dtype=np.float64)
+        except OverflowError:  # an integer past the float range
+            pass
+    # in doubt, _finite rules entry by entry, with its message: a value that
+    # is not a number, an overflow, NaN, an infinity, or an entry at the end
+    # of the float range, which an integer just past the range rounds to
+    if arr is None or not (np.abs(arr) < sys.float_info.max).all():
+        for v in values:
+            _finite(v, f"{where}: each PMF entry")
     if np.any(arr < 0.0):
         raise ModelFormatError(f"{where}: PMF entries must be nonnegative")
     s = float(arr.sum())

@@ -26,6 +26,9 @@ Conventions for degenerate symbols follow the absorbing-belief reading:
 a symbol with p0 = p1 = 0 carries no information (ratio 1, belief kept),
 p0 = 0 with p1 > 0 is infinitely informative (ratio +inf, belief jumps to 1
 from any positive prior), and beliefs 0 and 1 are absorbing.
+
+The Bayes kernel never writes its inputs: the priors, the beliefs and the
+model's masses are read only, and every result is a fresh array.
 """
 
 from __future__ import annotations
@@ -168,9 +171,18 @@ class BeliefGrid:
         return 1.0 / (self.size - 1)
 
     def floor_index(self, pi) -> np.ndarray:
-        """Index of the largest grid point <= pi (elementwise)."""
-        idx = np.floor(np.asarray(pi, dtype=np.float64) * (self.size - 1)).astype(np.int64)
-        return np.clip(idx, 0, self.size - 1)
+        """Index of the largest grid point <= pi (elementwise), clipped to
+        the grid, for beliefs pi in [0, 1].
+
+        As ``np.searchsorted(points, pi, "right") - 1``, at a tenth of its
+        cost on unsorted beliefs: the nearest grid point, stepped back when
+        it lies above pi.  floor(pi * (M - 1)) alone rounds some grid
+        points down onto their left neighbours.
+        """
+        top = self.size - 1
+        idx = np.clip((np.asarray(pi, dtype=np.float64) * top + 0.5).astype(np.intp), 0, top)
+        idx -= self.points[idx] > pi
+        return np.maximum(idx, 0)
 
 
 @dataclass(frozen=True)
@@ -196,15 +208,21 @@ class BeliefTable:
 def _joint(prior, p0, p1) -> tuple[np.ndarray, np.ndarray]:
     """(p1 * prior, evidence): the state-1 joint mass of a symbol or class
     with masses p0, p1, and its marginal mass, the Bayes step's denominator;
-    elementwise with broadcasting."""
+    elementwise with broadcasting, each into a fresh array."""
     num = p1 * prior
-    return num, num + p0 * (1.0 - prior)
+    den = p0 * (1.0 - prior)
+    den += num
+    return num, den
 
 
 def _bayes(prior, p0, p1) -> tuple[np.ndarray, np.ndarray]:
     """(posterior, evidence) of a symbol or class with masses p0, p1."""
     num, den = _joint(prior, p0, p1)
-    live = den > 0.0  # 0 / 1 where den is 0, and num <= den: no float warning
+    live = den > 0.0
+    if live.all():
+        num /= den  # num is _joint's own array
+        return num, den
+    # 0 / 1 where den is 0, and num <= den: no float warning
     return np.where(live, num / np.where(live, den, 1.0), prior), den
 
 

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line front end on temp model files."""
 
+import argparse
 import contextlib
 import copy
 import csv
@@ -517,6 +518,65 @@ class TestExitCodes:
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+
+class TestRepeatedCalls:
+    """``main`` builds its parser on the first call and reuses it."""
+
+    @staticmethod
+    def commands(model_file, graph_file):
+        return [
+            ["robustify", model_file],
+            ["optimize", model_file, "--grid", "201", "--energy-budget", "20"],
+            ["check-optimality", model_file],
+            ["simulate", model_file, "--n-frames", "2000", "--mode", "adaptive"],
+            ["compare", model_file, "--sweep", "0.05:0.2:2", "--n-frames", "1000"],
+            ["simulate", graph_file, "--n-frames", "1000"],
+            ["optimize", model_file, "--frobnicate"],
+            ["optimize", str(Path(model_file).with_name("missing.json"))],
+        ]
+
+    @staticmethod
+    def run(argv, capsys):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:  # argparse's --version and usage errors
+            rc = exc.code
+        out = capsys.readouterr()
+        return rc, out.out, out.err
+
+    def test_one_parser_per_process(self, model_file, graph_file, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(parser, *args, **kwargs):
+            built.append(parser)
+            init(parser, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        cli._build_parser.cache_clear()
+        commands = self.commands(model_file, graph_file)
+        results = [self.run(commands[k % len(commands)], capsys) for k in range(20)]
+        assert len(built) == 1 + len(cli._COMMANDS)  # the root and one per subcommand
+        assert [rc for rc, _, _ in results[: len(commands)]] == [0, 0, 0, 0, 0, 0, 2, 2]
+        assert results[len(commands):] == results[: 20 - len(commands)]
+
+    def test_output_does_not_depend_on_call_order(self, model_file, graph_file, capsys):
+        commands = self.commands(model_file, graph_file)
+        cli._build_parser.cache_clear()
+        forward = [self.run(argv, capsys) for argv in commands]
+        cli._build_parser.cache_clear()
+        backward = [self.run(argv, capsys) for argv in reversed(commands)]
+        assert forward == backward[::-1]
+
+    def test_version_and_bad_flag_after_reuse(self, model_file, capsys):
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            rc, out, _ = self.run(["--version"], capsys)
+            assert (rc, out) == (0, f"guidedproc {guidedproc.__version__}\n")
+            rc, _, err = self.run(["optimize", model_file, "--grid", "many"], capsys)
+            assert rc == 2 and "--grid" in err
+            assert self.run(["optimize", model_file, "-o", os.devnull], capsys)[0] == 0
 
 
 def strict_json(text):

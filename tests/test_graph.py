@@ -291,6 +291,19 @@ class TestDiamond:
         assert (root_dec == 3).any()
         assert (root_dec == 0).any()
 
+    @pytest.mark.parametrize("size", [51, 101])
+    def test_every_grid_point_routes_by_its_own_action(self, size):
+        # floor(pi * (M - 1)) rounds grid point 29 of 51, and points 29 and
+        # 58 of 101, down onto their left neighbours
+        grid = BeliefGrid(size=size)
+        gp = solve_graph(
+            diamond_graph(), miss_cost=3.0, fa_cost=1.0, energy_weight=0.002, prior=0.1, grid=grid
+        )
+        assert np.array_equal(grid.floor_index(grid.points), np.arange(size))
+        for node, table in gp.decisions.items():
+            for j, pi in enumerate(grid.points):
+                assert gp.decision_at(node, pi) == table[j]
+
     def test_decision_tables_follow_thresholds(self):
         # Below the stop threshold the action is stop, at and above it the
         # node hands off; the threshold recorded must be the first go point.

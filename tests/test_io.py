@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -189,6 +190,32 @@ class TestValidation:
         mangle(raw)
         with pytest.raises(ModelFormatError):
             io.parse_model_document(raw)
+
+    # an int just past the float range that rounds down to its end
+    PAST_MAX = int(sys.float_info.max) + 2**969
+
+    @pytest.mark.parametrize(
+        "entry",
+        [True, False, "0.5", None, [0.5], {}, math.nan, math.inf, -math.inf, 10**400,
+         -(10**400), PAST_MAX, -PAST_MAX, np.float32(0.5), np.int64(0)],
+    )
+    def test_pmf_entry_refused_as_a_scalar_field_is(self, entry):
+        what = "stage 1: p0: each PMF entry"
+        with pytest.raises(ModelFormatError) as scalar:
+            io._finite(entry, what)
+        with pytest.raises(ModelFormatError) as pmf_entry:
+            io._load_pmf([0.5, entry, 0.5], "stage 1: p0")
+        assert str(pmf_entry.value) == str(scalar.value) == f"{what} must be a finite number"
+
+    @pytest.mark.parametrize("entry", [0, 1, np.float64(0.25), 0.5, 2**53, sys.float_info.max])
+    def test_pmf_entry_accepted_as_a_scalar_field_is(self, entry):
+        assert io._finite(entry, "entry") == float(entry)
+        if entry <= 1:
+            arr = io._load_pmf([entry, 1.0 - float(entry)], "p0")
+            assert arr.tolist() == [float(entry), 1.0 - float(entry)]
+        else:  # a finite entry fails only the PMF checks that follow
+            with pytest.raises(ModelFormatError, match="PMF sums to"):
+                io._load_pmf([0.0, entry], "p0")
 
     def test_not_json(self, tmp_path):
         path = tmp_path / "broken.json"

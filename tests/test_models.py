@@ -11,7 +11,7 @@ from guidedproc import (
     expected_next,
     posterior_update,
 )
-from guidedproc.models import MAX_GRID_SIZE
+from guidedproc.models import MAX_GRID_SIZE, _bayes
 from conftest import duplicate_columns, random_model
 
 
@@ -118,6 +118,21 @@ class TestGridAndTables:
             assert g.points[i] <= pi + 1e-15
             assert i == min(int(pi * 100), 100)
 
+    @pytest.mark.parametrize("size", [2, 3, 51, 101, 1001, 10001])
+    def test_floor_index_brackets_like_searchsorted(self, rng, size):
+        # grid points, midpoints and their float neighbours, where rounding
+        # pi * (M - 1) can cross an integer either way
+        b = BeliefGrid(size=size).points
+        mids = 0.5 * (b[:-1] + b[1:])
+        pis = np.concatenate(
+            [b, mids, rng.random(1000)]
+            + [np.nextafter(x, to) for x in (b, mids) for to in (0.0, 1.0)]
+        )
+        ref = np.clip(np.searchsorted(b, pis, "right") - 1, 0, size - 1)
+        g = BeliefGrid(size=size)
+        assert np.array_equal(g.floor_index(pis), ref)
+        assert [g.floor_index(pi) for pi in pis[:50].tolist()] == ref[:50].tolist()
+
     def test_likelihood_ratio_and_evidence_helpers(self, rng):
         m = random_model(rng, 6)
         pri = 0.2
@@ -222,6 +237,65 @@ class TestExpectedNext:
                 for j, pi in enumerate(beliefs.tolist()):
                     assert posterior_update(pi, m, y) == post[c, j]
                     assert evidence(pi, m, y) == ev[y, j]
+
+
+class TestBayesKernel:
+    """``_bayes`` divides in place when every evidence is positive and takes
+    the guarded division otherwise; both branches equal the arithmetic by
+    hand bit for bit, on every input shape, and write no input."""
+
+    @staticmethod
+    def models(rng):
+        # random_model has no zero mass (the in-place branch); the other has
+        # zero-evidence classes at belief 0 or 1 or everywhere (the guard)
+        for k in range(12):
+            m = random_model(rng) if k % 2 else TestExpectedNext.model_with_zero_masses(rng)
+            yield duplicate_columns(rng, m) if k % 4 > 1 else m
+
+    @staticmethod
+    def inputs(rng, m):
+        beliefs = np.concatenate([[0.0, 1.0], rng.random(9)])
+        post, ev = bayes_by_hand(class_model(m), beliefs)
+        return beliefs, post, ev
+
+    def test_grid_shape(self, rng):
+        branches = set()
+        for m in self.models(rng):
+            beliefs, post, ev = self.inputs(rng, m)
+            got = _bayes(beliefs[None, :], m.class_p0[:, None], m.class_p1[:, None])
+            assert np.array_equal(got[0], post) and np.array_equal(got[1], ev)
+            branches.add(bool((ev > 0.0).all()))
+        assert branches == {True, False}
+
+    def test_gathered_masses_and_scalars(self, rng):
+        # posterior_update's (n,) gather: frame i reads the masses of its
+        # own symbol's class, as the stream walker does
+        branches = set()
+        for m in self.models(rng):
+            beliefs, post, ev = self.inputs(rng, m)
+            ys = rng.integers(0, m.alphabet_size, size=beliefs.size)
+            cols = m.class_of[ys], np.arange(beliefs.size)
+            q0, q1 = m._symbol_class_masses
+            got = _bayes(beliefs, q0[ys], q1[ys])
+            assert np.array_equal(got[0], post[cols]) and np.array_equal(got[1], ev[cols])
+            for i, y in enumerate(ys.tolist()):
+                p, e = _bayes(np.asarray(beliefs[i]), q0[y], q1[y])
+                assert np.ndim(p) == np.ndim(e) == 0
+                assert p == post[cols][i] and e == ev[cols][i]
+                branches.add(bool(e > 0.0))
+        assert branches == {True, False}
+
+    def test_inputs_are_never_written(self, rng):
+        for m in self.models(rng):
+            beliefs = self.inputs(rng, m)[0]
+            before = [a.copy() for a in (beliefs, m.p0, m.p1, m.class_p0, m.class_p1)]
+            belief_transition(m, beliefs)
+            posterior_update(beliefs, m, 0)
+            posterior_update(float(beliefs[3]), m, m.alphabet_size - 1)
+            evidence(beliefs, m, 1)
+            after = (beliefs, m.p0, m.p1, m.class_p0, m.class_p1)
+            assert all(np.array_equal(a, b) for a, b in zip(before, after))
+            assert all(a.flags.writeable is False for a in after[1:])
 
 
 def class_model(model):

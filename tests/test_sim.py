@@ -67,8 +67,11 @@ def draw(cdf, x, u):
 
 
 def bayes(pi, model, y):
-    num = model.p1[y] * pi
-    den = num + model.p0[y] * (1.0 - pi)
+    # the masses of y's ratio class, which the walker reads: on a model with
+    # tied ratios, y's own masses can land an ulp away from a threshold
+    c = model.class_of[y]
+    num = model.class_p1[c] * pi
+    den = num + model.class_p0[c] * (1.0 - pi)
     return num / den if den > 0.0 else pi
 
 
