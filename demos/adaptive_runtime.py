@@ -11,7 +11,7 @@ and one comparison per frame.
 import numpy as np
 
 from guidedproc import solve
-from guidedproc.adaptive import feature_cut, prepare_adaptive, stationary_targets
+from guidedproc.adaptive import feature_cut, stationary_targets
 from guidedproc.fixtures import trigger_system
 from guidedproc.models import posterior_update
 from guidedproc.sim import StreamConfig, simulate
@@ -32,8 +32,8 @@ cut2 = feature_cut(det, entry2, policy.thresholds[1])
 print(f"solved feature cuts: [{cut1}, {cut2}] "
       f"(stage 2 entered at belief {entry2:.4f})")
 
-state = prepare_adaptive(spec, policy, mu=1e-3)
-print(f"thresholds start at eta = {state.eta} (half the alphabet), mu = {state.mu}")
+eta0 = np.array([s.model.alphabet_size / 2.0 for s in spec.stages])
+print(f"thresholds start at eta = {eta0} (half the alphabet), mu = {1e-3}")
 
 belief = simulate(StreamConfig(system=spec, n_frames=1_000_000, seed=5), policy)
 adaptive = simulate(

@@ -61,13 +61,7 @@ from .dutycycle import (
     positive_symbols,
     single_stage_risks,
 )
-from .adaptive import (
-    AdaptiveState,
-    feature_cut,
-    is_monotone_ratio,
-    prepare_adaptive,
-    stationary_targets,
-)
+from .adaptive import feature_cut, is_monotone_ratio, stationary_targets
 from .graph import (
     DetectionGraph,
     GraphPolicy,
@@ -118,9 +112,7 @@ __all__ = [
     "ideal_duty_cycle",
     "positive_symbols",
     "single_stage_risks",
-    "AdaptiveState",
     "stationary_targets",
-    "prepare_adaptive",
     "feature_cut",
     "is_monotone_ratio",
     "DetectionGraph",

@@ -11,14 +11,12 @@ Updates use one shared step size mu: the rate estimate is an EWMA of the
 activation indicator, and eta moves by mu times the tracking error, clamped
 to the symbol range.  With integer symbols any eta in (y*-1, y*] encodes
 the same decision rule as the exact cut y*, which is what the update
-settles into when the target rate is achievable.  The update itself runs
-in one place, the route that the simulator's adaptive mode hands its one
-stream walker; this module prepares its state.
+settles into when the target rate is achievable.  The update runs in one
+place, the route that the simulator's adaptive mode hands its one stream
+walker; this module supplies its feature rule and rate targets.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,13 +24,7 @@ from .cascade import Policy, SystemSpec
 from .errors import GuidedProcError, ModelFormatError
 from .models import FeatureModel, belief_transition
 
-__all__ = [
-    "AdaptiveState",
-    "is_monotone_ratio",
-    "stationary_targets",
-    "prepare_adaptive",
-    "feature_cut",
-]
+__all__ = ["is_monotone_ratio", "stationary_targets", "feature_cut"]
 
 # enumeration of reachable beliefs stays exact; refuse pathological blowups
 _MAX_BELIEF_STATES = 500_000
@@ -80,28 +72,6 @@ def stationary_targets(spec: SystemSpec, policy: Policy) -> tuple[np.ndarray, np
     return targets, reach
 
 
-@dataclass(frozen=True)
-class AdaptiveState:
-    """Starting point of the adaptive rule: thresholds, rate estimates and
-    the targets they chase."""
-
-    eta: np.ndarray
-    mu: float
-    rate_estimates: np.ndarray
-    targets: np.ndarray
-    feature_rule: np.ndarray  # bool per stage; False = belief-domain fallback
-    eta_limits: np.ndarray
-
-    def __post_init__(self):
-        for name in ("eta", "rate_estimates", "targets", "feature_rule", "eta_limits"):
-            arr = np.asarray(getattr(self, name))
-            arr = arr.astype(bool if name == "feature_rule" else np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        if not 0.0 < self.mu < 1.0:
-            raise ModelFormatError("mu must lie in (0, 1)")
-
-
 def feature_cut(model: FeatureModel, belief: float, tau: float) -> int:
     """Smallest symbol whose posterior from `belief` (its ratio class's)
     clears tau.
@@ -114,23 +84,3 @@ def feature_cut(model: FeatureModel, belief: float, tau: float) -> int:
     hits = np.flatnonzero(post[model.class_of, 0] >= tau)
     return int(hits[0]) if hits.size else model.alphabet_size
 
-
-def prepare_adaptive(spec: SystemSpec, policy: Policy, mu: float) -> AdaptiveState:
-    """Build the runtime state for a solved policy.
-
-    Non-monotone stages are flagged for the belief-domain fallback rather
-    than given a feature threshold.  Initial thresholds sit in the middle
-    of each symbol range; rate estimates start at their targets so the
-    first updates react to data, not initialization.
-    """
-    feature_rule = np.array([is_monotone_ratio(s.model) for s in spec.stages])
-    limits = np.array([float(s.model.alphabet_size) for s in spec.stages])
-    targets, _ = stationary_targets(spec, policy)
-    return AdaptiveState(
-        eta=limits / 2.0,
-        mu=mu,
-        rate_estimates=targets.copy(),
-        targets=targets,
-        feature_rule=feature_rule,
-        eta_limits=limits,
-    )

@@ -200,9 +200,10 @@ def solve(
     below it is raised to its lower end, and a stage that never continues
     gets the smallest float above its upper end.  For callers that solve
     one cascade at many weights, `transitions` may hold each stage's
-    ``belief_transition`` at the grid points (entry 0 is not read), and
-    `terminal` the last stage's ``declaration_table`` carried through its
-    transition by ``expected_next``.
+    ``belief_transition`` at the grid points (entry 0 is not read, and a
+    stage past its end is computed), and `terminal` the last stage's
+    ``declaration_table`` carried through its transition by
+    ``expected_next``, in which case the last entry is not read either.
     """
     if spec.energy_weight is None:
         raise ModelFormatError("solve needs energy_weight; use calibrate_lambda for budgets")
@@ -240,7 +241,7 @@ def _read_set(b: np.ndarray, beliefs: np.ndarray) -> np.ndarray:
     return np.flatnonzero(hit[:-1])
 
 
-def evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> RiskReport:
+def evaluate(spec: SystemSpec, policy: Policy) -> RiskReport:
     """Risk decomposition of the fixed policy: no minimization anywhere.
 
     Four component tables are carried backwards as one stack (censoring
@@ -251,9 +252,8 @@ def evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> RiskReport:
     stage by stage, the grid nodes that interpolation at the reachable
     posteriors reads, and which of them continue; the backward pass fills
     each table on those nodes alone, so every entry it reads is the value
-    the whole-grid recursion would hold there.  `transitions` is as for
-    ``solve``; columns are taken from it instead of recomputed.  Logs one
-    DEBUG record on the ``guidedproc`` logger: the read-set size per stage.
+    the whole-grid recursion would hold there.  Logs one DEBUG record on
+    the ``guidedproc`` logger: the read-set size per stage.
     """
     grid = policy.grid
     b = grid.points
@@ -271,11 +271,7 @@ def evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> RiskReport:
         # numpy sums one column pairwise but several row by row, as on the
         # whole grid: a lone continue node is carried twice
         cols = np.repeat(cont, 2) if cont.size == 1 else cont
-        given = transitions and transitions[k + 1]
-        if given:
-            pair = given[0].take(cols, axis=1), given[1].take(cols, axis=1)
-        else:
-            pair = belief_transition(stages[k + 1].model, b[cols])
+        pair = belief_transition(stages[k + 1].model, b[cols])
         steps.append((cont, stop, pair))
         reads.append(_read_set(b, pair[0]))
 
@@ -353,10 +349,12 @@ def calibrate_lambda(spec: SystemSpec, grid: BeliefGrid | None = None) -> tuple[
         )
     # posteriors and evidence depend on the grid and the stage models only,
     # and so does the terminal declaration table; the first stage is read
-    # at the prior alone
-    transitions = (None, *(belief_transition(st.model, grid.points) for st in spec.stages[1:]))
+    # at the prior alone, and the last only through that table
+    transitions = (None, *(belief_transition(st.model, grid.points) for st in spec.stages[1:-1]))
     terminal = expected_next(
-        grid, declaration_table(grid, spec.miss_cost, spec.fa_cost), transitions[-1]
+        grid,
+        declaration_table(grid, spec.miss_cost, spec.fa_cost),
+        belief_transition(spec.stages[-1].model, grid.points),
     )
     solves = 0
 
@@ -365,7 +363,7 @@ def calibrate_lambda(spec: SystemSpec, grid: BeliefGrid | None = None) -> tuple[
         solves += 1
         run = replace(spec, energy_weight=lam, energy_budget=None)
         pol = solve(run, grid, transitions, terminal)
-        rep = evaluate(run, pol, transitions)
+        rep = evaluate(run, pol)
         # the risk parts of a partition do not depend on the weight
         return pol, rep.inter_miss + rep.final_miss + rep.final_fa, rep.energy
 

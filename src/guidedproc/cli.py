@@ -32,7 +32,7 @@ from .cascade import (
     robustify_stages,
     solve,
 )
-from .dutycycle import DutyCycleSpec, dc_risk, dominance_check, energy_equivalent_rho, ideal_duty_cycle
+from .dutycycle import dc_risk, dominance_check, energy_equivalent_rho, ideal_duty_cycle
 from .errors import (
     DegenerateContaminationError,
     GuidedProcError,
@@ -114,10 +114,16 @@ def _emit(bundle, output) -> int:
     return 0
 
 
-def cmd_robustify(args) -> int:
-    doc = io.load_model_file(args.model)
+def _cascade_document(path, command):
+    """The model file of a command that only cascades serve."""
+    doc = io.load_model_file(path)
     if doc.kind != "cascade":
-        raise ModelFormatError("robustify applies to cascade model files")
+        raise ModelFormatError(f"{command} applies to cascade model files")
+    return doc
+
+
+def cmd_robustify(args) -> int:
+    doc = _cascade_document(args.model, args.command)
     deployed = robustify_stages(
         [s[0] for s in doc.stages], [s[3] for s in doc.stages], doc.default_prior()
     )
@@ -155,6 +161,15 @@ def _solve_graph_document(doc, prior, grid, energy_weight=None):
     return solve_graph(doc.graph, doc.miss_cost, doc.fa_cost, weight, prior, grid)
 
 
+def _optimality_payload(spec, policy) -> dict:
+    opt = check_cascade_optimality(spec, policy)
+    return {
+        "positive_thresholds": [io.finite_or_none(t) for t in opt.positive_thresholds],
+        "per_stage": list(opt.per_stage),
+        "all_hold": opt.all_hold,
+    }
+
+
 def cmd_optimize(args) -> int:
     doc = io.load_model_file(args.model)
     grid = BeliefGrid(doc.grid_size if args.grid is None else args.grid)
@@ -167,37 +182,22 @@ def cmd_optimize(args) -> int:
     spec, bands, policy = _solve_document(
         doc, args.prior, grid, energy_weight=args.energy_weight, energy_budget=args.energy_budget
     )
-    report = evaluate(spec, policy)
-    opt = check_cascade_optimality(spec, policy)
     bundle = io.result_bundle(
         doc,
         prior=spec.prior,
         policy=io.policy_payload(policy),
-        risk=io.risk_payload(report),
+        risk=io.risk_payload(evaluate(spec, policy)),
         bands=[io.band_payload(b) for b in bands],
-        optimality={
-            "positive_thresholds": [io.finite_or_none(t) for t in opt.positive_thresholds],
-            "per_stage": list(opt.per_stage),
-            "all_hold": opt.all_hold,
-        },
+        optimality=_optimality_payload(spec, policy),
     )
     return _emit(bundle, args.output)
 
 
 def cmd_check_optimality(args) -> int:
-    doc = io.load_model_file(args.model)
-    if doc.kind != "cascade":
-        raise ModelFormatError("check-optimality applies to cascade model files")
+    doc = _cascade_document(args.model, args.command)
     grid = BeliefGrid(doc.grid_size if args.grid is None else args.grid)
     spec, _, policy = _solve_document(doc, args.prior, grid)
-    opt = check_cascade_optimality(spec, policy)
-    bundle = io.result_bundle(
-        doc,
-        prior=spec.prior,
-        positive_thresholds=[io.finite_or_none(t) for t in opt.positive_thresholds],
-        per_stage=list(opt.per_stage),
-        all_hold=opt.all_hold,
-    )
+    bundle = io.result_bundle(doc, prior=spec.prior, **_optimality_payload(spec, policy))
     return _emit(bundle, args.output)
 
 
@@ -268,15 +268,7 @@ def _compare_row(task) -> dict:
 
     dc_on, dc_off = _duty_block(doc)
     rho_real, _ = energy_equivalent_rho(report.energy, dc_on, dc_off)
-    dc_spec = DutyCycleSpec(
-        detector=last.model,
-        rho=rho_real,
-        on_cost=dc_on,
-        off_cost=dc_off,
-        miss_cost=spec.miss_cost,
-        fa_cost=spec.fa_cost,
-        prior=pi0,
-    )
+    dc_spec = replace(ideal_duty_cycle(spec, rho_real), on_cost=dc_on, off_cost=dc_off)
     gp_sim = simulate(
         StreamConfig(system=spec, n_frames=n_frames, seed=seed + 2 * row), policy
     )
@@ -328,9 +320,7 @@ def _worker_count(n_rows: int) -> int:
 
 
 def cmd_compare(args) -> int:
-    doc = io.load_model_file(args.model)
-    if doc.kind != "cascade":
-        raise ModelFormatError("compare applies to cascade model files")
+    doc = _cascade_document(args.model, args.command)
     if args.sweep is not None:
         lo, hi, n = _parse_sweep(args.sweep)
         points = np.linspace(lo, hi, n)

@@ -90,6 +90,16 @@ def detector_suite(n_symbols: int = 100) -> tuple[FeatureModel, ...]:
     return tuple(binned_gaussian_model(s, n_symbols) for s in _SHIFTS)
 
 
+def _reference_stages(n_symbols: int, truncated: bool):
+    """(models, on costs, off costs) of the reference cascade's stages;
+    truncated fuses the feature stage and the classifier into the duty
+    cycler's heavy block (see ``monitoring_system``)."""
+    models = detector_suite(n_symbols)
+    if truncated:
+        return (models[0], models[2]), (STAGE_ON_MJ[0], DUTY_ON_MJ), (STAGE_OFF_MJ[0], DUTY_OFF_MJ)
+    return models, STAGE_ON_MJ, STAGE_OFF_MJ
+
+
 def monitoring_system(
     prior: float = 0.10,
     energy_weight: float | None = DEFAULT_ENERGY_WEIGHT,
@@ -107,14 +117,7 @@ def monitoring_system(
     carry symmetric contamination/perturbation mass model_uncertainty; the
     final stage stays exact.
     """
-    models = detector_suite(n_symbols)
-    if truncated:
-        models = (models[0], models[2])
-        on_costs = (STAGE_ON_MJ[0], DUTY_ON_MJ)
-        off_costs = (STAGE_OFF_MJ[0], DUTY_OFF_MJ)
-    else:
-        on_costs = STAGE_ON_MJ
-        off_costs = STAGE_OFF_MJ
+    models, on_costs, off_costs = _reference_stages(n_symbols, truncated)
     u = model_uncertainty
     mid = UncertaintyParams(u, u, u, u)
     uncertainties = tuple(mid for _ in models[:-1]) + (UncertaintyParams(),)
@@ -175,14 +178,7 @@ def as_document(
     truncated: bool = False,
 ) -> dict:
     """The reference cascade as a model-file dict (ready to serialize)."""
-    models = detector_suite(n_symbols)
-    if truncated:
-        models = (models[0], models[2])
-        on_costs = (STAGE_ON_MJ[0], DUTY_ON_MJ)
-        off_costs = (STAGE_OFF_MJ[0], DUTY_OFF_MJ)
-    else:
-        on_costs = STAGE_ON_MJ
-        off_costs = STAGE_OFF_MJ
+    models, on_costs, off_costs = _reference_stages(n_symbols, truncated)
     u = model_uncertainty
     stages = []
     for i, (m, on, off) in enumerate(zip(models, on_costs, off_costs)):

@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .adaptive import prepare_adaptive
+from .adaptive import is_monotone_ratio, stationary_targets
 from .cascade import Policy, SystemSpec, path_graph
 from .dutycycle import DutyCycleSpec, positive_symbols
 from .errors import ModelFormatError
@@ -90,6 +90,8 @@ class StreamConfig:
             raise ModelFormatError("burn_in must be a nonnegative integer")
         if self.prior is not None and not 0.0 <= self.prior <= 1.0:
             raise ModelFormatError("prior must lie in [0, 1]")
+        if self.mode == "adaptive" and not 0.0 < self.mu < 1.0:
+            raise ModelFormatError("mu must lie in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -320,14 +322,16 @@ def _simulate_adaptive(config: StreamConfig, spec: SystemSpec, policy: Policy) -
     """Cascade stream under the adaptive feature-domain rule, a route through
     the walker (see the module docstring).  Fallback stages decide on the
     belief, which carries every earlier stage's evidence."""
-    state = prepare_adaptive(spec, policy, config.mu)
     prior = spec.prior if config.prior is None else config.prior
     n, mu = spec.n_stages, config.mu
-    feature_rule = state.feature_rule.tolist()
-    targets = state.targets.tolist()
-    limits = state.eta_limits.tolist()
-    eta = state.eta.tolist()
-    rates = state.rate_estimates.tolist()
+    # non-monotone stages fall back to the belief rule; thresholds start
+    # mid-alphabet and rate estimates at their targets, so the first
+    # updates react to data, not initialization
+    feature_rule = [is_monotone_ratio(s.model) for s in spec.stages]
+    limits = [float(s.model.alphabet_size) for s in spec.stages]
+    targets = stationary_targets(spec, policy)[0].tolist()
+    eta = [limit / 2.0 for limit in limits]
+    rates = list(targets)
     visits, acts = [0] * n, [0] * n
     walked, first = 0, 0  # frames of earlier chunks; chunk index of the first measured
 

@@ -14,7 +14,6 @@ from guidedproc import (
     feature_cut,
     is_monotone_ratio,
     posterior_update,
-    prepare_adaptive,
     solve,
     stationary_targets,
 )
@@ -205,18 +204,3 @@ class TestFeatureCut:
         m = FeatureModel(p0=np.array([0.2, 0.3, 0.5]), p1=np.array([0.5, 0.3, 0.2]))
         with pytest.raises(ModelFormatError):
             feature_cut(m, 0.5, 0.5)
-
-
-class TestRuntimeState:
-    def test_prepare_defaults(self, rng):
-        spec = small_system(rng)
-        policy = solve(spec)
-        state = prepare_adaptive(spec, policy, mu=1e-3)
-        np.testing.assert_array_equal(state.eta, state.eta_limits / 2.0)
-        np.testing.assert_array_equal(state.rate_estimates, state.targets)
-        assert state.feature_rule.all()
-
-    def test_bad_mu_rejected(self, rng):
-        spec = small_system(rng)
-        with pytest.raises(ModelFormatError):
-            prepare_adaptive(spec, solve(spec), mu=0.0)

@@ -271,11 +271,12 @@ class TestDecomposition:
 
 
 def grid_transitions(spec: SystemSpec, grid: BeliefGrid) -> tuple:
-    """Per-stage transitions as calibrate_lambda builds them (entry 0 unread)."""
+    """Per-stage transitions at the grid points (entry 0 unread); calibrate_lambda
+    builds all but the last, which it reads only through the terminal table."""
     return (None, *(belief_transition(st.model, grid.points) for st in spec.stages[1:]))
 
 
-def whole_grid_evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> RiskReport:
+def whole_grid_evaluate(spec: SystemSpec, policy: Policy) -> RiskReport:
     """Oracle: the risk decomposition carried back over every grid node,
     read at the prior only at the end."""
     grid = policy.grid
@@ -292,8 +293,7 @@ def whole_grid_evaluate(spec: SystemSpec, policy: Policy, transitions=None) -> R
     tables = np.stack([zero, final_m, final_fa, zero])
     for k in range(K - 2, -1, -1):
         nxt = stages[k + 1]
-        pair = transitions[k + 1] if transitions else belief_transition(nxt.model, b)
-        cont = expected_next(grid, tables, pair)
+        cont = expected_next(grid, tables, belief_transition(nxt.model, b))
         cont[3] += nxt.on_cost
         stop = np.stack([spec.miss_cost * b, zero, zero, np.full_like(b, dstop[k + 1])])
         tables = np.where(b >= policy.raw_thresholds[k], cont, stop)
@@ -360,11 +360,7 @@ class TestReadSetEvaluate:
             else:
                 raw = tuple(float(t) for t in rng.choice([0.0, math.inf, *rng.random(4)], spec.n_stages))
                 policy = Policy(grid, raw, raw, (), 0.0, spec.energy_weight)
-            transitions = grid_transitions(spec, grid)
             assert evaluate(spec, policy) == whole_grid_evaluate(spec, policy)
-            assert evaluate(spec, policy, transitions) == whole_grid_evaluate(
-                spec, policy, transitions
-            )
             cases += 1
         assert cases >= 500
 
@@ -375,9 +371,7 @@ class TestReadSetEvaluate:
         for prior, lam in ((0.0, 0.002), (0.1, 0.002), (0.3, 0.05), (1.0, 0.0)):
             run = replace(spec, prior=prior, energy_weight=lam)
             policy = solve(run, grid, transitions)
-            expected = whole_grid_evaluate(run, policy)
-            assert evaluate(run, policy) == expected
-            assert evaluate(run, policy, transitions) == expected
+            assert evaluate(run, policy) == whole_grid_evaluate(run, policy)
 
     def test_one_debug_record(self, rng, caplog):
         spec = random_system(rng, n_stages=3)
@@ -442,7 +436,8 @@ class TestCalibration:
 
     def test_transitions_change_no_bit(self, rng):
         # calibrate_lambda hands solve the grid transitions and the terminal
-        # table propagated once; neither may change a bit at any weight
+        # table propagated once, in place of the last stage's transition;
+        # neither may change a bit at any weight
         for k in range(6):
             spec = random_system(rng)
             if k % 2:
@@ -454,13 +449,15 @@ class TestCalibration:
             for lam in (0.0, spec.energy_weight, 10.0 * spec.energy_weight):
                 run = replace(spec, energy_weight=lam)
                 plain = solve(run, grid)
-                for cached in (solve(run, grid, transitions), solve(run, grid, transitions, terminal)):
+                for cached in (
+                    solve(run, grid, transitions), solve(run, grid, transitions[:-1], terminal)
+                ):
                     assert (plain.thresholds, plain.raw_thresholds, plain.v0) == (
                         cached.thresholds, cached.raw_thresholds, cached.v0
                     )
                     for a, b in zip(plain.value_tables, cached.value_tables):
                         assert np.array_equal(a.values, b.values)
-                    assert evaluate(run, plain) == evaluate(run, cached, transitions)
+                    assert evaluate(run, plain) == evaluate(run, cached)
 
     def test_calibration_finds_the_breakpoint(self):
         # seeded property test against a plain bisection kept here

@@ -409,6 +409,12 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "seed" in err and "Traceback" not in err
 
+    def test_adaptive_mu_zero_exits_2(self, model_file, capsys):
+        argv = ["simulate", model_file, "--mode", "adaptive", "--mu", "0", "--n-frames", "1000"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "mu must lie in (0, 1)" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("sweep", ["a:b:3", "0.1:0.2:x"])
     def test_unparsable_sweep_exits_2(self, model_file, capsys, sweep):
         assert main(["compare", model_file, "--sweep", sweep]) == 2

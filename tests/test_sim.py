@@ -17,7 +17,6 @@ from guidedproc import (
     dc_risk,
     evaluate,
     posterior_update,
-    prepare_adaptive,
     simulate,
     solve,
     solve_graph,
@@ -33,6 +32,7 @@ from guidedproc.fixtures import (
     diamond_graph,
     monitoring_system,
 )
+from test_adaptive import class_system, dict_enumeration
 
 # ---------------------------------------------------------------------------
 # Oracle: replay the documented stream contract frame by frame in scalar
@@ -148,22 +148,37 @@ def oracle_graph_stream(graph, policy, n_frames, seed, prior):
     return (*tally.result(), actions)
 
 
+def scalar_feature_rule(spec):
+    """Per stage, whether p1/p0 never decreases along the alphabet (0/0
+    counts as 1, x/0 as infinity): such stages run the feature rule."""
+    rule = []
+    for stage in spec.stages:
+        r = [
+            1.0 if p0 == p1 == 0.0 else math.inf if p0 == 0.0 else p1 / p0
+            for p0, p1 in zip(stage.model.p0.tolist(), stage.model.p1.tolist())
+        ]
+        rule.append(all(a <= b for a, b in zip(r, r[1:])))
+    return rule
+
+
 def oracle_adaptive_stream(spec, policy, n_frames, seed, mu, burn_in):
     """Scalar replay of adaptive mode.
 
     Feature stages activate when the symbol clears eta; non-monotone stages
-    keep the belief rule.  After every stage visit, burn-in included, the
-    rate estimate moves by mu toward the activation indicator and eta by mu
-    times the tracking error, clamped to [0, alphabet size].  Returns the
-    counts and mean energy of the measured frames, the final etas, the
-    per-stage rate errors and the set of clamps hit ("low", "high").
+    keep the belief rule.  Each eta starts at half its stage's alphabet size
+    and each rate estimate at its stage's target, the activation rate that
+    dict enumeration of the reachable beliefs gives.  After every stage
+    visit, burn-in included, the rate estimate moves by mu toward the
+    activation indicator and eta by mu times the tracking error, clamped to
+    [0, alphabet size].  Returns the counts and mean energy of the measured
+    frames, the final etas, the per-stage rate errors and the set of clamps
+    hit ("low", "high").
     """
-    state = prepare_adaptive(spec, policy, mu)
-    feature = state.feature_rule.tolist()
-    targets = state.targets.tolist()
-    limits = state.eta_limits.tolist()
-    eta = state.eta.tolist()
-    rates = state.rate_estimates.tolist()
+    feature = scalar_feature_rule(spec)
+    targets = dict_enumeration(class_system(spec), policy.thresholds)[0].tolist()
+    limits = [float(s.model.alphabet_size) for s in spec.stages]
+    eta = [limit / 2.0 for limit in limits]
+    rates = list(targets)
     n = spec.n_stages
     tau = [float(t) for t in policy.thresholds]
     tail = tail_off_costs(spec.stages).tolist()
@@ -352,12 +367,12 @@ class TestStreamContract:
         assert report.final_eta == eta
         assert report.rate_errors == rate_errors
         if system is fallback_system:
-            assert prepare_adaptive(spec, policy, mu).feature_rule.tolist() == [False, True]
+            assert scalar_feature_rule(spec) == [False, True]
             assert clamps == {"low", "high"}
         if system is feature_then_fallback_system:
-            assert prepare_adaptive(spec, policy, mu).feature_rule.tolist() == [True, False]
+            assert scalar_feature_rule(spec) == [True, False]
         if system is middle_fallback_system:
-            assert prepare_adaptive(spec, policy, mu).feature_rule.tolist() == [True, False, True]
+            assert scalar_feature_rule(spec) == [True, False, True]
 
     def test_duty_cycle_counts_match_scalar_replay(self):
         dc = DutyCycleSpec(
@@ -592,6 +607,14 @@ class TestValidation:
         cfg = StreamConfig(system=g, n_frames=100, seed=1, mode="adaptive")
         with pytest.raises(ModelFormatError):
             simulate(cfg, gp)
+
+    def test_bad_mu_rejected(self, trigger):
+        # adaptive mode steps by mu; belief streams ignore it
+        spec, _ = trigger
+        for mu in (0.0, 1.0, -0.1, math.nan, math.inf):
+            with pytest.raises(ModelFormatError, match="mu must lie in"):
+                StreamConfig(system=spec, n_frames=100, seed=1, mode="adaptive", mu=mu)
+            assert StreamConfig(system=spec, n_frames=100, seed=1, mu=mu).mu is mu
 
     def test_bad_mode_rejected(self, trigger):
         spec, _ = trigger
