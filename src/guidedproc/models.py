@@ -232,11 +232,17 @@ def posterior_update(prior, model: FeatureModel, y):
     Reads the masses of y's ratio class, so every symbol of a class lands
     on the class's posterior in ``belief_transition``, bit for bit.
     Accepts a scalar or an array of priors, or one prior and an array of
-    symbols.  Beliefs 0 and 1 are absorbing; a zero-evidence class leaves
-    the belief unchanged.
+    symbols.  One prior and a 1-D symbol array run the Bayes step once per
+    class and gather each symbol's class posterior: every element goes
+    through the same float operations as on the per-symbol path.  Beliefs 0
+    and 1 are absorbing; a zero-evidence class leaves the belief unchanged.
     """
+    prior = np.asarray(prior, dtype=np.float64)
+    if prior.ndim == 0 and np.ndim(y) == 1:
+        post, _ = _bayes(prior, model.class_p0, model.class_p1)
+        return post.take(model.class_of).take(y)  # per symbol, then per frame
     q0, q1 = model._symbol_class_masses
-    post, _ = _bayes(np.asarray(prior, dtype=np.float64), q0[y], q1[y])
+    post, _ = _bayes(prior, q0[y], q1[y])
     return float(post) if post.ndim == 0 else post
 
 

@@ -29,12 +29,21 @@ and the variate layout is untouched.
 
 Belief-rule cascades, graphs and adaptive mode share one walker: a cascade
 runs as its path graph (``cascade.path_graph``).  Nodes are visited root
-first in topological order; each node sees only the frames routed to it,
-in frame order, and updates their beliefs with ``models.posterior_update``:
-one gather of class masses per frame, whatever the number of classes.
-Adaptive mode routes a stage's frames through that stage's rate and eta
-recursion; a stage's state depends only on the frames that reach it, so
-this is the frame-by-frame rule exactly.  Its burn-in frames are walked but not
+first in topological order.  The root holds every frame in order, so it
+reads the states and its variate row in place and updates from the one
+stream prior: ``models.posterior_update`` runs the Bayes step once per
+class and gathers.  Every later node sees only the frames routed to it
+and updates each with its class's masses.  A route returns one small
+integer per frame (0 stop, a successor id, or the declared label) as a
+0/1 comparison times the label, not a branching select.  The stopped
+frames and each successor's frames become index lists (``np.flatnonzero``)
+and every per-frame array is gathered through them with ``take``, never
+through a boolean mask: frames arrive in random order, so a mask is a
+random bit pattern and masked selection pays a branch miss per frame.
+Energy is a scatter-add through the same lists.  Adaptive mode routes a
+stage's frames through that stage's rate and eta recursion; a stage's
+state depends only on the frames that reach it, so this is the
+frame-by-frame rule exactly.  Its burn-in frames are walked but not
 reported; belief-rule streams ignore burn_in.
 
 Energy accounting mirrors the optimizer's: the root is always paid,
@@ -165,9 +174,9 @@ class _SymbolSampler:
         hard = np.flatnonzero(self._ambiguous.take(cell))
         if hard.size:
             c0, c1 = self._cdfs
-            uh = u[hard]
+            uh = u.take(hard)
             y0 = np.searchsorted(c0, uh, side="right")
-            y[hard] = np.where(x[hard], np.searchsorted(c1, uh, side="right"), y0)
+            y[hard] = np.where(x.take(hard), np.searchsorted(c1, uh, side="right"), y0)
         return y
 
 
@@ -196,8 +205,8 @@ class _Accumulator:
         self.fa += int(np.count_nonzero(fa))
         self.sum_e += float(energy.sum())
         self.sumsq_e += float((energy * energy).sum())
-        self.sum_e_miss += float(energy[miss].sum())
-        self.sum_e_fa += float(energy[fa].sum())
+        self.sum_e_miss += float(energy.take(np.flatnonzero(miss)).sum())
+        self.sum_e_fa += float(energy.take(np.flatnonzero(fa)).sum())
 
     def report(self, **extra) -> SimReport:
         n = self.n
@@ -253,9 +262,10 @@ def simulate(config: StreamConfig, policy=None) -> SimReport:
             return _simulate_adaptive(config, system, policy)
         prior = system.prior if config.prior is None else config.prior
         tau, n = policy.thresholds, system.n_stages
+        label = np.min_scalar_type(n).type  # holds every stage id
 
         def route(node, idx, beliefs, symbols):  # node i + 1 follows node i; the last declares 1
-            return np.where(beliefs >= tau[node - 1], node % n + 1, 0)
+            return (beliefs >= tau[node - 1]).view(np.uint8) * label(node % n + 1)
 
         acc = _Accumulator(system.miss_cost, system.fa_cost, policy.energy_weight)
         return _walk(config, path_graph(system), prior, route, acc)
@@ -295,23 +305,28 @@ def _walk(
         declared = np.zeros(count, dtype=bool)
         energy = np.full(count, graph.nodes[graph.root].on_cost)
         # frontier[node]: (frame indices, beliefs) handed over by each parent
-        frontier = {graph.root: [(np.arange(count), np.full(count, prior))]}
+        frontier = {}
         for nid in topo:
-            if nid not in frontier:
+            node, ur = graph.nodes[nid], u[row[nid]]
+            if nid == graph.root:  # every frame, in order: read in place
+                idx, pi = np.arange(count), prior
+                y = sampler[nid](x, ur)
+            elif nid in frontier:
+                idx, pi = (np.concatenate(a) for a in zip(*frontier.pop(nid)))
+                np.add.at(energy, idx, node.on_cost)
+                y = sampler[nid](x.take(idx), ur.take(idx))
+            else:
                 continue
-            idx, pi = (np.concatenate(a) for a in zip(*frontier.pop(nid)))
-            node = graph.nodes[nid]
-            y = sampler[nid](x[idx], u[row[nid], idx])
             pi = posterior_update(pi, node.model, y)
             action = route(nid, idx, pi, y)
             if graph.is_terminal(nid):
                 declared[idx] = action == 1
                 continue
-            energy[idx[action == 0]] += dstop[nid]
+            np.add.at(energy, idx.take(np.flatnonzero(action == 0)), dstop[nid])
             for s in graph.successors(nid):
-                go = action == s
-                energy[idx[go]] += graph.nodes[s].on_cost
-                frontier.setdefault(s, []).append((idx[go], pi[go]))
+                go = np.flatnonzero(action == s)
+                frontier.setdefault(s, []).append((idx.take(go), pi.take(go)))
+            del go  # the hand-offs hold the frames now
         first = max(skip - c * CHUNK_FRAMES, 0)  # chunk index of the first reported frame
         if first < count:
             acc.add(x[first:], declared[first:], energy[first:])
@@ -324,6 +339,7 @@ def _simulate_adaptive(config: StreamConfig, spec: SystemSpec, policy: Policy) -
     belief, which carries every earlier stage's evidence."""
     prior = spec.prior if config.prior is None else config.prior
     n, mu = spec.n_stages, config.mu
+    label = np.min_scalar_type(n).type  # holds every stage id
     # non-monotone stages fall back to the belief rule; thresholds start
     # mid-alphabet and rate estimates at their targets, so the first
     # updates react to data, not initialization
@@ -355,7 +371,7 @@ def _simulate_adaptive(config: StreamConfig, spec: SystemSpec, policy: Policy) -
         m = int(np.searchsorted(idx, first))  # idx[m:] are measured
         visits[k] += idx.size - m
         acts[k] += int(np.count_nonzero(acted[m:]))
-        return np.where(acted, node % n + 1, 0)  # the last stage declares 1
+        return acted.view(np.uint8) * label(node % n + 1)  # the last stage declares 1
 
     acc = _Accumulator(spec.miss_cost, spec.fa_cost, policy.energy_weight)
     report = _walk(config, path_graph(spec), prior, route, acc, skip=config.burn_in)
@@ -376,7 +392,7 @@ def _simulate_duty_cycle(config: StreamConfig, dc_spec: DutyCycleSpec) -> SimRep
         x = gen.random(count) < prior
         on = gen.random(count) < dc_spec.rho
         y = sample(x, gen.random(count))
-        declared = on & positive[y]
+        declared = on & positive.take(y)
         energy = np.where(on, dc_spec.on_cost, dc_spec.off_cost)
         acc.add(x, declared, energy)
     return acc.report()

@@ -794,3 +794,17 @@ def test_imports_do_not_load_scipy():
     )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_file_pipeline_demo_removes_its_work_directory(tmp_path):
+    demo = Path(__file__).resolve().parents[1] / "demos" / "file_pipeline.py"
+    src = str(Path(guidedproc.__file__).resolve().parents[1])
+    env = dict(
+        os.environ,
+        TMPDIR=str(tmp_path),
+        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+    )
+    proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert f"model file: {tmp_path}" in proc.stdout  # the demo worked under TMPDIR
+    assert list(tmp_path.iterdir()) == []

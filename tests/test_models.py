@@ -81,6 +81,28 @@ class TestPosterior:
         assert posterior_update(0.3, m, 1) == 1.0
         assert posterior_update(0.3, m, 0) == 0.0
 
+    def test_one_prior_and_many_symbols_match_the_per_frame_path(self, rng):
+        # the stream walker's root passes one prior and a symbol per frame;
+        # the class posteriors, computed once and gathered, must equal the
+        # per-frame update bit for bit, through both branches of the kernel
+        models = []
+        for k in range(8):
+            m = random_model(rng)
+            if k % 2:  # a zero-evidence symbol and an infinite-ratio one
+                w = float(rng.random()) + 0.1
+                p1 = np.append(m.p1, [0.0, w]) / (1.0 + w)
+                m = FeatureModel(p0=np.append(m.p0, [0.0, 0.0]), p1=p1)
+            models.append(duplicate_columns(rng, m) if k % 4 > 1 else m)
+        assert any(m.class_p0.size < m.alphabet_size for m in models)  # ratio ties
+        branches = set()
+        for m in models:
+            ys = np.concatenate([np.arange(m.alphabet_size), rng.integers(0, m.alphabet_size, 50)])
+            for prior in (0.0, 1.0, 0.3):
+                got = posterior_update(prior, m, ys)
+                assert np.array_equal(got, posterior_update(np.full(ys.size, prior), m, ys))
+                branches.add(bool((_bayes(np.float64(prior), m.class_p0, m.class_p1)[1] > 0).all()))
+        assert branches == {True, False}
+
     @settings(max_examples=60, deadline=None)
     @given(pmf_pairs(), st.floats(0.0, 1.0))
     def test_posterior_is_martingale(self, model, prior):

@@ -1,5 +1,6 @@
 import bisect
 import math
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from guidedproc import (
     CHUNK_FRAMES,
+    BeliefGrid,
     DutyCycleSpec,
     FeatureModel,
     ModelFormatError,
@@ -15,7 +17,9 @@ from guidedproc import (
     SystemSpec,
     build_system,
     dc_risk,
+    energy_equivalent_rho,
     evaluate,
+    ideal_duty_cycle,
     posterior_update,
     simulate,
     solve,
@@ -328,6 +332,17 @@ class TestStreamContract:
         report = simulate(StreamConfig(system=spec, n_frames=3000, seed=7), policy)
         assert_counts_match(report, *oracle_cascade_stream(spec, policy, 3000, 7))
 
+    def test_stage_ids_past_one_byte_route_exactly(self):
+        # routes return each successor's id as a small integer; 260 stages
+        # need ids past 255, and frames must still reach the last stage
+        m = FeatureModel(p0=[0.6, 0.3, 0.1], p1=[0.2, 0.3, 0.5])
+        stages = tuple(StageSpec(model=m, on_cost=0.01) for _ in range(260))
+        spec = SystemSpec(stages=stages, miss_cost=3.0, fa_cost=1.0, prior=0.5, energy_weight=1e-3)
+        policy = solve(spec, BeliefGrid(101))
+        report = simulate(StreamConfig(system=spec, n_frames=500, seed=1), policy)
+        assert_counts_match(report, *oracle_cascade_stream(spec, policy, 500, 1))
+        assert report.fa_count + report.n_target - report.miss_count > 0  # declared at stage 260
+
     def test_graph_counts_match_scalar_replay(self):
         g = diamond_graph()
         gp = solve_graph(g, miss_cost=3.0, fa_cost=1.0, energy_weight=0.02, prior=0.1)
@@ -489,6 +504,136 @@ class TestDeterminism:
         assert a.n_frames == 30_000
 
 
+def golden_streams():
+    """The pinned streams, each 2 * CHUNK_FRAMES + 700 frames: the reference
+    monitor at two priors, the diamond (node 4 takes both parents' frames),
+    the real duty cycler, and an adaptive trigger stream whose burn-in
+    crosses a chunk edge."""
+    n = 2 * CHUNK_FRAMES + 700
+    for prior in (0.05, 0.25):
+        spec, _ = monitoring_system(prior=prior)
+        yield f"monitor-{prior}", StreamConfig(system=spec, n_frames=n, seed=21), solve(spec)
+    g = diamond_graph()
+    gp = solve_graph(g, miss_cost=3.0, fa_cost=1.0, energy_weight=0.002, prior=0.1)
+    yield "diamond", StreamConfig(system=g, n_frames=n, seed=22, prior=0.3), gp
+    spec, _ = monitoring_system()
+    policy = solve(spec)
+    rho, _ = energy_equivalent_rho(evaluate(spec, policy).energy, DUTY_ON_MJ, DUTY_OFF_MJ)
+    dc = replace(ideal_duty_cycle(spec, rho), on_cost=DUTY_ON_MJ, off_cost=DUTY_OFF_MJ)
+    yield "real-duty", StreamConfig(
+        system=dc, n_frames=n, seed=23, energy_weight=policy.energy_weight
+    ), None
+    spec = trigger_system()
+    yield "adaptive-trigger", StreamConfig(
+        system=spec, n_frames=n, seed=24, mode="adaptive", mu=1e-3, burn_in=CHUNK_FRAMES + 500
+    ), solve(spec)
+
+
+def pinned(value):
+    """A report field as pinned below: floats by float.hex."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(pinned(v) for v in value)
+    return value
+
+
+class TestGoldenReports:
+    """Every report field, bit for bit.  The scalar oracles check energy
+    with fsum and approx only; these pins also hold the order of the float
+    sums behind energy, energy_se and risk_se."""
+
+    GOLDEN = {
+        "monitor-0.05": {
+            "n_frames": 131772,
+            "n_target": 6776,
+            "miss_count": 3040,
+            "fa_count": 131,
+            "energy": "0x1.f2a006924a45fp+4",
+            "energy_se": "0x1.7806c265fadeep-3",
+            "empirical_risk": "0x1.9f34bfb3a45f0p-4",
+            "risk_se": "0x1.47bf293fec46ep-10",
+            "miss_rate": "0x1.cb68e0de7374fp-2",
+            "miss_rate_se": "0x1.8bf7cd118af7ap-8",
+            "fa_rate": "0x1.12bc57113ea57p-10",
+            "fa_rate_se": "0x1.7fdbe826e331bp-14",
+            "final_eta": None,
+            "rate_errors": None,
+        },
+        "monitor-0.25": {
+            "n_frames": 131772,
+            "n_target": 33061,
+            "miss_count": 2252,
+            "fa_count": 745,
+            "energy": "0x1.1ad0edd0e3729p+7",
+            "energy_se": "0x1.1ff93ef58468fp-2",
+            "empirical_risk": "0x1.962f29f13aaa3p-3",
+            "risk_se": "0x1.1df5760560216p-10",
+            "miss_rate": "0x1.170156ef00e7fp-4",
+            "miss_rate_se": "0x1.6b3c6d69dbc00p-10",
+            "fa_rate": "0x1.ee9e6c16c5330p-8",
+            "fa_rate_se": "0x1.20d8c1555443ap-12",
+            "final_eta": None,
+            "rate_errors": None,
+        },
+        "diamond": {
+            "n_frames": 131772,
+            "n_target": 39842,
+            "miss_count": 2081,
+            "fa_count": 3726,
+            "energy": "0x1.69e6f10f39fb9p+5",
+            "energy_se": "0x1.48966527d9699p-4",
+            "empirical_risk": "0x1.543b67938da30p-3",
+            "risk_se": "0x1.2996a69b06b98p-10",
+            "miss_rate": "0x1.abe10103e4cedp-5",
+            "miss_rate_se": "0x1.243432d2658aep-10",
+            "fa_rate": "0x1.4c075453be091p-5",
+            "fa_rate_se": "0x1.54ff09b9d8268p-11",
+            "final_eta": None,
+            "rate_errors": None,
+        },
+        "real-duty": {
+            "n_frames": 131772,
+            "n_target": 13159,
+            "miss_count": 6551,
+            "fa_count": 366,
+            "energy": "0x1.d054e44a81e0fp+6",
+            "energy_se": "0x1.3685938e4d1efp-2",
+            "empirical_risk": "0x1.126fbf064e256p-2",
+            "risk_se": "0x1.cd4578f418dffp-10",
+            "miss_rate": "0x1.fdc83e68dbe98p-2",
+            "miss_rate_se": "0x1.1da66e88d89adp-8",
+            "fa_rate": "0x1.9471bdc798745p-9",
+            "fa_rate_se": "0x1.51ba5ee5ee8aap-13",
+            "final_eta": None,
+            "rate_errors": None,
+        },
+        "adaptive-trigger": {
+            "n_frames": 131772,
+            "n_target": 26292,
+            "miss_count": 7270,
+            "fa_count": 8812,
+            "energy": "0x1.03c135d86229dp+3",
+            "energy_se": "0x1.eafb885b8e28cp-6",
+            "empirical_risk": "0x1.178636817af9ep-2",
+            "risk_se": "0x1.03c581dec96a4p-9",
+            "miss_rate": "0x1.1b256da2ea8a4p-2",
+            "miss_rate_se": "0x1.698d1a397f012p-9",
+            "fa_rate": "0x1.563009024f7d3p-4",
+            "fa_rate_se": "0x1.bead3f70f36c2p-11",
+            "final_eta": ("0x1.8fe413131b235p+1", "0x1.28da0f4b13cc1p+2"),
+            "rate_errors": ("0x1.8fc8f0660c000p-14", "0x1.1fae96fcc6700p-9"),
+        },
+    }
+
+    def test_reports_match_the_pins(self):
+        got = {}
+        for name, cfg, policy in golden_streams():
+            report = simulate(cfg, policy)
+            got[name] = {f.name: pinned(getattr(report, f.name)) for f in fields(report)}
+        assert got == self.GOLDEN
+
+
 class TestReportInternals:
     def test_risk_reconstruction_identity(self, trigger):
         spec, policy = trigger
@@ -584,6 +729,9 @@ class TestBeliefBounds:
             simulate(StreamConfig(system=spec, n_frames=30_000, seed=4), solve(spec))
             bounds = {id(st.model): st.bounds for st in spec.stages}
             assert {id(m) for m, _ in seen} <= set(bounds)
+            # every frame's root belief, updated from the one stream prior
+            root = spec.stages[0].model
+            assert sum(b.size for m, b in seen if m is root) == 30_000
             for model, beliefs in seen:
                 b = bounds[id(model)]
                 assert b.lo <= beliefs.min() and beliefs.max() <= b.hi
