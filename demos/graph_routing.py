@@ -23,16 +23,15 @@ print(f"\nroot value at prior 0.1: {gp.v0:.6f}")
 print("idle cost charged when stopping at a node:",
       {k: round(v, 3) for k, v in sorted(downstream_off_costs(g).items())})
 
-# decisions[node][j]: 0 = censor, child id = route, 1 on a terminal = declare.
+# routes[node]: the node's cut points (the grid beliefs where its action
+# changes) and one action per interval: 0 = censor, child id = route,
+# 1 on a terminal = declare.
 b = gp.grid.points
-root = gp.decisions[1]
+cuts, actions = gp.routes[1]
 print("\nrouting at the wake node as belief grows:")
-changes = np.flatnonzero(np.diff(root)) + 1
-edges_at = [0] + changes.tolist()
-for lo, hi in zip(edges_at, edges_at[1:] + [len(b)]):
-    action = {0: "censor", 2: "route to cheap branch", 3: "route to strong branch"}[
-        int(root[lo])
-    ]
+edges_at = [0] + np.searchsorted(b, cuts).tolist()
+for lo, hi, act in zip(edges_at, edges_at[1:] + [len(b)], actions):
+    action = {0: "censor", 2: "route to cheap branch", 3: "route to strong branch"}[int(act)]
     print(f"  belief in [{b[lo]:.3f}, {b[hi - 1]:.3f}]: {action}")
 
 # A chain is the special case with one child everywhere; the dedicated

@@ -18,6 +18,7 @@ from .errors import (
     InfeasibleBandError,
     InfeasibleBudgetError,
     ModelFormatError,
+    WorkSizeError,
 )
 from .models import (
     BeliefGrid,
@@ -49,7 +50,6 @@ from .cascade import (
     evaluate,
     path_graph,
     solve,
-    tail_off_costs,
 )
 from .dutycycle import (
     DominanceVerdict,
@@ -78,6 +78,7 @@ __all__ = [
     "InfeasibleBandError",
     "InfeasibleBudgetError",
     "ModelFormatError",
+    "WorkSizeError",
     "FeatureModel",
     "UncertaintyParams",
     "BeliefGrid",
@@ -103,7 +104,6 @@ __all__ = [
     "calibrate_lambda",
     "achievable_energy_range",
     "check_cascade_optimality",
-    "tail_off_costs",
     "DutyCycleSpec",
     "DominanceVerdict",
     "dc_risk",

@@ -58,7 +58,6 @@ __all__ = [
     "Policy",
     "RiskReport",
     "CascadeOptimality",
-    "tail_off_costs",
     "path_graph",
     "solve",
     "evaluate",
@@ -166,19 +165,6 @@ class CascadeOptimality:
     @property
     def all_hold(self) -> bool:
         return all(self.per_stage)
-
-
-def tail_off_costs(stages) -> np.ndarray:
-    """tail[i] = sum of off_costs of stages[i:]; tail[K] = 0.
-
-    A stop after stage i idles stages i+1..K and charges tail[i+1].  The
-    solvers and the simulator price a stop with ``downstream_off_costs`` of
-    the path graph, the same sum added in another order.
-    """
-    offs = np.array([st.off_cost for st in stages], dtype=np.float64)
-    tail = np.zeros(len(stages) + 1)
-    tail[:-1] = offs[::-1].cumsum()[::-1]
-    return tail
 
 
 def path_graph(spec: SystemSpec) -> DetectionGraph:

@@ -368,7 +368,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (InfeasibleBandError, InfeasibleBudgetError, DegenerateContaminationError) as exc:
+    except (InfeasibleBandError, InfeasibleBudgetError, DegenerateContaminationError, MemoryError) as exc:
         print(f"guidedproc: infeasible: {exc}", file=sys.stderr)
         return 3
     except ModelFormatError as exc:

@@ -6,6 +6,7 @@ __all__ = [
     "InfeasibleBandError",
     "InfeasibleBudgetError",
     "ModelFormatError",
+    "WorkSizeError",
 ]
 
 
@@ -27,3 +28,7 @@ class InfeasibleBudgetError(GuidedProcError, ValueError):
 
 class ModelFormatError(GuidedProcError, ValueError):
     """A model file or inline model description failed validation."""
+
+
+class WorkSizeError(GuidedProcError, MemoryError):
+    """The arrays a computation needs exceed the package's memory budget."""

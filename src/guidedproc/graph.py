@@ -7,9 +7,12 @@ successor's processing cost.  Terminal nodes declare.  Values are computed
 on the shared belief grid in post-order, so every successor's table exists
 before it is consumed.
 
-Decision tables use node ids as actions: an internal node's entry is the
-chosen successor id, or 0 for stop; a terminal node's entry is the declared
-label (0 or 1).  Node ids must therefore be positive integers.
+Every node of a deployed policy keeps its cut points, the sorted beliefs
+where its action changes, and one action per interval, read by ``route``.
+Actions are node ids: the chosen successor id, or 0 for stop; a terminal
+declares its label (0 or 1).  Node ids must therefore be positive integers.
+The solver cuts at the grid beliefs where its decision changes, so every
+belief in [b_j, b_{j+1}) takes grid point j's action.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ __all__ = [
     "downstream_off_costs",
     "check_energy_weight",
     "declaration_table",
+    "route",
     "solve_graph",
 ]
 
@@ -76,10 +80,6 @@ class DetectionGraph:
 
     def is_terminal(self, i: int) -> bool:
         return not self.edges.get(i, ())
-
-    @property
-    def terminal_ids(self) -> tuple[int, ...]:
-        return tuple(i for i in sorted(self.nodes) if self.is_terminal(i))
 
 
 def post_order(graph: DetectionGraph) -> list[int]:
@@ -150,12 +150,22 @@ def declaration_table(grid: BeliefGrid, miss_cost: float, fa_cost: float) -> np.
     return np.where(b >= fa_cost / (fa_cost + miss_cost), fa_cost * (1.0 - b), miss_cost * b)
 
 
+def route(cuts: np.ndarray, actions: np.ndarray, beliefs) -> np.ndarray:
+    """actions[j] at each belief with j of the sorted `cuts` at or below it,
+    counted as a sum of 0/1 comparisons in the smallest dtype that holds
+    len(cuts)."""
+    count = np.zeros(np.shape(beliefs), np.min_scalar_type(len(cuts)))
+    for c in cuts:
+        count += beliefs >= c
+    return actions.take(count)
+
+
 @dataclass(frozen=True)
 class GraphPolicy:
     grid: BeliefGrid
     order: tuple[int, ...]
     value_tables: dict[int, BeliefTable]
-    decisions: dict[int, np.ndarray]
+    routes: dict[int, tuple[np.ndarray, np.ndarray]]  # (cuts, actions) per node
     stop_off_costs: dict[int, float]
     stop_thresholds: dict[int, float]
     miss_cost: float
@@ -165,11 +175,10 @@ class GraphPolicy:
     v0: float
 
     def decision_at(self, node: int, belief) -> np.ndarray:
-        """Deployed action at an off-grid belief: the action of the largest
-        grid point not above it (within a grid step the tables are constant
+        """Deployed action at any belief: the action of the largest grid
+        point not above it (within a grid step the decision is constant
         between threshold crossings, so this reproduces the threshold rule)."""
-        idx = self.grid.floor_index(belief)
-        return self.decisions[node][idx]
+        return route(*self.routes[node], belief)
 
 
 def solve_graph(
@@ -205,7 +214,7 @@ def solve_graph(
     dstop = downstream_off_costs(graph)
     order = post_order(graph)
     tables: dict[int, BeliefTable] = {}
-    decisions: dict[int, np.ndarray] = {}
+    routes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     thresholds: dict[int, float] = {}
     transitions = transitions or {}
     propagated = propagated or {}
@@ -219,12 +228,14 @@ def solve_graph(
         succ = graph.successors(i)
         if not succ:
             v = declaration_table(grid, miss_cost, fa_cost)
-            decisions[i] = (b >= tau_term).astype(np.int64)
+            key, labels = b >= tau_term, (0, 1)  # per grid point, an index into labels
             thresholds[i] = tau_term
         else:
             stop = miss_cost * b + lam * dstop[i]
-            cand = np.empty((len(succ), grid.size))
-            for j, n in enumerate(succ):
+            # cont: the cheapest successor's cost at each grid point; key:
+            # its 1-based position in succ (ascending ids), the first on ties
+            cont, key = np.full(grid.size, np.inf), np.zeros(grid.size, np.intp)
+            for j, n in enumerate(succ, start=1):
                 assert n in tables, "post-order violated"
                 if n not in onward:
                     nxt = graph.nodes[n]
@@ -234,16 +245,17 @@ def solve_graph(
                         ahead = expected_next(grid, tables[n].values, pair)
                         del pair  # 16·C·M bytes: freed before the next node's pair is built
                     onward[n] = lam * nxt.on_cost + ahead
-                cand[j] = onward[n]
-            best = np.argmin(cand, axis=0)  # first minimum: lowest successor id
-            cont = cand[best, np.arange(grid.size)]
+                key[onward[n] < cont] = j
+                cont = np.minimum(cont, onward[n])
             go = cont <= stop
             v = np.where(go, cont, stop)
-            decisions[i] = np.where(go, np.asarray(succ)[best], 0)
+            key, labels = key * go, (0, *succ)  # 0 where the node stops
             hits = np.flatnonzero(go)
             thresholds[i] = float(b[hits[0]]) if hits.size else np.inf
         tables[i] = BeliefTable(grid, v)
-        decisions[i].setflags(write=False)
+        change = np.flatnonzero(key[1:] != key[:-1]) + 1  # the cut points' grid indices
+        actions = np.array(labels, dtype=np.min_scalar_type(max(labels)))
+        routes[i] = (b[change], actions.take(key.take(np.concatenate(([0], change)))))
 
     root = graph.nodes[graph.root]
     at_prior = belief_transition(root.model, [prior])
@@ -252,7 +264,7 @@ def solve_graph(
         grid=grid,
         order=tuple(order),
         value_tables=tables,
-        decisions=decisions,
+        routes=routes,
         stop_off_costs=dstop,
         stop_thresholds=thresholds,
         miss_cost=miss_cost,

@@ -37,11 +37,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateContaminationError, ModelFormatError
+from .errors import DegenerateContaminationError, ModelFormatError, WorkSizeError
 
 __all__ = [
     "DEFAULT_GRID_SIZE",
     "MAX_GRID_SIZE",
+    "MAX_TRANSITION_BYTES",
     "PMF_ATOL",
     "FeatureModel",
     "UncertaintyParams",
@@ -55,12 +56,13 @@ __all__ = [
 
 DEFAULT_GRID_SIZE = 1001
 
-# Largest belief grid.  A stage's (C, M) transition pair (posteriors and
-# evidence, float64, one row per ratio class) takes 16 * C * M bytes, and
-# the DP holds one per stage during calibration: at this size a stage with
-# 100 distinct ratios needs 160 MB.  The largest grid in use is 10001 (16 MB
-# per such stage).
+# Largest belief grid, and largest transition pair in bytes.  A stage's
+# (C, n) pair (posteriors and evidence, float64, one row per ratio class)
+# takes 16 * C * n bytes; the DP holds one per stage during calibration,
+# plus temporaries as large.  The budget admits 100 classes on the largest
+# grid (160 MB); the largest grid in use is 10001 (16 MB per such stage).
 MAX_GRID_SIZE = 100_001
+MAX_TRANSITION_BYTES = 1 << 28
 
 # Tolerance for accepting a vector as a PMF.
 PMF_ATOL = 1e-9
@@ -170,20 +172,6 @@ class BeliefGrid:
     def step(self) -> float:
         return 1.0 / (self.size - 1)
 
-    def floor_index(self, pi) -> np.ndarray:
-        """Index of the largest grid point <= pi (elementwise), clipped to
-        the grid, for beliefs pi in [0, 1].
-
-        As ``np.searchsorted(points, pi, "right") - 1``, at a tenth of its
-        cost on unsorted beliefs: the nearest grid point, stepped back when
-        it lies above pi.  floor(pi * (M - 1)) alone rounds some grid
-        points down onto their left neighbours.
-        """
-        top = self.size - 1
-        idx = np.clip((np.asarray(pi, dtype=np.float64) * top + 0.5).astype(np.intp), 0, top)
-        idx -= self.points[idx] > pi
-        return np.maximum(idx, 0)
-
 
 @dataclass(frozen=True)
 class BeliefTable:
@@ -260,9 +248,16 @@ def belief_transition(model: FeatureModel, beliefs) -> tuple[np.ndarray, np.ndar
     The half of ``expected_next`` that depends on the stage model and the
     beliefs only, and the one builder of such pairs: a caller that
     propagates many tables through one stage builds it once, on the grid
-    points, and passes it to each ``expected_next`` call.
+    points, and passes it to each ``expected_next`` call.  A pair over
+    MAX_TRANSITION_BYTES is refused before anything is allocated.
     """
     priors = np.asarray(beliefs, dtype=np.float64)
+    size = 16 * model.class_p0.size * priors.size
+    if size > MAX_TRANSITION_BYTES:
+        raise WorkSizeError(
+            f"{model.class_p0.size} ratio classes at {priors.size} beliefs need a {size}-byte"
+            f" transition pair, over the {MAX_TRANSITION_BYTES}-byte budget"
+        )
     return _bayes(priors[None, :], model.class_p0[:, None], model.class_p1[:, None])
 
 

@@ -34,9 +34,10 @@ reads the states and its variate row in place and updates from the one
 stream prior: ``models.posterior_update`` runs the Bayes step once per
 class and gathers.  Every later node sees only the frames routed to it
 and updates each with its class's masses.  A route returns one small
-integer per frame (0 stop, a successor id, or the declared label) as a
-0/1 comparison times the label, not a branching select.  The stopped
-frames and each successor's frames become index lists (``np.flatnonzero``)
+integer per frame (0 stop, a successor id, or the declared label) with no
+branching select: the belief rule is ``graph.route`` on each node's cut
+points, and a cascade stage's one cut is its deployed threshold.  The
+stopped frames and each successor's frames become index lists (``np.flatnonzero``)
 and every per-frame array is gathered through them with ``take``, never
 through a boolean mask: frames arrive in random order, so a mask is a
 random bit pattern and masked selection pays a branch miss per frame.
@@ -63,7 +64,7 @@ from .adaptive import is_monotone_ratio, stationary_targets
 from .cascade import Policy, SystemSpec, path_graph
 from .dutycycle import DutyCycleSpec, positive_symbols
 from .errors import ModelFormatError
-from .graph import DetectionGraph, GraphPolicy, downstream_off_costs, post_order
+from .graph import DetectionGraph, GraphPolicy, downstream_off_costs, post_order, route
 from .models import FeatureModel, posterior_update
 
 __all__ = ["StreamConfig", "SimReport", "simulate", "CHUNK_FRAMES"]
@@ -260,28 +261,28 @@ def simulate(config: StreamConfig, policy=None) -> SimReport:
             raise ModelFormatError("policy does not match the system's stage count")
         if config.mode == "adaptive":
             return _simulate_adaptive(config, system, policy)
-        prior = system.prior if config.prior is None else config.prior
-        tau, n = policy.thresholds, system.n_stages
-        label = np.min_scalar_type(n).type  # holds every stage id
-
-        def route(node, idx, beliefs, symbols):  # node i + 1 follows node i; the last declares 1
-            return (beliefs >= tau[node - 1]).view(np.uint8) * label(node % n + 1)
-
-        acc = _Accumulator(system.miss_cost, system.fa_cost, policy.energy_weight)
-        return _walk(config, path_graph(system), prior, route, acc)
-    if isinstance(system, DetectionGraph):
+        graph, prior, costs, n = path_graph(system), system.prior, system, system.n_stages
+        label = np.min_scalar_type(n)  # holds every stage id; the last declares 1
+        # one cut per stage, at its deployed threshold: not a grid point
+        routes = {
+            k: (np.array([t]), np.array([0, k % n + 1], label))
+            for k, t in enumerate(policy.thresholds, start=1)
+        }
+    elif isinstance(system, DetectionGraph):
         if not isinstance(policy, GraphPolicy):
             raise ModelFormatError("graph simulation needs a GraphPolicy")
         if config.mode != "belief":
             raise ModelFormatError("adaptive mode applies to cascade systems")
-        # root prior: the graph policy was solved for one; allow stream override
-        prior = policy.prior if config.prior is None else config.prior
-        acc = _Accumulator(policy.miss_cost, policy.fa_cost, policy.energy_weight)
-        route = lambda node, idx, beliefs, symbols: policy.decision_at(node, beliefs)
-        return _walk(config, system, prior, route, acc)
-    if isinstance(system, DutyCycleSpec):
+        # root prior: the graph policy was solved for one
+        graph, prior, costs, routes = system, policy.prior, policy, policy.routes
+    elif isinstance(system, DutyCycleSpec):
         return _simulate_duty_cycle(config, system)
-    raise ModelFormatError(f"cannot simulate a {type(system).__name__}")
+    else:
+        raise ModelFormatError(f"cannot simulate a {type(system).__name__}")
+    deployed = lambda node, idx, beliefs, symbols: route(*routes[node], beliefs)
+    acc = _Accumulator(costs.miss_cost, costs.fa_cost, policy.energy_weight)
+    prior = prior if config.prior is None else config.prior
+    return _walk(config, graph, prior, deployed, acc)
 
 
 def _walk(

@@ -45,6 +45,17 @@ def random_system(rng, n_stages=None, energy_weight=None) -> SystemSpec:
     )
 
 
+def tail_off_costs(stages) -> np.ndarray:
+    """tail[i] = sum of off_costs of stages[i:]; tail[K] = 0: a stop after
+    stage i idles stages i+1..K and charges tail[i+1].  An oracle for the
+    package's ``downstream_off_costs`` of the path graph, which adds the
+    same costs in another order."""
+    offs = np.array([st.off_cost for st in stages], dtype=np.float64)
+    tail = np.zeros(len(stages) + 1)
+    tail[:-1] = offs[::-1].cumsum()[::-1]
+    return tail
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)

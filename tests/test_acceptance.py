@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import tail_off_costs
 from test_cascade import exact_two_stage_optimum
 from test_graph import best_structured_risk, exact_policy_risk, path_graph_from
 
@@ -23,7 +24,6 @@ from guidedproc.cascade import (
     SystemSpec,
     evaluate,
     solve,
-    tail_off_costs,
 )
 from guidedproc.cli import main
 from guidedproc.dutycycle import (

@@ -29,12 +29,11 @@ from guidedproc import (
     posterior_update,
     simulate,
     solve,
-    tail_off_costs,
 )
 from guidedproc.cascade import CALIBRATE_REL_TOL, path_graph, robustify_stages
 from guidedproc.graph import declaration_table, downstream_off_costs
 from guidedproc.models import expected_next
-from conftest import duplicate_columns, random_model, random_system
+from conftest import duplicate_columns, random_model, random_system, tail_off_costs
 
 # ---------------------------------------------------------------------------
 # Oracle: exact Bayes risk of a two-stage threshold policy by brute-force

@@ -8,6 +8,7 @@ import functools
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 import tempfile
@@ -520,6 +521,61 @@ class TestExitCodes:
     def test_infeasible_budget(self, model_file):
         assert main(["optimize", model_file, "--energy-budget", "1000"]) == 3
         assert main(["optimize", model_file, "--energy-budget", "0.01"]) == 3
+
+    @pytest.mark.parametrize(
+        "argv, threads",
+        [
+            (["optimize"], "1"),
+            (["check-optimality"], "1"),
+            (["simulate", "--n-frames", "1000"], "1"),
+            (["compare", "--sweep", "0.1:0.2:2", "--n-frames", "1000"], "2"),
+        ],
+        ids=["optimize", "check-optimality", "simulate", "compare-workers"],
+    )
+    def test_oversized_work_exits_3_before_allocating(self, tmp_path, argv, threads):
+        # 20,000 distinct ratios on the largest grid: each transition pair
+        # would take 32 GB.  The child process may map 3 GiB at most, so
+        # the exit must come from the guard, before any large allocation.
+        n = 20_000
+        flat, ramp = [1.0 / n] * n, (np.arange(1, n + 1) / (n * (n + 1) / 2)).tolist()
+        stage = {"p0": flat, "p1": ramp}
+        raw = cascade_raw(
+            grid_size=MAX_GRID_SIZE,
+            stages=[
+                dict(stage, on_cost=1.0),
+                dict(stage, on_cost=5.0, off_cost=0.1),
+                dict(stage, on_cost=20.0, off_cost=0.4),
+            ],
+        )
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        src = str(Path(guidedproc.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            GUIDEDPROC_THREADS=threads,
+            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
+        )
+        limit = 3 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "guidedproc.cli", argv[0], str(path), *argv[1:]],
+            env=env,
+            capture_output=True,
+            text=True,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert f"{n} ratio classes at {MAX_GRID_SIZE} beliefs" in proc.stderr
+        assert f"{16 * n * MAX_GRID_SIZE}-byte" in proc.stderr
+
+    def test_memory_error_exits_3(self, model_file, capsys, monkeypatch):
+        def exhausted(args):
+            raise MemoryError("Unable to allocate")
+
+        monkeypatch.setitem(cli._COMMANDS, "optimize", exhausted)
+        assert main(["optimize", model_file]) == 3
+        err = capsys.readouterr().err
+        assert "Unable to allocate" in err and "Traceback" not in err
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

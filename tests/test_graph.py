@@ -6,8 +6,10 @@ from guidedproc import (
     DetectionGraph,
     ModelFormatError,
     StageSpec,
+    belief_transition,
     downstream_off_costs,
     evidence,
+    expected_next,
     path_graph,
     post_order,
     posterior_update,
@@ -48,6 +50,30 @@ def exact_policy_risk(graph, policy, prior) -> float:
         if ev > 0.0:
             total += ev * after(graph.root, posterior_update(prior, m, y))
     return total
+
+
+def grid_actions(graph, policy) -> dict[int, np.ndarray]:
+    """Each node's action at every grid point, decided again from the
+    policy's value tables: a terminal declares 1 from fa / (fa + miss) up;
+    an internal node hands off to its cheapest successor (the lowest id on
+    ties) when that costs no more than stopping, else stops (0)."""
+    b, lam = policy.grid.points, policy.energy_weight
+    actions = {}
+    for i in graph.nodes:
+        succ = graph.successors(i)
+        if not succ:
+            actions[i] = (b >= policy.fa_cost / (policy.fa_cost + policy.miss_cost)).astype(int)
+            continue
+        cand = np.stack([
+            lam * graph.nodes[n].on_cost
+            + expected_next(
+                policy.grid, policy.value_tables[n].values, belief_transition(graph.nodes[n].model, b)
+            )
+            for n in succ
+        ])
+        go = cand.min(axis=0) <= policy.miss_cost * b + lam * policy.stop_off_costs[i]
+        actions[i] = np.where(go, np.asarray(succ)[cand.argmin(axis=0)], 0)
+    return actions
 
 
 def best_structured_risk(graph, miss, fa, lam, prior, tau_grid) -> float:
@@ -186,7 +212,7 @@ class TestTopology:
 
     def test_terminal_ids(self):
         g = diamond_graph()
-        assert g.terminal_ids == (4,)
+        assert [i for i in sorted(g.nodes) if g.is_terminal(i)] == [4]
 
 
 class TestPathEquivalence:
@@ -286,7 +312,7 @@ class TestDiamond:
         # strong branch works the uncertain middle and the cheap branch is
         # enough to confirm already-high beliefs.
         _, gp = self.solve_fixture()
-        root_dec = gp.decisions[1]
+        root_dec = gp.decision_at(1, gp.grid.points)
         assert (root_dec == 2).any()
         assert (root_dec == 3).any()
         assert (root_dec == 0).any()
@@ -299,20 +325,32 @@ class TestDiamond:
         gp = solve_graph(
             diamond_graph(), miss_cost=3.0, fa_cost=1.0, energy_weight=0.002, prior=0.1, grid=grid
         )
-        assert np.array_equal(grid.floor_index(grid.points), np.arange(size))
-        for node, table in gp.decisions.items():
-            for j, pi in enumerate(grid.points):
+        b = grid.points
+        for node, table in grid_actions(diamond_graph(), gp).items():
+            for j, pi in enumerate(b.tolist()):
                 assert gp.decision_at(node, pi) == table[j]
+            # the floor rule: just below a grid point, its left neighbour acts
+            np.testing.assert_array_equal(gp.decision_at(node, b), table)
+            np.testing.assert_array_equal(gp.decision_at(node, np.nextafter(b[1:], 0.0)), table[:-1])
 
     def test_decision_tables_follow_thresholds(self):
         # Below the stop threshold the action is stop, at and above it the
         # node hands off; the threshold recorded must be the first go point.
         _, gp = self.solve_fixture()
         for i in (1, 2, 3):
-            dec = gp.decisions[i]
-            tau = gp.stop_thresholds[i]
             b = gp.grid.points
+            dec = gp.decision_at(i, b)
+            tau = gp.stop_thresholds[i]
             np.testing.assert_array_equal(dec == 0, b < tau)
+
+    def test_tied_successors_route_to_the_lowest_id(self):
+        # nodes 2 and 3 are the same detector: every continuing belief
+        # ties, and the tie goes to the smallest successor id
+        g = diamond_graph()
+        twin = DetectionGraph(nodes={**g.nodes, 3: g.nodes[2]}, edges=g.edges, root=1)
+        gp = solve_graph(twin, miss_cost=3.0, fa_cost=1.0, energy_weight=0.002, prior=0.1)
+        root = gp.decision_at(1, gp.grid.points)
+        assert set(root.tolist()) == {0, 2}
 
     def test_shared_successor_propagated_once(self, monkeypatch):
         # Node 4 feeds both 2 and 3; its continuation table is built once

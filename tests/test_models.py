@@ -6,11 +6,13 @@ from guidedproc import (
     BeliefGrid,
     FeatureModel,
     ModelFormatError,
+    WorkSizeError,
     belief_transition,
     evidence,
     expected_next,
     posterior_update,
 )
+from guidedproc.graph import route
 from guidedproc.models import MAX_GRID_SIZE, _bayes
 from conftest import duplicate_columns, random_model
 
@@ -133,27 +135,42 @@ class TestGridAndTables:
             with pytest.raises(ModelFormatError, match=str(MAX_GRID_SIZE)):
                 BeliefGrid(size=size)
 
-    def test_floor_index_contains_point(self):
-        g = BeliefGrid(size=101)
-        for pi in (0.0, 0.004999, 0.005, 0.37, 0.999, 1.0):
-            i = g.floor_index(pi)
-            assert g.points[i] <= pi + 1e-15
-            assert i == min(int(pi * 100), 100)
+    @staticmethod
+    def action_runs(rng, size, n_labels):
+        """A grid action table: random labels in runs of random length."""
+        labels = rng.integers(0, n_labels, size)
+        starts = rng.random(size) < 8.0 / size
+        starts[0] = True
+        return labels[np.maximum.accumulate(np.where(starts, np.arange(size), 0))]
 
     @pytest.mark.parametrize("size", [2, 3, 51, 101, 1001, 10001])
-    def test_floor_index_brackets_like_searchsorted(self, rng, size):
-        # grid points, midpoints and their float neighbours, where rounding
-        # pi * (M - 1) can cross an integer either way
+    def test_route_is_the_floor_rule_lookup(self, rng, size):
+        # grid points, midpoints and their float neighbours, and random
+        # beliefs: each takes the action of the largest grid point at or
+        # below it
         b = BeliefGrid(size=size).points
         mids = 0.5 * (b[:-1] + b[1:])
         pis = np.concatenate(
             [b, mids, rng.random(1000)]
             + [np.nextafter(x, to) for x in (b, mids) for to in (0.0, 1.0)]
         )
-        ref = np.clip(np.searchsorted(b, pis, "right") - 1, 0, size - 1)
-        g = BeliefGrid(size=size)
-        assert np.array_equal(g.floor_index(pis), ref)
-        assert [g.floor_index(pi) for pi in pis[:50].tolist()] == ref[:50].tolist()
+        for n_labels in (2, 4):
+            table = self.action_runs(rng, size, n_labels)
+            change = np.flatnonzero(np.diff(table)) + 1
+            cuts, actions = b[change], table[np.r_[0, change]]
+            ref = table[np.searchsorted(b, pis, "right") - 1]
+            assert np.array_equal(route(cuts, actions, pis), ref)
+            assert [route(cuts, actions, pi) for pi in pis[:50].tolist()] == ref[:50].tolist()
+
+    def test_route_counts_past_one_byte(self, rng):
+        # 300 cut points: the count needs two bytes, and every interval has
+        # its own action, so a count that wrapped at 256 would show
+        cuts = np.sort(rng.choice(BeliefGrid(size=1001).points[1:], 300, replace=False))
+        actions = np.arange(301, dtype=np.uint16)
+        pis = np.concatenate([cuts, np.nextafter(cuts, 0.0), np.nextafter(cuts, 1.0), rng.random(5000)])
+        ref = np.searchsorted(cuts, pis, "right")
+        assert np.array_equal(route(cuts, actions, pis), ref)
+        assert route(cuts, actions, 1.0) == 300 and route(cuts, actions, 0.0) == 0
 
     def test_likelihood_ratio_and_evidence_helpers(self, rng):
         m = random_model(rng, 6)
@@ -176,6 +193,15 @@ def bayes_by_hand(model, beliefs):
 
 
 class TestExpectedNext:
+    def test_transition_pairs_over_the_budget_are_refused(self, rng, monkeypatch):
+        import guidedproc.models as models
+
+        m = random_model(rng, 6)  # distinct ratios: 6 classes
+        monkeypatch.setattr(models, "MAX_TRANSITION_BYTES", 16 * 6 * 10)
+        assert belief_transition(m, np.linspace(0.0, 1.0, 10))[0].shape == (6, 10)
+        with pytest.raises(WorkSizeError, match=r"6 ratio classes at 11 beliefs need a 1056-byte"):
+            belief_transition(m, np.linspace(0.0, 1.0, 11))
+
     @staticmethod
     def inline(model, b, table):
         # the propagation as solve, evaluate and solve_graph each wrote it

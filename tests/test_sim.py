@@ -24,7 +24,6 @@ from guidedproc import (
     simulate,
     solve,
     solve_graph,
-    tail_off_costs,
 )
 from guidedproc import sim as sim_module
 from guidedproc.sim import GUIDE_CELLS, _SymbolSampler
@@ -36,6 +35,7 @@ from guidedproc.fixtures import (
     diamond_graph,
     monitoring_system,
 )
+from conftest import tail_off_costs
 from test_adaptive import class_system, dict_enumeration
 
 # ---------------------------------------------------------------------------
