@@ -412,66 +412,52 @@ def check_cascade_optimality(spec: SystemSpec, policy: Policy) -> CascadeOptimal
     return CascadeOptimality(tuple(betas), tuple(verdicts))
 
 
-def robustify_stages(models, uncertainties, prior: float):
-    """Deployed model, robustness band and admissible belief interval per stage.
+def robustify_stages(stages, prior: float) -> list[tuple[StageSpec, RobustBand]]:
+    """Deployed stage and robustness band per (stage, uncertainty) pair.
 
-    Intermediate stages with nonzero uncertainty are replaced by their
-    least-favorable versions; the last stage is taken as exact.  Admissible
-    belief intervals are propagated from the prior through each deployed
-    stage model (the last stage keeps the full interval since its threshold
-    is never clamped).  `uncertainties` may be None or hold None entries
-    for exact stages.
+    Intermediate stages with nonzero uncertainty get their least-favorable
+    models; the last stage is taken as exact.  Each deployed stage carries
+    its admissible belief interval, propagated from the prior through the
+    deployed models (the last stage keeps the full interval since its
+    threshold is never clamped).
     """
-    models = list(models)
-    K = len(models)
-    if uncertainties is None:
-        uncertainties = [None] * K
-    uncertainties = [u or UncertaintyParams() for u in uncertainties]
-    if len(uncertainties) != K:
-        raise ModelFormatError("need one uncertainty entry per stage")
-    if not uncertainties[-1].is_zero:
+    *front, (last, u_last) = stages
+    if not u_last.is_zero:
         raise ModelFormatError("the last stage is exact; its uncertainty must be zero")
 
     out = []
     interval = BeliefInterval.point(prior)
-    for model, u in zip(models[:-1], uncertainties):
-        deployed, band = least_favorable(model, u)
+    for stage, u in front:
+        deployed, band = least_favorable(stage.model, u)
         # Bounds must track the deployed (renormalized) model, not the
         # band ends: the simulator compares beliefs to clamped thresholds
         # exactly, and the band drifts by the normalization residual.
         interval = model_posterior_bounds(interval, deployed)
-        out.append((deployed, band, interval))
-    out.append((models[-1], solve_band(models[-1], UncertaintyParams()), BeliefInterval.full()))
+        out.append((replace(stage, model=deployed, bounds=interval), band))
+    full = replace(last, bounds=BeliefInterval.full())
+    out.append((full, solve_band(last.model, UncertaintyParams())))
     return out
 
 
 def build_system(
-    models,
-    on_costs,
-    off_costs,
+    stages,
     miss_cost: float,
     fa_cost: float,
     prior: float,
-    uncertainties=None,
     energy_weight: float | None = None,
     energy_budget: float | None = None,
 ) -> tuple[SystemSpec, tuple[RobustBand, ...]]:
-    """Assemble a cascade from nominal models, robustifying stages 1..K-1
-    as ``robustify_stages`` does.  Returns the spec plus the per-stage bands.
+    """Assemble a cascade from (nominal stage, uncertainty) pairs,
+    robustifying stages 1..K-1 as ``robustify_stages`` does.  Returns the
+    spec plus the per-stage bands.
     """
-    deployed = robustify_stages(models, uncertainties, prior)
-    stages = tuple(
-        StageSpec(
-            model=model, on_cost=float(on_costs[k]), off_cost=float(off_costs[k]), bounds=bounds
-        )
-        for k, (model, _, bounds) in enumerate(deployed)
-    )
+    deployed = robustify_stages(stages, prior)
     spec = SystemSpec(
-        stages=stages,
+        stages=tuple(stage for stage, _ in deployed),
         miss_cost=miss_cost,
         fa_cost=fa_cost,
         prior=prior,
         energy_weight=energy_weight,
         energy_budget=energy_budget,
     )
-    return spec, tuple(band for _, band, _ in deployed)
+    return spec, tuple(band for _, band in deployed)

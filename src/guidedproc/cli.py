@@ -105,10 +105,10 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _emit(bundle, output) -> int:
-    """Write a result bundle to the output path, or to stdout without one;
-    returns the success exit code."""
-    text = io.write_json(bundle, output)
+def _emit(doc, output, **payload) -> int:
+    """Write the result bundle of `doc` with `payload` to the output path,
+    or to stdout without one; returns the success exit code."""
+    text = io.write_json(io.result_bundle(doc, **payload), output)
     if output is None:
         sys.stdout.write(text + "\n")
     return 0
@@ -124,21 +124,17 @@ def _cascade_document(path, command):
 
 def cmd_robustify(args) -> int:
     doc = _cascade_document(args.model, args.command)
-    deployed = robustify_stages(
-        [s[0] for s in doc.stages], [s[3] for s in doc.stages], doc.default_prior()
-    )
     stages = [
         {
-            "q0": q.p0.tolist(),
-            "q1": q.p1.tolist(),
+            "q0": st.model.p0.tolist(),
+            "q1": st.model.p1.tolist(),
             "band": io.band_payload(band),
-            "posterior_lo": bounds.lo,
-            "posterior_hi": bounds.hi,
+            "posterior_lo": st.bounds.lo,
+            "posterior_hi": st.bounds.hi,
         }
-        for q, band, bounds in deployed
+        for st, band in robustify_stages(doc.stages, doc.default_prior())
     ]
-    bundle = io.result_bundle(doc, prior=doc.default_prior(), stages=stages)
-    return _emit(bundle, args.output)
+    return _emit(doc, args.output, prior=doc.default_prior(), stages=stages)
 
 
 def _solve_document(doc, prior, grid, energy_weight=None, energy_budget=None):
@@ -177,28 +173,26 @@ def cmd_optimize(args) -> int:
         if args.energy_budget is not None:
             raise ModelFormatError("--energy-budget applies to cascade model files")
         gpol = _solve_graph_document(doc, args.prior, grid, args.energy_weight)
-        bundle = io.result_bundle(doc, graph_policy=io.graph_policy_payload(gpol))
-        return _emit(bundle, args.output)
+        return _emit(doc, args.output, graph_policy=io.graph_policy_payload(gpol))
     spec, bands, policy = _solve_document(
         doc, args.prior, grid, energy_weight=args.energy_weight, energy_budget=args.energy_budget
     )
-    bundle = io.result_bundle(
+    return _emit(
         doc,
+        args.output,
         prior=spec.prior,
         policy=io.policy_payload(policy),
         risk=io.risk_payload(evaluate(spec, policy)),
         bands=[io.band_payload(b) for b in bands],
         optimality=_optimality_payload(spec, policy),
     )
-    return _emit(bundle, args.output)
 
 
 def cmd_check_optimality(args) -> int:
     doc = _cascade_document(args.model, args.command)
     grid = BeliefGrid(doc.grid_size if args.grid is None else args.grid)
     spec, _, policy = _solve_document(doc, args.prior, grid)
-    bundle = io.result_bundle(doc, prior=spec.prior, **_optimality_payload(spec, policy))
-    return _emit(bundle, args.output)
+    return _emit(doc, args.output, prior=spec.prior, **_optimality_payload(spec, policy))
 
 
 def cmd_simulate(args) -> int:
@@ -212,12 +206,9 @@ def cmd_simulate(args) -> int:
         if args.mode != "belief":
             raise ModelFormatError("adaptive mode applies to cascade systems")
         policy = _solve_graph_document(doc, args.prior, BeliefGrid(grid_size))
-        config = StreamConfig(
-            system=doc.graph, n_frames=args.n_frames, seed=args.seed, prior=policy.prior
-        )
+        config = StreamConfig(system=doc.graph, n_frames=args.n_frames, seed=args.seed)
         report = simulate(config, policy)
-        bundle = io.result_bundle(doc, simulation=io.sim_payload(report), v0=policy.v0)
-        return _emit(bundle, args.output)
+        return _emit(doc, args.output, simulation=io.sim_payload(report), v0=policy.v0)
     if args.policy is not None:
         spec, _ = io.build_from_document(doc, prior=args.prior)
         policy = io.load_policy_file(args.policy, spec)
@@ -230,32 +221,30 @@ def cmd_simulate(args) -> int:
         mode=args.mode,
         mu=args.mu,
         burn_in=args.burn_in,
-        prior=args.prior,
     )
     report = simulate(config, policy)
-    bundle = io.result_bundle(
+    return _emit(
         doc,
+        args.output,
         simulation=io.sim_payload(report),
         policy=io.policy_payload(policy),
         analytic_risk=io.risk_payload(evaluate(spec, policy)) if args.policy is None else None,
     )
-    return _emit(bundle, args.output)
 
 
 def _duty_block(doc) -> tuple[float, float]:
     if doc.duty_cycle is not None:
         return doc.duty_cycle
     # fall back to powering every post-wake stage as one block
-    on = sum(s[1] for s in doc.stages[1:])
-    off = sum(s[2] for s in doc.stages[1:])
+    on = sum(st.on_cost for st, _ in doc.stages[1:])
+    off = sum(st.off_cost for st, _ in doc.stages[1:])
     if not off < on:
         raise ModelFormatError("cannot derive a duty-cycle block from the stage costs")
     return float(on), float(off)
 
 
 def _compare_row(task) -> dict:
-    raw, pi0, n_frames, seed, grid_size, row = task
-    doc = io.parse_model_document(raw)
+    doc, pi0, n_frames, seed, grid_size, row = task
     grid = BeliefGrid(grid_size)
     spec, _, policy = _solve_document(doc, pi0, grid)
     lam = policy.energy_weight
@@ -304,6 +293,8 @@ def _parse_sweep(text) -> tuple[float, float, int]:
         raise ModelFormatError(f"--sweep wants numbers LO:HI:N, got {text!r}") from None
     if not (0.0 <= lo <= hi <= 1.0 and n >= 1):
         raise ModelFormatError("--sweep out of range")
+    if n > io.MAX_SWEEP_POINTS:
+        raise ModelFormatError(f"--sweep takes at most {io.MAX_SWEEP_POINTS} points")
     return lo, hi, n
 
 
@@ -328,7 +319,7 @@ def cmd_compare(args) -> int:
         points = doc.sweep_points()
     grid_size = doc.grid_size if args.grid is None else args.grid
     tasks = [
-        (doc.raw, float(pi0), args.n_frames, args.seed, grid_size, row)
+        (doc, float(pi0), args.n_frames, args.seed, grid_size, row)
         for row, pi0 in enumerate(points)
     ]
     workers = _worker_count(len(tasks))

@@ -90,14 +90,18 @@ def detector_suite(n_symbols: int = 100) -> tuple[FeatureModel, ...]:
     return tuple(binned_gaussian_model(s, n_symbols) for s in _SHIFTS)
 
 
-def _reference_stages(n_symbols: int, truncated: bool):
-    """(models, on costs, off costs) of the reference cascade's stages;
-    truncated fuses the feature stage and the classifier into the duty
-    cycler's heavy block (see ``monitoring_system``)."""
-    models = detector_suite(n_symbols)
+def _reference_stages(n_symbols: int, truncated: bool) -> tuple[StageSpec, ...]:
+    """The reference cascade's nominal stages; truncated fuses the feature
+    stage and the classifier into the duty cycler's heavy block (see
+    ``monitoring_system``)."""
+    models, on_costs, off_costs = detector_suite(n_symbols), STAGE_ON_MJ, STAGE_OFF_MJ
     if truncated:
-        return (models[0], models[2]), (STAGE_ON_MJ[0], DUTY_ON_MJ), (STAGE_OFF_MJ[0], DUTY_OFF_MJ)
-    return models, STAGE_ON_MJ, STAGE_OFF_MJ
+        models = (models[0], models[2])
+        on_costs, off_costs = (STAGE_ON_MJ[0], DUTY_ON_MJ), (STAGE_OFF_MJ[0], DUTY_OFF_MJ)
+    return tuple(
+        StageSpec(model=m, on_cost=on, off_cost=off)
+        for m, on, off in zip(models, on_costs, off_costs)
+    )
 
 
 def monitoring_system(
@@ -117,20 +121,12 @@ def monitoring_system(
     carry symmetric contamination/perturbation mass model_uncertainty; the
     final stage stays exact.
     """
-    models, on_costs, off_costs = _reference_stages(n_symbols, truncated)
+    *front, last = _reference_stages(n_symbols, truncated)
     u = model_uncertainty
     mid = UncertaintyParams(u, u, u, u)
-    uncertainties = tuple(mid for _ in models[:-1]) + (UncertaintyParams(),)
+    stages = [(st, mid) for st in front] + [(last, UncertaintyParams())]
     return build_system(
-        models,
-        on_costs,
-        off_costs,
-        miss_cost=3.0,
-        fa_cost=1.0,
-        prior=prior,
-        uncertainties=uncertainties,
-        energy_weight=energy_weight,
-        energy_budget=energy_budget,
+        stages, 3.0, 1.0, prior, energy_weight=energy_weight, energy_budget=energy_budget
     )
 
 
@@ -178,17 +174,17 @@ def as_document(
     truncated: bool = False,
 ) -> dict:
     """The reference cascade as a model-file dict (ready to serialize)."""
-    models, on_costs, off_costs = _reference_stages(n_symbols, truncated)
+    nominal = _reference_stages(n_symbols, truncated)
     u = model_uncertainty
     stages = []
-    for i, (m, on, off) in enumerate(zip(models, on_costs, off_costs)):
+    for i, st in enumerate(nominal):
         stage = {
-            "p0": m.p0.tolist(),
-            "p1": m.p1.tolist(),
-            "on_cost": on,
-            "off_cost": off,
+            "p0": st.model.p0.tolist(),
+            "p1": st.model.p1.tolist(),
+            "on_cost": st.on_cost,
+            "off_cost": st.off_cost,
         }
-        if i < len(models) - 1 and u > 0.0:
+        if i < len(nominal) - 1 and u > 0.0:
             stage["uncertainty"] = {"eps0": u, "eps1": u, "nu0": u, "nu1": u}
         stages.append(stage)
     return {

@@ -151,13 +151,14 @@ def declaration_table(grid: BeliefGrid, miss_cost: float, fa_cost: float) -> np.
 
 
 def route(cuts: np.ndarray, actions: np.ndarray, beliefs) -> np.ndarray:
-    """actions[j] at each belief with j of the sorted `cuts` at or below it,
-    counted as a sum of 0/1 comparisons in the smallest dtype that holds
-    len(cuts)."""
-    count = np.zeros(np.shape(beliefs), np.min_scalar_type(len(cuts)))
-    for c in cuts:
-        count += beliefs >= c
-    return actions.take(count)
+    """actions[j] at each belief with j of the sorted `cuts` at or below it:
+    actions[0] plus, per cut passed, the step to the next action, summed in
+    the actions' dtype (in an unsigned one the steps wrap and the sum
+    telescopes modulo its range).  A scalar belief gives a scalar."""
+    out = np.full(np.shape(beliefs), actions[0], actions.dtype)
+    for c, step in zip(cuts, np.diff(actions)):
+        out += (beliefs >= c) * step
+    return out[()]
 
 
 @dataclass(frozen=True)

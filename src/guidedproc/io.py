@@ -54,6 +54,9 @@ __all__ = [
 MODEL_FORMAT = "guidedproc-model"
 RENORM_WARN = 1e-9
 RENORM_FAIL = 1e-6
+# compare solves and streams one row per sweep point, about 30 ms each at
+# the default frame count: 10,001 rows are about 5 minutes serially
+MAX_SWEEP_POINTS = 10_001
 
 
 @dataclass(frozen=True)
@@ -68,7 +71,7 @@ class ModelDocument:
     energy_weight: float | None
     energy_budget: float | None
     grid_size: int
-    stages: tuple[tuple[FeatureModel, float, float, UncertaintyParams], ...] | None
+    stages: tuple[tuple[StageSpec, UncertaintyParams], ...] | None
     graph: DetectionGraph | None
     duty_cycle: tuple[float, float] | None  # (on_cost, off_cost) of the monolithic block
     raw: dict
@@ -138,7 +141,7 @@ def _load_pmf(values, where) -> np.ndarray:
     return arr / s
 
 
-def _load_detector(raw, where) -> tuple[FeatureModel, float, float]:
+def _load_detector(raw, where) -> StageSpec:
     if not isinstance(raw, dict):
         raise ModelFormatError(f"{where}: expected an object")
     p0 = _load_pmf(raw.get("p0"), f"{where}: p0") if "p0" in raw else None
@@ -149,7 +152,7 @@ def _load_detector(raw, where) -> tuple[FeatureModel, float, float]:
         raise ModelFormatError(f"{where}: p0 and p1 must share one alphabet")
     on = _as_float(raw, "on_cost", where)
     off = _as_float(raw, "off_cost", where, required=False, default=0.0)
-    return FeatureModel(p0=p0, p1=p1), on, off
+    return StageSpec(model=FeatureModel(p0=p0, p1=p1), on_cost=on, off_cost=off)
 
 
 def _load_uncertainty(raw, where) -> UncertaintyParams:
@@ -192,6 +195,8 @@ def parse_model_document(raw: dict) -> ModelDocument:
         )
         if not (0.0 <= sweep[0] <= sweep[1] <= 1.0 and sweep[2] >= 1):
             raise ModelFormatError("model: prior_sweep out of range")
+        if sweep[2] > MAX_SWEEP_POINTS:
+            raise ModelFormatError(f"model: prior_sweep takes at most {MAX_SWEEP_POINTS} points")
     if prior is None and sweep is None:
         raise ModelFormatError("model: needs 'prior' or 'prior_sweep'")
     if prior is not None and not 0.0 <= prior <= 1.0:
@@ -229,9 +234,8 @@ def parse_model_document(raw: dict) -> ModelDocument:
         stages = []
         for i, item in enumerate(items):
             where = f"stage {i + 1}"
-            model, on, off = _load_detector(item, where)
-            stages.append((model, on, off, _load_uncertainty(item, where)))
-        if not stages[-1][3].is_zero:
+            stages.append((_load_detector(item, where), _load_uncertainty(item, where)))
+        if not stages[-1][1].is_zero:
             raise ModelFormatError("last stage: uncertainty is not supported there")
         return ModelDocument(
             kind="cascade", miss_cost=miss, fa_cost=fa, prior=prior, prior_sweep=sweep,
@@ -251,8 +255,7 @@ def parse_model_document(raw: dict) -> ModelDocument:
         where = f"node {nid}"
         if isinstance(item, dict) and "uncertainty" in item:
             raise ModelFormatError(f"{where}: uncertainty is only supported on cascade stages")
-        model, on, off = _load_detector(item, where)
-        nodes[nid] = StageSpec(model=model, on_cost=on, off_cost=off)
+        nodes[nid] = _load_detector(item, where)
     edges_raw = raw.get("edges", [])
     if not isinstance(edges_raw, list) or not all(
         isinstance(pair, list) and len(pair) == 2 for pair in edges_raw
@@ -317,16 +320,11 @@ def build_from_document(
         energy_weight, energy_budget = doc.energy_weight, doc.energy_budget
     if energy_weight is None and energy_budget is None:
         raise ModelFormatError("model: needs energy_weight or energy_budget")
-    use_prior = doc.default_prior() if prior is None else prior
-    models = tuple(s[0] for s in doc.stages)
     return build_system(
-        models,
-        tuple(s[1] for s in doc.stages),
-        tuple(s[2] for s in doc.stages),
-        miss_cost=doc.miss_cost,
-        fa_cost=doc.fa_cost,
-        prior=use_prior,
-        uncertainties=tuple(s[3] for s in doc.stages),
+        doc.stages,
+        doc.miss_cost,
+        doc.fa_cost,
+        doc.default_prior() if prior is None else prior,
         energy_weight=energy_weight,
         energy_budget=energy_budget,
     )

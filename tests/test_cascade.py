@@ -177,9 +177,8 @@ def reachable_system(rng, energy_weight) -> SystemSpec:
     """A random cascade whose stage bounds are its reachable posterior
     intervals, so the upper ends are beliefs that frames arrive at."""
     spec = random_system(rng, energy_weight=energy_weight)
-    deployed = robustify_stages([st.model for st in spec.stages], None, spec.prior)
-    stages = tuple(replace(st, bounds=b) for st, (_, _, b) in zip(spec.stages, deployed))
-    return replace(spec, stages=stages)
+    deployed = robustify_stages([(st, UncertaintyParams()) for st in spec.stages], spec.prior)
+    return replace(spec, stages=tuple(st for st, _ in deployed))
 
 
 class TestDeployedThresholds:
@@ -567,9 +566,10 @@ class TestBuildSystem:
     def test_zero_uncertainty_keeps_models(self, rng):
         models = [random_model(rng, 8) for _ in range(2)]
         spec, bands = build_system(
-            models=models,
-            on_costs=(1.0, 20.0),
-            off_costs=(0.0, 0.5),
+            [
+                (StageSpec(model=models[0], on_cost=1.0, off_cost=0.0), UncertaintyParams()),
+                (StageSpec(model=models[1], on_cost=20.0, off_cost=0.5), UncertaintyParams()),
+            ],
             miss_cost=2.0,
             fa_cost=1.0,
             prior=0.2,
@@ -582,14 +582,14 @@ class TestBuildSystem:
         assert spec.stages[-1].bounds == BeliefInterval.full()
 
     def test_mismatched_lengths_rejected(self, rng):
-        with pytest.raises(ValueError):
+        # one (stage, uncertainty) pair: a cascade needs two
+        with pytest.raises(ValueError, match="at least 2 stages"):
             build_system(
-                models=[random_model(rng)],
-                on_costs=(1.0, 2.0),
-                off_costs=(0.0, 0.1),
+                [(StageSpec(model=random_model(rng), on_cost=1.0), UncertaintyParams())],
                 miss_cost=1.0,
                 fa_cost=1.0,
                 prior=0.1,
+                energy_weight=1e-3,
             )
 
     def test_loaded_policy_reusable_without_tables(self, rng):

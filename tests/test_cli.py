@@ -23,6 +23,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 import guidedproc
 from guidedproc import BeliefGrid, cli, io, solve
 from guidedproc.cli import COMPARE_COLUMNS, main
+from guidedproc.errors import GuidedProcError
 from guidedproc.fixtures import as_document, graph_document
 from guidedproc.models import MAX_GRID_SIZE
 
@@ -129,6 +130,16 @@ class TestRobustify:
 
     def test_graph_model_rejected(self, graph_file):
         assert main(["robustify", graph_file]) == 2
+
+    def test_zero_on_cost_exits_2(self, tmp_path, capsys):
+        # stage costs are checked as the file is parsed, as for optimize
+        raw = cascade_raw()
+        raw["stages"][0]["on_cost"] = 0.0
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["robustify", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "on_cost must be positive and finite" in err and "Traceback" not in err
 
 
 class TestCheckOptimality:
@@ -271,6 +282,24 @@ class TestCompare:
     def test_bad_sweep(self, model_file):
         assert main(["compare", model_file, "--sweep", "0.2:0.1"]) == 2
 
+    @pytest.mark.parametrize("where", ["flag", "file"])
+    def test_sweep_over_the_cap_exits_2_before_any_row(self, tmp_path, capsys, monkeypatch, where):
+        def no_rows(task):
+            raise AssertionError("a row was solved")
+
+        monkeypatch.setattr(cli, "_compare_row", no_rows)
+        raw = cascade_raw()
+        n = io.MAX_SWEEP_POINTS + 1
+        flags = ["--sweep", f"0.05:0.15:{n}"] if where == "flag" else []
+        if where == "file":
+            raw.pop("prior")
+            raw["prior_sweep"] = [0.05, 0.15, n]
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["compare", str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert f"at most {io.MAX_SWEEP_POINTS} points" in err and "Traceback" not in err
+
     def test_graph_model_rejected(self, graph_file):
         assert main(["compare", graph_file]) == 2
 
@@ -295,6 +324,7 @@ class TestExitCodes:
             (cascade_raw, lambda r: r.update(grid_size=True)),
             (cascade_raw, lambda r: r.pop("prior") and r.update(prior_sweep=[0.05, "x", 3])),
             (cascade_raw, lambda r: r.pop("prior") and r.update(prior_sweep=[0.05, 0.15, 2.5])),
+            (cascade_raw, lambda r: r.pop("prior") and r.update(prior_sweep=[0.05, 0.15, 10**6])),
             (cascade_raw, lambda r: r["stages"][0].update(p0=[0.5, "a", 0.5])),
             (cascade_raw, lambda r: r["stages"][0].update(p0="abc")),
             (graph_raw, lambda r: r.update(edges=[[1, "z"]])),
@@ -305,7 +335,8 @@ class TestExitCodes:
         ],
         ids=[
             "grid-size-string", "grid-size-null", "grid-size-fraction", "grid-size-bool",
-            "sweep-string", "sweep-count-fraction", "pmf-string-entry", "pmf-string",
+            "sweep-string", "sweep-count-fraction", "sweep-count-over-cap", "pmf-string-entry",
+            "pmf-string",
             "edge-string-id", "edges-number", "root-string", "node-number", "node-string",
         ],
     )
@@ -577,6 +608,26 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "Unable to allocate" in err and "Traceback" not in err
 
+    def test_numerical_failure_exits_4(self, model_file, capsys, monkeypatch):
+        def diverged(args):
+            raise GuidedProcError("value iteration diverged")
+
+        monkeypatch.setitem(cli._COMMANDS, "optimize", diverged)
+        assert main(["optimize", model_file]) == 4
+        err = capsys.readouterr().err
+        assert "numerical failure: value iteration diverged" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["optimize", "simulate"])
+    def test_graph_without_energy_weight_exits_2(self, tmp_path, capsys, command):
+        raw = graph_raw()
+        raw.pop("energy_weight")
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        flags = {"optimize": [], "simulate": ["--n-frames", "100"]}[command]
+        assert main([command, str(path), *flags]) == 2
+        err = capsys.readouterr().err
+        assert "graph model files need energy_weight" in err and "Traceback" not in err
+
     def test_unknown_command(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
@@ -789,7 +840,7 @@ FLAG_VALUES = {  # flag: (accepted values, refused values)
     "--sweep": (
         ["0.1:0.1:1", "0.05:0.2:3", "0:1:2"],
         ["0.2:0.1:2", "-0.1:0.2:2", "0.1:inf:2", "nan:0.2:2", "0.1:0.2:0", "0.1:0.2:1.5",
-         "0.1:0.2", "a:b:c", ""],
+         "0.1:0.2:10002", "0.1:0.2", "a:b:c", ""],
     ),
 }
 COMMAND_FLAGS = {

@@ -326,6 +326,7 @@ class TestDiamond:
             diamond_graph(), miss_cost=3.0, fa_cost=1.0, energy_weight=0.002, prior=0.1, grid=grid
         )
         b = grid.points
+        assert gp.routes[1][1].tolist() == [0, 3, 2]  # stop, node 3, node 2: not monotone
         for node, table in grid_actions(diamond_graph(), gp).items():
             for j, pi in enumerate(b.tolist()):
                 assert gp.decision_at(node, pi) == table[j]

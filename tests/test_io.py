@@ -68,9 +68,9 @@ class TestParsing:
         assert doc.prior == 0.1 and doc.prior_sweep is None
         assert doc.energy_weight == 0.01 and doc.energy_budget is None
         assert len(doc.stages) == 2
-        model0 = doc.stages[0][0]
-        np.testing.assert_allclose(model0.p0, [0.7, 0.2, 0.1])
-        assert doc.stages[1][1:3] == (20.0, 0.4)
+        (stage0, _), (stage1, _) = doc.stages
+        np.testing.assert_allclose(stage0.model.p0, [0.7, 0.2, 0.1])
+        assert (stage1.on_cost, stage1.off_cost) == (20.0, 0.4)
 
     def test_document_is_solvable(self):
         doc = io.parse_model_document(cascade_raw())
@@ -98,16 +98,16 @@ class TestParsing:
 
     def test_missing_off_cost_defaults_to_zero(self):
         doc = io.parse_model_document(cascade_raw())
-        assert doc.stages[0][2] == 0.0
+        assert doc.stages[0][0].off_cost == 0.0
 
     def test_uncertainty_block(self):
         raw = cascade_raw()
         raw["stages"][0]["uncertainty"] = {"eps0": 0.05, "nu1": 0.01}
         doc = io.parse_model_document(raw)
-        u = doc.stages[0][3]
+        u = doc.stages[0][1]
         assert (u.eps0, u.eps1, u.nu0, u.nu1) == (0.05, 0.0, 0.0, 0.01)
         assert not u.is_zero
-        assert doc.stages[1][3].is_zero
+        assert doc.stages[1][1].is_zero
 
     def test_grid_size_default_and_override(self):
         assert io.parse_model_document(cascade_raw()).grid_size == BeliefGrid().size
@@ -125,14 +125,14 @@ class TestRenormalization:
         raw["stages"][0]["p0"] = [0.7, 0.2, 0.1 + 5e-10]
         doc = io.parse_model_document(raw)
         assert len(recwarn) == 0
-        assert doc.stages[0][0].p0.sum() == pytest.approx(1.0, abs=1e-15)
+        assert doc.stages[0][0].model.p0.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_moderate_error_warns_and_renormalizes(self):
         raw = cascade_raw()
         raw["stages"][0]["p0"] = [0.7, 0.2, 0.1 + 5e-8]
         with pytest.warns(UserWarning, match="renormalizing"):
             doc = io.parse_model_document(raw)
-        assert doc.stages[0][0].p0.sum() == pytest.approx(1.0, abs=1e-15)
+        assert doc.stages[0][0].model.p0.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_large_error_is_rejected(self):
         raw = cascade_raw()
@@ -164,6 +164,8 @@ class TestValidation:
             lambda r: r["stages"][0].update(uncertainty={"eps2": 0.1}),
             lambda r: r["stages"][1].update(uncertainty={"eps0": 0.1}),
             lambda r: r.update(duty_cycle={"on_cost": 1.0, "off_cost": 2.0}),
+            lambda r: r["stages"][0].update(on_cost=0.0),  # stages are StageSpecs at parse
+            lambda r: r["stages"][1].update(off_cost=-0.5),
         ],
     )
     def test_bad_cascade_documents(self, mangle):

@@ -157,10 +157,13 @@ class TestGridAndTables:
         for n_labels in (2, 4):
             table = self.action_runs(rng, size, n_labels)
             change = np.flatnonzero(np.diff(table)) + 1
-            cuts, actions = b[change], table[np.r_[0, change]]
             ref = table[np.searchsorted(b, pis, "right") - 1]
-            assert np.array_equal(route(cuts, actions, pis), ref)
-            assert [route(cuts, actions, pi) for pi in pis[:50].tolist()] == ref[:50].tolist()
+            for dtype in (np.int64, np.uint8):  # a step down wraps in uint8
+                cuts, actions = b[change], table[np.r_[0, change]].astype(dtype)
+                got = route(cuts, actions, pis)
+                assert got.dtype == dtype and np.array_equal(got, ref)
+                scalars = [route(cuts, actions, pi) for pi in pis[:50].tolist()]
+                assert all(np.ndim(a) == 0 for a in scalars) and scalars == ref[:50].tolist()
 
     def test_route_counts_past_one_byte(self, rng):
         # 300 cut points: the count needs two bytes, and every interval has

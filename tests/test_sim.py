@@ -15,6 +15,7 @@ from guidedproc import (
     StageSpec,
     StreamConfig,
     SystemSpec,
+    UncertaintyParams,
     build_system,
     dc_risk,
     energy_equivalent_rho,
@@ -718,9 +719,10 @@ class TestBeliefBounds:
         for _ in range(12):
             spec = with_zero_masses(rng, random_system(rng, n_stages=3, energy_weight=2e-3))
             spec, _ = build_system(
-                [duplicate_columns(rng, st.model) for st in spec.stages],
-                [st.on_cost for st in spec.stages],
-                [st.off_cost for st in spec.stages],
+                [
+                    (replace(st, model=duplicate_columns(rng, st.model)), UncertaintyParams())
+                    for st in spec.stages
+                ],
                 spec.miss_cost, spec.fa_cost, spec.prior, energy_weight=spec.energy_weight,
             )
             systems.append(spec)
