@@ -55,6 +55,7 @@ from .robust import (
 __all__ = [
     "StageSpec",
     "SystemSpec",
+    "check_off_costs",
     "Policy",
     "RiskReport",
     "CascadeOptimality",
@@ -87,6 +88,13 @@ class StageSpec:
             raise ModelFormatError("off_cost must be nonnegative and finite")
 
 
+def check_off_costs(stages) -> None:
+    """Refuse a stage after the first whose off cost is not below its on cost."""
+    for k, st in enumerate(stages[1:], start=2):
+        if not st.off_cost < st.on_cost:
+            raise ModelFormatError(f"stage {k}: off_cost must be below on_cost")
+
+
 @dataclass(frozen=True)
 class SystemSpec:
     """A K-stage cascade with costs, prior, and exactly one energy knob."""
@@ -112,9 +120,7 @@ class SystemSpec:
             raise ModelFormatError("energy_weight must be finite and nonnegative")
         if self.energy_budget is not None and not math.isfinite(self.energy_budget):
             raise ModelFormatError("energy_budget must be finite")
-        for k, st in enumerate(self.stages[1:], start=1):
-            if not st.off_cost < st.on_cost:
-                raise ModelFormatError(f"stage {k + 1}: off_cost must be below on_cost")
+        check_off_costs(self.stages)
 
     @property
     def n_stages(self) -> int:

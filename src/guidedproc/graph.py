@@ -155,10 +155,17 @@ def route(cuts: np.ndarray, actions: np.ndarray, beliefs) -> np.ndarray:
     actions[0] plus, per cut passed, the step to the next action, summed in
     the actions' dtype (in an unsigned one the steps wrap and the sum
     telescopes modulo its range).  A scalar belief gives a scalar."""
-    out = np.full(np.shape(beliefs), actions[0], actions.dtype)
-    for c, step in zip(cuts, np.diff(actions)):
+    beliefs = np.asarray(beliefs)
+    if beliefs.ndim == 0:  # numpy warns when a scalar sum wraps, not an array's
+        return route(cuts, actions, beliefs.reshape(1))[0]
+    if not len(cuts):
+        return np.full(beliefs.shape, actions[0], actions.dtype)
+    steps = np.diff(actions)
+    out = (beliefs >= cuts[0]) * steps[0]
+    out += actions[0]
+    for c, step in zip(cuts[1:], steps[1:]):
         out += (beliefs >= c) * step
-    return out[()]
+    return out
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import __version__
-from .cascade import Policy, RiskReport, StageSpec, SystemSpec, build_system
+from .cascade import Policy, RiskReport, StageSpec, SystemSpec, build_system, check_off_costs
 from .errors import ModelFormatError
 from .graph import DetectionGraph, GraphPolicy, check_energy_weight
 from .models import DEFAULT_GRID_SIZE, MAX_GRID_SIZE, BeliefGrid, FeatureModel, UncertaintyParams
@@ -152,7 +152,11 @@ def _load_detector(raw, where) -> StageSpec:
         raise ModelFormatError(f"{where}: p0 and p1 must share one alphabet")
     on = _as_float(raw, "on_cost", where)
     off = _as_float(raw, "off_cost", where, required=False, default=0.0)
-    return StageSpec(model=FeatureModel(p0=p0, p1=p1), on_cost=on, off_cost=off)
+    model = FeatureModel(p0=p0, p1=p1)
+    try:
+        return StageSpec(model=model, on_cost=on, off_cost=off)
+    except ModelFormatError as exc:  # a cost out of range: say where
+        raise ModelFormatError(f"{where}: {exc}") from None
 
 
 def _load_uncertainty(raw, where) -> UncertaintyParams:
@@ -237,6 +241,7 @@ def parse_model_document(raw: dict) -> ModelDocument:
             stages.append((_load_detector(item, where), _load_uncertainty(item, where)))
         if not stages[-1][1].is_zero:
             raise ModelFormatError("last stage: uncertainty is not supported there")
+        check_off_costs([stage for stage, _ in stages])
         return ModelDocument(
             kind="cascade", miss_cost=miss, fa_cost=fa, prior=prior, prior_sweep=sweep,
             energy_weight=weight, energy_budget=budget, grid_size=grid_size,

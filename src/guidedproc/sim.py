@@ -18,27 +18,36 @@ for bit.
 Symbols come from the inverse CDF, y = searchsorted(c, u, side="right"),
 with each state's CDF c divided by its last entry so that it ends at
 exactly 1 (a float cumsum short of 1 would hand u near 1 to a zero-mass
-last symbol).  The draw goes through a guide table (Chen & Asau, 1974)
-built once per stream for each model: [0, 1) is cut into L = GUIDE_CELLS
-equal cells, and since L is a power of two, k = int(u * L) is exact and
-k/L <= u < (k+1)/L.  The draw is nondecreasing in u, so throughout cell k
-it equals lo[k] = searchsorted(c, k/L, "right") unless a CDF entry lies
-strictly inside the cell; frames in such cells (at most Q - 1 per state)
-take the binary search.  Every draw thus equals the plain binary search,
-and the variate layout is untouched.
+last symbol).  A symbol row is drawn as raw 64-bit Philox words w, the
+same stream as ``Generator.random``, which returns u = (w >> 11) * 2**-53
+of the same words.  The draw goes through a guide table (Chen & Asau,
+1974) built once per stream for each model by counting: [0, 1) is cut
+into L = GUIDE_CELLS = 2**12 equal cells, so a frame's cell k = int(u * L)
+is w >> 52 and k/L <= u < (k+1)/L.  The draw is nondecreasing in u, so
+throughout cell k it equals #{j: c_j <= k/L} = #{j: ceil(c_j L) <= k}, a
+cumulative count of ceil(c L), unless a CDF entry lies strictly inside the
+cell.  Frames in such cells (at most Q - 1 per state) take one binary
+search of their 53-bit numerator m = w >> 11, with the state bit at 2**53,
+in both states' integer CDFs ceil(c * 2**53): c_j <= m * 2**-53 exactly
+when ceil(c_j * 2**53) <= m.  Every draw thus equals the plain binary
+search on u, and the variate layout is untouched.
 
 Belief-rule cascades, graphs and adaptive mode share one walker: a cascade
 runs as its path graph (``cascade.path_graph``).  Nodes are visited root
-first in topological order.  The root holds every frame in order, so it
-reads the states and its variate row in place and updates from the one
-stream prior: ``models.posterior_update`` runs the Bayes step once per
-class and gathers.  Every later node sees only the frames routed to it
-and updates each with its class's masses.  A route returns one small
-integer per frame (0 stop, a successor id, or the declared label) with no
-branching select: the belief rule is ``graph.route`` on each node's cut
-points, and a cascade stage's one cut is its deployed threshold.  The
-stopped frames and each successor's frames become index lists (``np.flatnonzero``)
-and every per-frame array is gathered through them with ``take``, never
+first in topological order, each taking the frames its parents handed it;
+the root is handed every frame, in order, with the one stream prior.  A
+node handed that very list (tested by identity: a join node's
+concatenation can hold every frame in another order) reads the states and
+its variate row in place, and a node that hands all of its frames to one
+successor passes its list and beliefs on as they are, so a stage that
+continues every frame costs no gathers.  ``models.posterior_update`` runs
+the root's Bayes step once per class and gathers; every later node updates
+each frame with its class's masses.  A route returns one small integer per
+frame (0 stop, a successor id, or the declared label) with no branching
+select: the belief rule is ``graph.route`` on each node's cut points, and
+a cascade stage's one cut is its deployed threshold.  The stopped frames
+and each successor's frames become index lists (``np.flatnonzero``) and
+every per-frame array is gathered through them with ``take``, never
 through a boolean mask: frames arrive in random order, so a mask is a
 random bit pattern and masked selection pays a branch miss per frame.
 Energy is a scatter-add through the same lists.  Adaptive mode routes a
@@ -145,39 +154,46 @@ def _chunks(n_frames: int):
         yield c, min(CHUNK_FRAMES, n_frames - start)
 
 
-GUIDE_CELLS = 1 << 12  # a power of two, so u * GUIDE_CELLS is exact
+GUIDE_CELLS = 1 << 12  # a raw word's top 12 bits: its cell int(u * GUIDE_CELLS)
 
 
 class _SymbolSampler:
-    """Exact inverse-CDF symbol draws for one feature model, by guide table
-    (see the module docstring)."""
+    """Exact inverse-CDF symbol draws for one feature model, from raw
+    64-bit Philox words, by guide table (see the module docstring)."""
 
     def __init__(self, model: FeatureModel):
-        edges = np.arange(GUIDE_CELLS + 1) / GUIDE_CELLS
-        self._cdfs, lo, ambiguous = [], [], []
-        for p in (model.p0, model.p1):
-            c = np.cumsum(p)
-            c = c / c[-1]
-            first = np.searchsorted(c, edges[:-1], side="right")
-            self._cdfs.append(c)
-            lo.append(first)
-            # a CDF entry strictly inside the cell: the draw is not constant
-            ambiguous.append(first != np.searchsorted(c, edges[1:], side="left"))
-        # one table for both states: state x owns cells x*L .. x*L + L - 1
-        self._lo = np.concatenate(lo)
-        self._ambiguous = np.concatenate(ambiguous)
+        L, q = GUIDE_CELLS, model.alphabet_size
+        c = np.cumsum([model.p0, model.p1], axis=1)
+        c /= c[:, -1:]
+        scaled = c * L  # exact: L is a power of two
+        top = np.ceil(scaled)
+        # cell k draws #{j: c_j <= k/L} = #{j: ceil(c_j L) <= k} unless a CDF
+        # entry lies strictly inside it, k < c_j L < k + 1; counted per state
+        # over L + 1 bins (ceil(c_j L) reaches L), state 1's after state 0's
+        cells = top.astype(np.intp) + [[0], [L + 1]]
+        counts = np.cumsum(np.bincount(cells.ravel(), minlength=2 * (L + 1)))
+        table = counts.reshape(2, L + 1) - [[0], [q]]
+        table.ravel()[cells[top != scaled] - 1] = -1  # ambiguous: search
+        self._q = q
+        self._table = table[:, :L].T.ravel()  # entry 2k + x: state x, cell k
+        # c_j <= m * 2**-53 exactly when ceil(c_j * 2**53) <= m; state 1's
+        # keys sit above every state-0 key, past the state bit 2**53
+        keys = np.ceil(c * 2.0**53).astype(np.uint64) + np.array([[0], [1 << 53]], np.uint64)
+        self._keys = keys.ravel()
 
-    def __call__(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """One symbol per frame, from p1 where x is set and p0 elsewhere."""
-        cell = (u * GUIDE_CELLS).astype(np.intp)
-        cell += x * GUIDE_CELLS
-        y = self._lo.take(cell)
-        hard = np.flatnonzero(self._ambiguous.take(cell))
+    def __call__(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """One symbol per frame from its raw word, from p1 where x is set
+        and p0 elsewhere."""
+        entry = w >> 52
+        entry <<= 1
+        entry |= x
+        y = self._table.take(entry.view(np.intp))
+        hard = np.flatnonzero(y < 0)
         if hard.size:
-            c0, c1 = self._cdfs
-            uh = u.take(hard)
-            y0 = np.searchsorted(c0, uh, side="right")
-            y[hard] = np.where(x.take(hard), np.searchsorted(c1, uh, side="right"), y0)
+            xh = x.take(hard)
+            key = w.take(hard) >> 11  # the uniform's 53-bit numerator
+            key |= xh.astype(np.uint64) << 53
+            y[hard] = np.searchsorted(self._keys, key, side="right") - xh * self._q
         return y
 
 
@@ -302,22 +318,24 @@ def _walk(
     for c, count in _chunks(skip + config.n_frames):
         gen = _generator(config.seed, c)
         x = gen.random(count) < prior
-        u = gen.random((len(row), count))
+        words = gen.bit_generator.random_raw((len(row), count))
         declared = np.zeros(count, dtype=bool)
-        energy = np.full(count, graph.nodes[graph.root].on_cost)
+        energy = np.zeros(count)
+        every = np.arange(count)
         # frontier[node]: (frame indices, beliefs) handed over by each parent
-        frontier = {}
+        frontier = {graph.root: [(every, prior)]}
         for nid in topo:
-            node, ur = graph.nodes[nid], u[row[nid]]
-            if nid == graph.root:  # every frame, in order: read in place
-                idx, pi = np.arange(count), prior
-                y = sampler[nid](x, ur)
-            elif nid in frontier:
-                idx, pi = (np.concatenate(a) for a in zip(*frontier.pop(nid)))
-                np.add.at(energy, idx, node.on_cost)
-                y = sampler[nid](x.take(idx), ur.take(idx))
-            else:
+            if nid not in frontier:
                 continue
+            parts = frontier.pop(nid)
+            idx, pi = parts[0] if len(parts) == 1 else (np.concatenate(a) for a in zip(*parts))
+            node, w = graph.nodes[nid], words[row[nid]]
+            if idx is every:  # every frame, in order: read in place
+                energy += node.on_cost
+                y = sampler[nid](x, w)
+            else:
+                np.add.at(energy, idx, node.on_cost)
+                y = sampler[nid](x.take(idx), w.take(idx))
             pi = posterior_update(pi, node.model, y)
             action = route(nid, idx, pi, y)
             if graph.is_terminal(nid):
@@ -326,7 +344,10 @@ def _walk(
             np.add.at(energy, idx.take(np.flatnonzero(action == 0)), dstop[nid])
             for s in graph.successors(nid):
                 go = np.flatnonzero(action == s)
-                frontier.setdefault(s, []).append((idx.take(go), pi.take(go)))
+                # a successor taking all of the frames takes the lists as they are
+                frontier.setdefault(s, []).append(
+                    (idx, pi) if go.size == idx.size else (idx.take(go), pi.take(go))
+                )
             del go  # the hand-offs hold the frames now
         first = max(skip - c * CHUNK_FRAMES, 0)  # chunk index of the first reported frame
         if first < count:
@@ -392,7 +413,7 @@ def _simulate_duty_cycle(config: StreamConfig, dc_spec: DutyCycleSpec) -> SimRep
         gen = _generator(config.seed, c)
         x = gen.random(count) < prior
         on = gen.random(count) < dc_spec.rho
-        y = sample(x, gen.random(count))
+        y = sample(x, gen.bit_generator.random_raw(count))
         declared = on & positive.take(y)
         energy = np.where(on, dc_spec.on_cost, dc_spec.off_cost)
         acc.add(x, declared, energy)

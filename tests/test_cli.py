@@ -370,6 +370,44 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["robustify"], ["optimize"], ["check-optimality"], ["simulate", "--n-frames", "100"],
+         ["compare", "--n-frames", "100"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_idle_cost_above_on_cost_exits_2_in_every_command(self, tmp_path, capsys, argv):
+        raw = cascade_raw()
+        raw["stages"][1]["off_cost"] = 1e6
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main([argv[0], str(path), *argv[1:]]) == 2
+        captured = capsys.readouterr()
+        assert "stage 2: off_cost must be below on_cost" in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "make, where, mangle, message",
+        [
+            (cascade_raw, "stage 2", lambda r: r["stages"][1].update(on_cost=0.0),
+             "on_cost must be positive and finite"),
+            (cascade_raw, "stage 1", lambda r: r["stages"][0].update(off_cost=-1.0),
+             "off_cost must be nonnegative and finite"),
+            (graph_raw, "node 2", lambda r: r["nodes"]["2"].update(on_cost=-5.0),
+             "on_cost must be positive and finite"),
+            (graph_raw, "node 2", lambda r: r["nodes"]["2"].update(off_cost=-0.1),
+             "off_cost must be nonnegative and finite"),
+        ],
+        ids=["cascade-on-cost", "cascade-off-cost", "graph-on-cost", "graph-off-cost"],
+    )
+    def test_cost_errors_name_their_stage_or_node(self, tmp_path, capsys, make, where, mangle, message):
+        raw = make()
+        mangle(raw)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["optimize", str(path)]) == 2
+        assert f"{where}: {message}" in capsys.readouterr().err
+
     def test_non_finite_budget_flag_exits_2(self, model_file, capsys):
         assert main(["optimize", model_file, "--energy-budget", "nan"]) == 2
         assert "energy_budget" in capsys.readouterr().err

@@ -354,6 +354,27 @@ class TestStreamContract:
         # the stream stops at, and leaves through, every internal node
         assert {(1, 0), (1, 2), (1, 3), (2, 0), (2, 4), (3, 0), (3, 4)} <= actions
 
+    def test_join_node_holding_every_frame_matches_scalar_replay(self):
+        # The root splits the frames between nodes 2 and 3 and both hand all
+        # of theirs to node 4, which thus holds every frame of a chunk, but in
+        # the order of its parents' lists, not in frame order.
+        g = diamond_graph()
+        gp = solve_graph(g, miss_cost=3.0, fa_cost=1.0, energy_weight=0.02, prior=0.1)
+        none, u8 = np.array([]), np.uint8
+        routes = {
+            **gp.routes,
+            1: (np.array([0.3]), np.array([2, 3], u8)),
+            2: (none, np.array([4], u8)),
+            3: (none, np.array([4], u8)),
+        }
+        policy = replace(gp, routes=routes)
+        n = CHUNK_FRAMES + 701
+        report = simulate(StreamConfig(system=g, n_frames=n, seed=6, prior=0.3), policy)
+        counts, mean_e, actions = oracle_graph_stream(g, policy, n, 6, 0.3)
+        assert_counts_match(report, counts, mean_e)
+        assert {(1, 2), (1, 3), (2, 4), (3, 4)} <= actions
+        assert not {(1, 0), (2, 0), (3, 0)} & actions
+
     @pytest.mark.parametrize(
         "system, mu, burn_in, n_frames",
         [
@@ -412,14 +433,20 @@ class TestStreamContract:
     def test_short_cdf_never_draws_a_zero_mass_tail_symbol(self):
         # The float cumsum of ten 0.1 masses ends at 0.9999999999999999, so
         # a uniform just below 1 lies past it; the zero-mass symbol 10 must
-        # still never be drawn.
+        # still never be drawn.  The last word, 2**64 - 1, is that uniform.
         p = [0.1] * 10 + [0.0]
         model = FeatureModel(p0=p, p1=p[::-1])
         assert np.cumsum(model.p0)[-1] < 1.0
-        u = np.array([0.0, 0.55, 0.95, np.nextafter(1.0, 0.0)])
-        y = _SymbolSampler(model)(np.zeros(u.size, dtype=bool), u)
+        w = np.array([0, int(0.55 * 2**64), int(0.95 * 2**64), 2**64 - 1], dtype=np.uint64)
+        assert uniforms(w)[-1] == np.nextafter(1.0, 0.0)
+        y = _SymbolSampler(model)(np.zeros(w.size, dtype=bool), w)
         assert y.tolist() == [0, 5, 9, 9]
         assert np.all(model.p0[y] > 0.0)
+
+
+def uniforms(words):
+    """The doubles Generator.random makes of raw Philox words."""
+    return (words >> np.uint64(11)) * 2.0**-53
 
 
 @st.composite
@@ -446,28 +473,38 @@ def sampler_pmfs(draw):
 
 class TestSymbolSampler:
     @settings(max_examples=150, deadline=None)
-    @given(sampler_pmfs(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=64))
+    @given(sampler_pmfs(), st.lists(st.integers(0, 2**64 - 1), max_size=64))
     def test_guide_table_matches_binary_search(self, model, randoms):
         cdf = [np.array(c) for c in cdfs(model)]
-        below_one = np.nextafter(1.0, 0.0)
-        edges = np.arange(GUIDE_CELLS) / GUIDE_CELLS
-        u = np.concatenate(
-            [[0.0, below_one], edges, np.nextafter(edges + 1.0 / GUIDE_CELLS, 0.0), randoms]
-            + [np.concatenate([c, np.nextafter(c, 0.0), np.nextafter(c, 1.0)]) for c in cdf]
-        )
-        u = u[u < 1.0]
-        want = [np.searchsorted(c, u, side="right") for c in cdf]
+        low_bits = np.uint64((1 << 52) - 1)  # a word's bits below its guide cell
+        first = np.arange(GUIDE_CELLS, dtype=np.uint64) << np.uint64(52)
+        # K_j = ceil(c_j * 2**53) is the least 53-bit numerator whose uniform
+        # reaches c_j; K_j - 1 is the greatest below it
+        keys = np.concatenate([np.ceil(c * 2.0**53) for c in cdf]).astype(np.uint64)
+        near = np.concatenate([keys - np.uint64(1), keys])
+        near = near[near < np.uint64(1 << 53)] << np.uint64(11)
+        w = np.concatenate([
+            np.array([0, 2**64 - 1] + randoms, dtype=np.uint64),
+            first, first | low_bits, near, near | np.uint64(2**11 - 1),
+        ])
+        want = [np.searchsorted(c, uniforms(w), side="right") for c in cdf]
         sample = _SymbolSampler(model)
         for state, p in enumerate((model.p0, model.p1)):
-            y = sample(np.full(u.size, bool(state)), u)
+            y = sample(np.full(w.size, bool(state)), w)
             assert np.array_equal(y, want[state])
             assert np.all(p[y] > 0.0)
         # mixed states in one call: each frame draws from its own state's CDF
-        x = np.arange(u.size) % 3 == 0
-        assert np.array_equal(sample(x, u), np.where(x, want[1], want[0]))
+        x = np.arange(w.size) % 3 == 0
+        assert np.array_equal(sample(x, w), np.where(x, want[1], want[0]))
+        # the counted table is the searched one: entry 2k + x holds state x's
+        # draw throughout cell k, or -1 where a CDF entry lies strictly inside
+        edges = np.arange(GUIDE_CELLS + 1) / GUIDE_CELLS
+        lo = np.array([np.searchsorted(c, edges[:-1], side="right") for c in cdf])
+        ambiguous = lo != [np.searchsorted(c, edges[1:], side="left") for c in cdf]
+        assert np.array_equal(sample._table, np.where(ambiguous, -1, lo).T.ravel())
         # only cells holding a CDF entry strictly inside need the binary search
-        ambiguous = sample._ambiguous.reshape(2, GUIDE_CELLS)
-        assert np.all(ambiguous.sum(axis=1) <= model.alphabet_size - 1)
+        searched = (sample._table.reshape(GUIDE_CELLS, 2) < 0).sum(axis=0)
+        assert np.all(searched <= model.alphabet_size - 1)
 
 
 class TestDeterminism:
@@ -505,12 +542,11 @@ class TestDeterminism:
         assert a.n_frames == 30_000
 
 
-def golden_streams():
-    """The pinned streams, each 2 * CHUNK_FRAMES + 700 frames: the reference
-    monitor at two priors, the diamond (node 4 takes both parents' frames),
-    the real duty cycler, and an adaptive trigger stream whose burn-in
-    crosses a chunk edge."""
-    n = 2 * CHUNK_FRAMES + 700
+def golden_streams(n=2 * CHUNK_FRAMES + 700):
+    """The pinned streams, each of n frames: the reference monitor at two
+    priors, the diamond (node 4 takes both parents' frames), the real duty
+    cycler, and an adaptive trigger stream whose burn-in crosses a chunk
+    edge."""
     for prior in (0.05, 0.25):
         spec, _ = monitoring_system(prior=prior)
         yield f"monitor-{prior}", StreamConfig(system=spec, n_frames=n, seed=21), solve(spec)
@@ -627,12 +663,105 @@ class TestGoldenReports:
         },
     }
 
+    # The same streams at 2 * CHUNK_FRAMES + 703 frames, not a multiple of 4:
+    # Philox yields its 64-bit words four at a time, so every row after
+    # the first starts inside a block of four.
+    GOLDEN_ODD = {
+        "monitor-0.05": {
+            "n_frames": 131775,
+            "n_target": 6776,
+            "miss_count": 3042,
+            "fa_count": 130,
+            "energy": "0x1.f2cc00cef0287p+4",
+            "energy_se": "0x1.781a2e846d6dbp-3",
+            "empirical_risk": "0x1.9f661e2544dcfp-4",
+            "risk_se": "0x1.47d59634f3f4bp-10",
+            "miss_rate": "0x1.cbb640ae17933p-2",
+            "miss_rate_se": "0x1.8bfdfeb674eb0p-8",
+            "fa_rate": "0x1.10a1c6e3967e9p-10",
+            "fa_rate_se": "0x1.7e6229eb56905p-14",
+            "final_eta": None,
+            "rate_errors": None,
+        },
+        "monitor-0.25": {
+            "n_frames": 131775,
+            "n_target": 33061,
+            "miss_count": 2255,
+            "fa_count": 744,
+            "energy": "0x1.1acaa0c4dde5dp+7",
+            "energy_se": "0x1.1ffa2aa3e8979p-2",
+            "empirical_risk": "0x1.9647dc8a8f319p-3",
+            "risk_se": "0x1.1e1c7b8ece210p-10",
+            "miss_rate": "0x1.17607d219129bp-4",
+            "miss_rate_se": "0x1.6b75d04508a6fp-10",
+            "fa_rate": "0x1.edf09dc239f4dp-8",
+            "fa_rate_se": "0x1.20a54049597a0p-12",
+            "final_eta": None,
+            "rate_errors": None,
+        },
+        "diamond": {
+            "n_frames": 131775,
+            "n_target": 39842,
+            "miss_count": 2080,
+            "fa_count": 3724,
+            "energy": "0x1.69f035ae4b2fcp+5",
+            "energy_se": "0x1.489389da8cc39p-4",
+            "empirical_risk": "0x1.542b5a816c728p-3",
+            "risk_se": "0x1.2984c00a16226p-10",
+            "miss_rate": "0x1.abac5e0423506p-5",
+            "miss_rate_se": "0x1.242336a665afap-10",
+            "fa_rate": "0x1.4bd6eea3463e1p-5",
+            "fa_rate_se": "0x1.54e5cecf1ee2bp-11",
+            "final_eta": None,
+            "rate_errors": None,
+        },
+        "real-duty": {
+            "n_frames": 131775,
+            "n_target": 13159,
+            "miss_count": 6554,
+            "fa_count": 365,
+            "energy": "0x1.d0591dcf17465p+6",
+            "energy_se": "0x1.36849c1037be3p-2",
+            "empirical_risk": "0x1.127fd5ef64e74p-2",
+            "risk_se": "0x1.cd58b000f87d7p-10",
+            "miss_rate": "0x1.fe0401f20821cp-2",
+            "miss_rate_se": "0x1.1da6919023406p-8",
+            "fa_rate": "0x1.93543d65ada46p-9",
+            "fa_rate_se": "0x1.51425cb4cdeecp-13",
+            "final_eta": None,
+            "rate_errors": None,
+        },
+        "adaptive-trigger": {
+            "n_frames": 131775,
+            "n_target": 26293,
+            "miss_count": 7289,
+            "fa_count": 8823,
+            "energy": "0x1.03b244baa1befp+3",
+            "energy_se": "0x1.eaef2ff92c70ep-6",
+            "empirical_risk": "0x1.1809b5b53f149p-2",
+            "risk_se": "0x1.040dc5e3b06d7p-9",
+            "miss_rate": "0x1.1be01a7bac127p-2",
+            "miss_rate_se": "0x1.69d4d3c4cea68p-9",
+            "fa_rate": "0x1.569bb91d0f733p-4",
+            "fa_rate_se": "0x1.beec04142c65bp-11",
+            "final_eta": ("0x1.8f2009db192e6p+1", "0x1.28d5c881b8753p+2"),
+            "rate_errors": ("0x1.5e1f441208000p-16", "0x1.1f8a511d2e300p-9"),
+        },
+    }
+
     def test_reports_match_the_pins(self):
         got = {}
         for name, cfg, policy in golden_streams():
             report = simulate(cfg, policy)
             got[name] = {f.name: pinned(getattr(report, f.name)) for f in fields(report)}
         assert got == self.GOLDEN
+
+    def test_reports_at_an_odd_frame_count_match_the_pins(self):
+        got = {}
+        for name, cfg, policy in golden_streams(2 * CHUNK_FRAMES + 703):
+            report = simulate(cfg, policy)
+            got[name] = {f.name: pinned(getattr(report, f.name)) for f in fields(report)}
+        assert got == self.GOLDEN_ODD
 
 
 class TestReportInternals:
