@@ -403,7 +403,12 @@ def check_cascade_optimality(spec: SystemSpec, policy: Policy) -> CascadeOptimal
     (paying the false-alarm risk plus the idle tail).  If that belief exceeds
     the stage's admissible upper bound, no reachable belief prefers the
     early positive, so the censoring-only cascade is already optimal there.
+    Needs a solved policy: one loaded from a file carries no value tables.
     """
+    if len(policy.value_tables) != spec.n_stages:
+        raise ModelFormatError(
+            "the optimality check needs a solved policy, with one value table per stage"
+        )
     lam = policy.energy_weight
     b = policy.grid.points
     dstop = downstream_off_costs(path_graph(spec))
@@ -432,7 +437,7 @@ def robustify_stages(stages, prior: float) -> list[tuple[StageSpec, RobustBand]]
         raise ModelFormatError("the last stage is exact; its uncertainty must be zero")
 
     out = []
-    interval = BeliefInterval.point(prior)
+    interval = BeliefInterval(prior, prior)
     for stage, u in front:
         deployed, band = least_favorable(stage.model, u)
         # Bounds must track the deployed (renormalized) model, not the
@@ -440,7 +445,7 @@ def robustify_stages(stages, prior: float) -> list[tuple[StageSpec, RobustBand]]
         # exactly, and the band drifts by the normalization residual.
         interval = model_posterior_bounds(interval, deployed)
         out.append((replace(stage, model=deployed, bounds=interval), band))
-    full = replace(last, bounds=BeliefInterval.full())
+    full = replace(last, bounds=BeliefInterval(0.0, 1.0))
     out.append((full, solve_band(last.model, UncertaintyParams())))
     return out
 

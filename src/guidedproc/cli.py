@@ -142,8 +142,7 @@ def _solve_document(doc, prior, grid, energy_weight=None, energy_budget=None):
         doc, prior=prior, energy_weight=energy_weight, energy_budget=energy_budget
     )
     if spec.energy_budget is not None:
-        lam, policy = calibrate_lambda(spec, grid)
-        spec = replace(spec, energy_weight=lam, energy_budget=None)
+        _, policy = calibrate_lambda(spec, grid)
     else:
         policy = solve(spec, grid)
     return spec, bands, policy

@@ -75,11 +75,12 @@ def _bin_masses(cuts: np.ndarray) -> np.ndarray:
     return np.maximum(mass, np.finfo(np.float64).tiny)
 
 
-def binned_gaussian_model(shift: float, n_symbols: int = 100, width: float = 8.0) -> FeatureModel:
+def binned_gaussian_model(shift: float, n_symbols: int = 100) -> FeatureModel:
     """Unit-variance Gaussian pair (means 0 and shift) quantized to
-    n_symbols equal-width bins; the outermost bins absorb the tails, so the
-    masses are exactly normalized and every symbol keeps positive mass."""
-    cuts = np.linspace(-width / 2.0, shift + width / 2.0, n_symbols - 1)
+    n_symbols equal-width bins over [-4, shift + 4]; the outermost bins
+    absorb the tails, so the masses are exactly normalized and every symbol
+    keeps positive mass."""
+    cuts = np.linspace(-4.0, shift + 4.0, n_symbols - 1)
     p0 = _bin_masses(cuts)
     p1 = _bin_masses(cuts - shift)
     return FeatureModel(p0=p0 / p0.sum(), p1=p1 / p1.sum())
@@ -90,11 +91,11 @@ def detector_suite(n_symbols: int = 100) -> tuple[FeatureModel, ...]:
     return tuple(binned_gaussian_model(s, n_symbols) for s in _SHIFTS)
 
 
-def _reference_stages(n_symbols: int, truncated: bool) -> tuple[StageSpec, ...]:
+def _reference_stages(truncated: bool) -> tuple[StageSpec, ...]:
     """The reference cascade's nominal stages; truncated fuses the feature
     stage and the classifier into the duty cycler's heavy block (see
-    ``monitoring_system``)."""
-    models, on_costs, off_costs = detector_suite(n_symbols), STAGE_ON_MJ, STAGE_OFF_MJ
+    ``as_document``)."""
+    models, on_costs, off_costs = detector_suite(), STAGE_ON_MJ, STAGE_OFF_MJ
     if truncated:
         models = (models[0], models[2])
         on_costs, off_costs = (STAGE_ON_MJ[0], DUTY_ON_MJ), (STAGE_OFF_MJ[0], DUTY_OFF_MJ)
@@ -104,33 +105,20 @@ def _reference_stages(n_symbols: int, truncated: bool) -> tuple[StageSpec, ...]:
     )
 
 
-def monitoring_system(
-    prior: float = 0.10,
-    energy_weight: float | None = DEFAULT_ENERGY_WEIGHT,
-    energy_budget: float | None = None,
-    model_uncertainty: float = DEFAULT_UNCERTAINTY,
-    n_symbols: int = 100,
-    truncated: bool = False,
-):
+def monitoring_system(prior: float = 0.10, energy_weight: float = DEFAULT_ENERGY_WEIGHT):
     """The reference cascade; returns (SystemSpec, robustness bands).
 
-    truncated=True drops the intermediate censoring stage: the wake
-    detector hands off directly to the full heavy block (feature stage and
-    classifier powered together, classifier-grade separation), which is
-    exactly what the duty-cycled hardware would run.  Intermediate stages
-    carry symmetric contamination/perturbation mass model_uncertainty; the
-    final stage stays exact.
+    Intermediate stages carry symmetric contamination/perturbation mass
+    DEFAULT_UNCERTAINTY; the final stage stays exact.
     """
-    *front, last = _reference_stages(n_symbols, truncated)
-    u = model_uncertainty
+    *front, last = _reference_stages(truncated=False)
+    u = DEFAULT_UNCERTAINTY
     mid = UncertaintyParams(u, u, u, u)
     stages = [(st, mid) for st in front] + [(last, UncertaintyParams())]
-    return build_system(
-        stages, 3.0, 1.0, prior, energy_weight=energy_weight, energy_budget=energy_budget
-    )
+    return build_system(stages, 3.0, 1.0, prior, energy_weight=energy_weight)
 
 
-def trigger_system(prior: float = 0.2, energy_weight: float = 5e-3) -> SystemSpec:
+def trigger_system() -> SystemSpec:
     """Two stages: a coarse wake trigger ahead of a 12-symbol detector.
 
     The reference system for exercising the runtime adaptation loop, shaped
@@ -161,20 +149,22 @@ def trigger_system(prior: float = 0.2, energy_weight: float = 5e-3) -> SystemSpe
         ),
         miss_cost=3.0,
         fa_cost=1.0,
-        prior=prior,
-        energy_weight=energy_weight,
+        prior=0.2,
+        energy_weight=5e-3,
     )
 
 
-def as_document(
-    prior_sweep: tuple[float, float, int] = (0.05, 0.15, 11),
-    energy_weight: float = DEFAULT_ENERGY_WEIGHT,
-    model_uncertainty: float = DEFAULT_UNCERTAINTY,
-    n_symbols: int = 100,
-    truncated: bool = False,
-) -> dict:
-    """The reference cascade as a model-file dict (ready to serialize)."""
-    nominal = _reference_stages(n_symbols, truncated)
+def as_document(model_uncertainty: float = DEFAULT_UNCERTAINTY, truncated: bool = False) -> dict:
+    """The reference cascade as a model-file dict (ready to serialize).
+
+    truncated=True drops the intermediate censoring stage: the wake
+    detector hands off directly to the full heavy block (feature stage and
+    classifier powered together, classifier-grade separation), which is
+    exactly what the duty-cycled hardware would run.  Intermediate stages
+    carry symmetric contamination/perturbation mass model_uncertainty; the
+    final stage stays exact.
+    """
+    nominal = _reference_stages(truncated)
     u = model_uncertainty
     stages = []
     for i, st in enumerate(nominal):
@@ -191,16 +181,16 @@ def as_document(
         "format": "guidedproc-model",
         "miss_cost": 3.0,
         "fa_cost": 1.0,
-        "prior_sweep": list(prior_sweep),
-        "energy_weight": energy_weight,
+        "prior_sweep": [0.05, 0.15, 11],
+        "energy_weight": DEFAULT_ENERGY_WEIGHT,
         "duty_cycle": {"on_cost": DUTY_ON_MJ, "off_cost": DUTY_OFF_MJ},
         "stages": stages,
     }
 
 
-def graph_document(n_symbols: int = 40, energy_weight: float = 0.002, prior: float = 0.1) -> dict:
+def graph_document() -> dict:
     """The diamond graph as a model-file dict."""
-    g = diamond_graph(n_symbols)
+    g = diamond_graph()
     nodes = {
         str(i): {
             "p0": st.model.p0.tolist(),
@@ -215,21 +205,22 @@ def graph_document(n_symbols: int = 40, energy_weight: float = 0.002, prior: flo
         "format": "guidedproc-model",
         "miss_cost": 3.0,
         "fa_cost": 1.0,
-        "prior": prior,
-        "energy_weight": energy_weight,
+        "prior": 0.1,
+        "energy_weight": 0.002,
         "nodes": nodes,
         "edges": edges,
         "root": g.root,
     }
 
 
-def diamond_graph(n_symbols: int = 40) -> DetectionGraph:
+def diamond_graph() -> DetectionGraph:
     """Small shared-sink DAG: the wake node may route to either of two
-    mid-grade detectors, both feeding the same terminal classifier."""
-    wake = binned_gaussian_model(0.9, n_symbols)
-    left = binned_gaussian_model(1.6, n_symbols)
-    right = binned_gaussian_model(2.0, n_symbols)
-    final = binned_gaussian_model(2.8, n_symbols)
+    mid-grade detectors, both feeding the same terminal classifier; every
+    detector has 40 symbols."""
+    wake = binned_gaussian_model(0.9, 40)
+    left = binned_gaussian_model(1.6, 40)
+    right = binned_gaussian_model(2.0, 40)
+    final = binned_gaussian_model(2.8, 40)
     nodes = {
         1: StageSpec(model=wake, on_cost=1.0, off_cost=0.0),
         2: StageSpec(model=left, on_cost=6.0, off_cost=0.02),

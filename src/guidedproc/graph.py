@@ -156,16 +156,10 @@ def route(cuts: np.ndarray, actions: np.ndarray, beliefs) -> np.ndarray:
     the actions' dtype (in an unsigned one the steps wrap and the sum
     telescopes modulo its range).  A scalar belief gives a scalar."""
     beliefs = np.asarray(beliefs)
-    if beliefs.ndim == 0:  # numpy warns when a scalar sum wraps, not an array's
-        return route(cuts, actions, beliefs.reshape(1))[0]
-    if not len(cuts):
-        return np.full(beliefs.shape, actions[0], actions.dtype)
-    steps = np.diff(actions)
-    out = (beliefs >= cuts[0]) * steps[0]
-    out += actions[0]
-    for c, step in zip(cuts[1:], steps[1:]):
+    out = np.full(beliefs.shape, actions[0], actions.dtype)
+    for c, step in zip(cuts, np.diff(actions)):
         out += (beliefs >= c) * step
-    return out
+    return out[()]
 
 
 @dataclass(frozen=True)

@@ -85,54 +85,6 @@ class BeliefInterval:
         if not (0.0 <= self.lo <= self.hi <= 1.0):
             raise ModelFormatError(f"invalid belief interval [{self.lo}, {self.hi}]")
 
-    @staticmethod
-    def point(pi: float) -> "BeliefInterval":
-        return BeliefInterval(pi, pi)
-
-    @staticmethod
-    def full() -> "BeliefInterval":
-        return BeliefInterval(0.0, 1.0)
-
-
-class _BandProblem:
-    """Pooling transform of one nominal model at candidate band ends."""
-
-    def __init__(self, model: FeatureModel, u: UncertaintyParams):
-        self.model = model
-        self.u = u
-        self.r = model.ratios()
-        # Pooling coefficients.  v_lo/w_lo shape the low pool, v_hi/w_hi the
-        # high pool; a zero coefficient pair means that pool cannot exist.
-        self.v_lo = (u.eps1 + u.nu1) / (1.0 - u.eps1)
-        self.w_lo = u.nu0 / (1.0 - u.eps0)
-        self.v_hi = (u.eps0 + u.nu0) / (1.0 - u.eps0)
-        self.w_hi = u.nu1 / (1.0 - u.eps1)
-
-    def transform(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        """Least-favorable PMF pair before renormalization."""
-        p0, p1, r = self.model.p0, self.model.p1, self.r
-        q0 = (1.0 - self.u.eps0) * p0
-        q1 = (1.0 - self.u.eps1) * p1
-
-        low = r < lo
-        pooled = self.v_lo * p0[low] + self.w_lo * p1[low]
-        denom = self.v_lo + self.w_lo * lo
-        q0[low] = (1.0 - self.u.eps0) * pooled / denom
-        q1[low] = (1.0 - self.u.eps1) * lo * pooled / denom
-
-        high = r > hi  # empty whenever hi is infinite
-        pooled = self.w_hi * p0[high] + self.v_hi * p1[high]
-        denom = self.w_hi + self.v_hi * hi
-        q0[high] = (1.0 - self.u.eps0) * pooled / denom
-        q1[high] = (1.0 - self.u.eps1) * hi * pooled / denom
-        # an end at ratio 0 or inf with v = 0 (the other state exact) pools
-        # the symbols at that ratio, which shed w of their mass
-        if lo == 0.0 and self.w_lo > 0.0:
-            q0[r == 0.0] *= 1.0 - self.w_lo / p0[r == 0.0].sum()
-        if hi == math.inf and self.w_hi > 0.0:
-            q1[r == math.inf] *= 1.0 - self.w_hi / p1[r == math.inf].sum()
-        return q0, q1
-
 
 def _low_end(p0: np.ndarray, p1: np.ndarray, v: float, w: float) -> float:
     """Root lo of lo * P0(r < lo) - P1(r < lo) = v + w * lo, r = p1 / p0.
@@ -161,16 +113,22 @@ def _low_end(p0: np.ndarray, p1: np.ndarray, v: float, w: float) -> float:
 def _band_and_pair(model: FeatureModel, u: UncertaintyParams):
     """The band, with its least-favorable pair before renormalization (None
     with zero uncertainty, where the model is its own least-favorable pair)."""
-    prob = _BandProblem(model, u)
-    r_min = float(prob.r.min())
-    r_max = float(prob.r.max())
+    r = model.ratios()
+    r_min = float(r.min())
+    r_max = float(r.max())
     if u.is_zero:
         return RobustBand(r_min, r_max), None
     p0, p1 = model.p0, model.p1
-    lo = _low_end(p0, p1, prob.v_lo, prob.w_lo) if prob.v_lo or prob.w_lo else r_min
+    # Pooling coefficients.  v_lo/w_lo shape the low pool, v_hi/w_hi the
+    # high pool; a zero coefficient pair means that pool cannot exist.
+    v_lo = (u.eps1 + u.nu1) / (1.0 - u.eps1)
+    w_lo = u.nu0 / (1.0 - u.eps0)
+    v_hi = (u.eps0 + u.nu0) / (1.0 - u.eps0)
+    w_hi = u.nu1 / (1.0 - u.eps1)
+    lo = _low_end(p0, p1, v_lo, w_lo) if v_lo or w_lo else r_min
     # the high end is the low end of the state-swapped model, in 1 / ratio,
     # where an end at 0 is an infinite high end
-    t = _low_end(p1, p0, prob.v_hi, prob.w_hi) if prob.v_hi or prob.w_hi else None
+    t = _low_end(p1, p0, v_hi, w_hi) if v_hi or w_hi else None
     hi = r_max if t is None else 1.0 / t if t > 0.0 else math.inf
 
     # the deployed ratios are s * clip(r, lo, hi); a band that cannot put
@@ -178,7 +136,27 @@ def _band_and_pair(model: FeatureModel, u: UncertaintyParams):
     s = (1.0 - u.eps1) / (1.0 - u.eps0)
     if not lo * s <= 1.0 <= hi * s:
         raise InfeasibleBandError("the uncertainty classes overlap: no ratio band separates them")
-    q0, q1 = prob.transform(lo, hi)
+
+    # the least-favorable pair before renormalization
+    q0 = (1.0 - u.eps0) * p0
+    q1 = (1.0 - u.eps1) * p1
+    low = r < lo
+    pooled = v_lo * p0[low] + w_lo * p1[low]
+    denom = v_lo + w_lo * lo
+    q0[low] = (1.0 - u.eps0) * pooled / denom
+    q1[low] = (1.0 - u.eps1) * lo * pooled / denom
+
+    high = r > hi  # empty whenever hi is infinite
+    pooled = w_hi * p0[high] + v_hi * p1[high]
+    denom = w_hi + v_hi * hi
+    q0[high] = (1.0 - u.eps0) * pooled / denom
+    q1[high] = (1.0 - u.eps1) * hi * pooled / denom
+    # an end at ratio 0 or inf with v = 0 (the other state exact) pools
+    # the symbols at that ratio, which shed w of their mass
+    if lo == 0.0 and w_lo > 0.0:
+        q0[r == 0.0] *= 1.0 - w_lo / p0[r == 0.0].sum()
+    if hi == math.inf and w_hi > 0.0:
+        q1[r == math.inf] *= 1.0 - w_hi / p1[r == math.inf].sum()
     res0, res1 = float(q0.sum()) - 1.0, float(q1.sum()) - 1.0
     if max(abs(res0), abs(res1)) > BAND_RESIDUAL_TOL:
         raise InfeasibleBandError(

@@ -270,6 +270,8 @@ def simulate(config: StreamConfig, policy=None) -> SimReport:
     belief-rule only.  Identical configs produce identical reports.
     """
     system = config.system
+    if config.mode == "adaptive" and not isinstance(system, SystemSpec):
+        raise ModelFormatError("adaptive mode applies to cascade systems")
     if isinstance(system, SystemSpec):
         if not isinstance(policy, Policy):
             raise ModelFormatError("cascade simulation needs a solved Policy")
@@ -287,8 +289,6 @@ def simulate(config: StreamConfig, policy=None) -> SimReport:
     elif isinstance(system, DetectionGraph):
         if not isinstance(policy, GraphPolicy):
             raise ModelFormatError("graph simulation needs a GraphPolicy")
-        if config.mode != "belief":
-            raise ModelFormatError("adaptive mode applies to cascade systems")
         # root prior: the graph policy was solved for one
         graph, prior, costs, routes = system, policy.prior, policy, policy.routes
     elif isinstance(system, DutyCycleSpec):

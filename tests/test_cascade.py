@@ -561,6 +561,15 @@ class TestOptimalityCheck:
         verdict = check_cascade_optimality(spec, policy)
         assert not verdict.all_hold
 
+    def test_policy_without_value_tables_is_refused(self):
+        # a policy read back from a file keeps its thresholds, not the value
+        # tables the check reads
+        spec, _ = fixtures.monitoring_system()
+        loaded = io.policy_from_payload(io.policy_payload(solve(spec)), spec)
+        assert loaded.value_tables == ()
+        with pytest.raises(ModelFormatError, match="needs a solved policy"):
+            check_cascade_optimality(spec, loaded)
+
 
 class TestBuildSystem:
     def test_zero_uncertainty_keeps_models(self, rng):
@@ -579,7 +588,7 @@ class TestBuildSystem:
         assert spec.stages[0].model is models[0]
         assert len(bands) == 2
         # Last stage is solved on exact models over the full belief range.
-        assert spec.stages[-1].bounds == BeliefInterval.full()
+        assert spec.stages[-1].bounds == BeliefInterval(0.0, 1.0)
 
     def test_mismatched_lengths_rejected(self, rng):
         # one (stage, uncertainty) pair: a cascade needs two

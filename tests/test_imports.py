@@ -1,6 +1,7 @@
 """Import hygiene: every module under the package uses what it imports,
 every name it exports exists, and its ``__all__`` lists exactly the public
-functions and classes it defines; and every CLI option is read.
+functions and classes it defines; every CLI option is read; and every
+parameter default of a package function is overridden by some caller.
 
 No linter ships with the project, so these stdlib AST scans are the guard.
 The package ``__init__`` is skipped by the import scan: its imports are
@@ -11,6 +12,7 @@ import argparse
 import ast
 import importlib
 import inspect
+import math
 import textwrap
 from pathlib import Path
 
@@ -18,6 +20,7 @@ import guidedproc
 from guidedproc import cli
 
 PACKAGE = Path(guidedproc.__file__).resolve().parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -117,3 +120,59 @@ def test_every_cli_option_is_read():
     unread = unread_options()
     assert set(unread) == set(cli._COMMANDS)
     assert {name: dests for name, dests in unread.items() if dests} == {}
+
+
+def unset_parameters(modules, callers) -> list[str]:
+    """``module.function(parameter)`` for each parameter with a default,
+    of a function defined in the `modules` files, that no call of the
+    function's name in the `callers` files sets, by keyword or by position.
+    A call that unpacks ``*args`` or ``**kwargs`` sets them all; a method's
+    ``self`` or ``cls`` takes no position."""
+    calls = {}
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+    unset = []
+    for path in modules:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            shift = 1 if positional and positional[0].arg in ("self", "cls") else 0
+            first = len(positional) - len(a.defaults)
+            # (name, position in a call), inf for keyword-only parameters
+            defaulted = [(p.arg, i - shift) for i, p in enumerate(positional) if i >= first]
+            defaulted += [(p.arg, math.inf) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+            set_by = set()
+            for call in calls.get(fn.name, []):
+                unpacks = any(isinstance(x, ast.Starred) for x in call.args)
+                unpacks |= any(k.arg is None for k in call.keywords)
+                set_by |= {k.arg for k in call.keywords}
+                set_by |= {n for n, i in defaulted if unpacks or i < len(call.args)}
+            unset += [f"{path.stem}.{fn.name}({n})" for n, _ in defaulted if n not in set_by]
+    return sorted(unset)
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    modules = sorted(PACKAGE.glob("*.py"))
+    callers = [
+        p for d in ("src", "tests", "demos", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))
+    ]
+    assert modules and callers
+    assert unset_parameters(modules, callers) == []
+
+
+def test_default_scan_flags_an_unset_parameter(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+        "def g(x=0, y=1): pass\n"
+        "class K:\n"
+        "    def m(self, z=1): pass\n"
+    )
+    caller = tmp_path / "use.py"
+    caller.write_text("f(0, c=5, e=6)\ng(*xs)\nK().m(2)\n")
+    assert unset_parameters([module], [module, caller]) == ["m.f(b)", "m.f(d)"]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -154,16 +156,29 @@ class TestGridAndTables:
             [b, mids, rng.random(1000)]
             + [np.nextafter(x, to) for x in (b, mids) for to in (0.0, 1.0)]
         )
-        for n_labels in (2, 4):
-            table = self.action_runs(rng, size, n_labels)
-            change = np.flatnonzero(np.diff(table)) + 1
-            ref = table[np.searchsorted(b, pis, "right") - 1]
-            for dtype in (np.int64, np.uint8):  # a step down wraps in uint8
-                cuts, actions = b[change], table[np.r_[0, change]].astype(dtype)
-                got = route(cuts, actions, pis)
-                assert got.dtype == dtype and np.array_equal(got, ref)
-                scalars = [route(cuts, actions, pi) for pi in pis[:50].tolist()]
-                assert all(np.ndim(a) == 0 for a in scalars) and scalars == ref[:50].tolist()
+        # scalars spread over the whole belief range, so they pass the cuts
+        spread = slice(None, None, max(1, pis.size // 50))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a wrapping scalar sum would warn
+            for n_labels in (2, 4):
+                table = self.action_runs(rng, size, n_labels)
+                change = np.flatnonzero(np.diff(table)) + 1
+                ref = table[np.searchsorted(b, pis, "right") - 1]
+                for dtype in (np.int64, np.uint8):  # a step down wraps in uint8
+                    cuts, actions = b[change], table[np.r_[0, change]].astype(dtype)
+                    got = route(cuts, actions, pis)
+                    assert got.dtype == dtype and np.array_equal(got, ref)
+                    scalars = [route(cuts, actions, pi) for pi in pis[spread].tolist()]
+                    # numpy scalars (0-d) in the actions' dtype
+                    assert all(isinstance(a, np.generic) and a.dtype == dtype for a in scalars)
+                    assert scalars == ref[spread].tolist()
+            # a cut-free table takes its one action everywhere
+            for dtype in (np.int64, np.uint8):
+                actions, no_cuts = np.array([3], dtype), b[:0]
+                got = route(no_cuts, actions, pis)
+                assert got.dtype == dtype and np.array_equal(got, np.full(pis.size, 3))
+                one = route(no_cuts, actions, 0.5)
+                assert isinstance(one, np.generic) and one.dtype == dtype and one == 3
 
     def test_route_counts_past_one_byte(self, rng):
         # 300 cut points: the count needs two bytes, and every interval has

@@ -887,6 +887,16 @@ class TestValidation:
         with pytest.raises(ModelFormatError):
             simulate(cfg, gp)
 
+    def test_duty_cycler_rejects_adaptive_mode(self, monkeypatch):
+        # refused before any frame is drawn, as for a graph
+        spec, _ = monitoring_system()
+        cfg = StreamConfig(
+            system=ideal_duty_cycle(spec, 0.3), n_frames=1000, seed=1, mode="adaptive", burn_in=5
+        )
+        monkeypatch.setattr(sim_module, "_generator", None)
+        with pytest.raises(ModelFormatError, match="adaptive mode applies to cascade systems"):
+            simulate(cfg)
+
     def test_bad_mu_rejected(self, trigger):
         # adaptive mode steps by mu; belief streams ignore it
         spec, _ = trigger
