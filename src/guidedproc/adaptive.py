@@ -22,7 +22,7 @@ import numpy as np
 
 from .cascade import Policy, SystemSpec
 from .errors import GuidedProcError, ModelFormatError
-from .models import FeatureModel, belief_transition
+from .models import FeatureModel, belief_transition, posterior_update
 
 __all__ = ["is_monotone_ratio", "stationary_targets", "feature_cut"]
 
@@ -80,7 +80,7 @@ def feature_cut(model: FeatureModel, belief: float, tau: float) -> int:
     """
     if not is_monotone_ratio(model):
         raise ModelFormatError("feature cut undefined for non-monotone likelihood ratio")
-    post, _ = belief_transition(model, [belief])
-    hits = np.flatnonzero(post[model.class_of, 0] >= tau)
+    post = posterior_update(belief, model, np.arange(model.alphabet_size))
+    hits = np.flatnonzero(post >= tau)
     return int(hits[0]) if hits.size else model.alphabet_size
 

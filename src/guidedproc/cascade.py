@@ -183,29 +183,24 @@ def path_graph(spec: SystemSpec) -> DetectionGraph:
 
 
 def solve(
-    spec: SystemSpec, grid: BeliefGrid | None = None, transitions=None, terminal=None
+    spec: SystemSpec, grid: BeliefGrid | None = None, transitions=None, propagated=None
 ) -> Policy:
     """Backward DP over the belief grid; returns the threshold policy.
 
     Solves the path graph of the stages, then maps each intermediate
     threshold onto its stage's admissible posterior interval: a threshold
     below it is raised to its lower end, and a stage that never continues
-    gets the smallest float above its upper end.  For callers that solve
-    one cascade at many weights, `transitions` may hold each stage's
-    ``belief_transition`` at the grid points (entry 0 is not read, and a
-    stage past its end is computed), and `terminal` the last stage's
-    ``declaration_table`` carried through its transition by
-    ``expected_next``, in which case the last entry is not read either.
+    gets the smallest float above its upper end.  `transitions` and
+    `propagated` are ``graph.solve_graph``'s caches, keyed by node (stage k
+    is node k + 1), for callers that solve one cascade at many weights.
     """
     if spec.energy_weight is None:
         raise ModelFormatError("solve needs energy_weight; use calibrate_lambda for budgets")
     grid = grid or BeliefGrid()
     lam = float(spec.energy_weight)
     ids = range(1, spec.n_stages + 1)
-    by_node = dict(zip(ids, transitions)) if transitions else None
-    ahead = None if terminal is None else {spec.n_stages: terminal}
     gp = solve_graph(
-        path_graph(spec), spec.miss_cost, spec.fa_cost, lam, spec.prior, grid, by_node, ahead
+        path_graph(spec), spec.miss_cost, spec.fa_cost, lam, spec.prior, grid, transitions, propagated
     )
     raw = tuple(gp.stop_thresholds[i] for i in ids)
     # a finite raw threshold above the interval already stops every
@@ -326,9 +321,12 @@ def calibrate_lambda(spec: SystemSpec, grid: BeliefGrid | None = None) -> tuple[
     Returns (hi, its policy) once hi - lo <= CALIBRATE_REL_TOL * hi, so every
     weight up to hi * (1 - CALIBRATE_REL_TOL) breaks the budget; 0 when zero
     weight meets it; and hi as it stands when the tangents show that hi's
-    policy is optimal on all of (0, hi].  Logs one DEBUG record on the
-    ``guidedproc`` logger: solve count, final bracket, weight, energy and
-    budget slack.
+    policy is optimal on all of (0, hi], or when three cuts in a row return
+    the same (risk, energy): ties continue at weight 0 and stop at any
+    positive weight, so the end policies' risks can differ by rounding alone
+    and their tangents cross where no cut moves them.  Logs one DEBUG record
+    on the ``guidedproc`` logger: solve count, final bracket, weight, energy
+    and budget slack.
     """
     grid = grid or BeliefGrid()
     if spec.energy_budget is None:
@@ -342,49 +340,47 @@ def calibrate_lambda(spec: SystemSpec, grid: BeliefGrid | None = None) -> tuple[
     # posteriors and evidence depend on the grid and the stage models only,
     # and so does the terminal declaration table; the first stage is read
     # at the prior alone, and the last only through that table
-    transitions = (None, *(belief_transition(st.model, grid.points) for st in spec.stages[1:-1]))
-    terminal = expected_next(
-        grid,
-        declaration_table(grid, spec.miss_cost, spec.fa_cost),
-        belief_transition(spec.stages[-1].model, grid.points),
-    )
+    transitions = {
+        k: belief_transition(st.model, grid.points) for k, st in enumerate(spec.stages[1:], start=2)
+    }
+    declare = declaration_table(grid, spec.miss_cost, spec.fa_cost)
+    propagated = {spec.n_stages: expected_next(grid, declare, transitions.pop(spec.n_stages))}
     solves = 0
 
     def solved(lam: float) -> tuple[Policy, float, float]:
         nonlocal solves
         solves += 1
         run = replace(spec, energy_weight=lam, energy_budget=None)
-        pol = solve(run, grid, transitions, terminal)
+        pol = solve(run, grid, transitions, propagated)
         rep = evaluate(run, pol)
         # the risk parts of a partition do not depend on the weight
         return pol, rep.inter_miss + rep.final_miss + rep.final_fa, rep.energy
 
     lo = hi = 0.0
     pol, r_hi, e_hi = solved(hi)
-    if e_hi > target:
-        r_lo, e_lo = r_hi, e_hi
-        hi = 1.0
+    while e_hi > target:
+        lo, r_lo, e_lo = hi, r_hi, e_hi
+        hi = 4.0 * hi if hi else 1.0
         pol, r_hi, e_hi = solved(hi)
-        while e_hi > target:
-            lo, r_lo, e_lo = hi, r_hi, e_hi
-            hi *= 4.0
-            pol, r_hi, e_hi = solved(hi)
-            if hi > 1e30:
-                raise InfeasibleBudgetError("energy weight bracketing diverged")
+        if hi > 1e30:
+            raise InfeasibleBudgetError("energy weight bracketing diverged")
 
-        margin = 0.5 * CALIBRATE_REL_TOL
-        while hi - lo > CALIBRATE_REL_TOL * hi:
-            # the tangents r + lambda * e of the two end policies cross at
-            # (v_hi - v_lo + lo * e_lo - hi * e_hi) / (e_lo - e_hi)
-            cut = (r_hi - r_lo) / (e_lo - e_hi)
-            lam = min(max(cut, lo * (1.0 + margin)), hi * (1.0 - margin))
-            if lam <= lo:  # lo == 0 and hi's line passes through v0(0)
-                break
-            pol_c, r_c, e_c = solved(lam)
-            if e_c <= target:
-                hi, pol, r_hi, e_hi = lam, pol_c, r_c, e_c
-            else:
-                lo, r_lo, e_lo = lam, r_c, e_c
+    margin = 0.5 * CALIBRATE_REL_TOL
+    last, repeats = None, 0  # the previous cut's (risk, energy), and its run length
+    while hi - lo > CALIBRATE_REL_TOL * hi and repeats < 3:
+        # the tangents r + lambda * e of the two end policies cross at
+        # (v_hi - v_lo + lo * e_lo - hi * e_hi) / (e_lo - e_hi)
+        cut = (r_hi - r_lo) / (e_lo - e_hi)
+        lam = min(max(cut, lo * (1.0 + margin)), hi * (1.0 - margin))
+        if lam <= lo:  # lo == 0 and hi's line passes through v0(0)
+            break
+        pol_c, r_c, e_c = solved(lam)
+        repeats = repeats + 1 if (r_c, e_c) == last else 1
+        last = (r_c, e_c)
+        if e_c <= target:
+            hi, pol, r_hi, e_hi = lam, pol_c, r_c, e_c
+        else:
+            lo, r_lo, e_lo = lam, r_c, e_c
 
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(

@@ -327,7 +327,6 @@ def cmd_compare(args) -> int:
             rows = list(pool.map(_compare_row, tasks))
     else:
         rows = [_compare_row(t) for t in tasks]
-    rows.sort(key=lambda r: r["pi0"])
 
     buf = _stdio.StringIO()
     writer = csv.DictWriter(buf, fieldnames=COMPARE_COLUMNS, lineterminator="\n")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .cascade import Policy, RiskReport, SystemSpec
 from .errors import ModelFormatError
-from .models import FeatureModel, belief_transition
+from .models import FeatureModel, posterior_update
 
 __all__ = [
     "DutyCycleSpec",
@@ -72,8 +72,8 @@ def positive_symbols(
 ) -> np.ndarray:
     """Per symbol, whether the one-shot Bayes detector declares positive:
     the posterior of its ratio class from `prior` clears fa/(fa+miss)."""
-    post, _ = belief_transition(model, [prior])
-    return post[model.class_of, 0] >= fa_cost / (fa_cost + miss_cost)
+    post = posterior_update(prior, model, np.arange(model.alphabet_size))
+    return post >= fa_cost / (fa_cost + miss_cost)
 
 
 def single_stage_risks(

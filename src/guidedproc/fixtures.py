@@ -154,6 +154,16 @@ def trigger_system() -> SystemSpec:
     )
 
 
+def _detector_entry(st: StageSpec) -> dict:
+    """A stage or node as a model-file entry: its PMFs and costs."""
+    return {
+        "p0": st.model.p0.tolist(),
+        "p1": st.model.p1.tolist(),
+        "on_cost": st.on_cost,
+        "off_cost": st.off_cost,
+    }
+
+
 def as_document(model_uncertainty: float = DEFAULT_UNCERTAINTY, truncated: bool = False) -> dict:
     """The reference cascade as a model-file dict (ready to serialize).
 
@@ -168,12 +178,7 @@ def as_document(model_uncertainty: float = DEFAULT_UNCERTAINTY, truncated: bool 
     u = model_uncertainty
     stages = []
     for i, st in enumerate(nominal):
-        stage = {
-            "p0": st.model.p0.tolist(),
-            "p1": st.model.p1.tolist(),
-            "on_cost": st.on_cost,
-            "off_cost": st.off_cost,
-        }
+        stage = _detector_entry(st)
         if i < len(nominal) - 1 and u > 0.0:
             stage["uncertainty"] = {"eps0": u, "eps1": u, "nu0": u, "nu1": u}
         stages.append(stage)
@@ -191,15 +196,7 @@ def as_document(model_uncertainty: float = DEFAULT_UNCERTAINTY, truncated: bool 
 def graph_document() -> dict:
     """The diamond graph as a model-file dict."""
     g = diamond_graph()
-    nodes = {
-        str(i): {
-            "p0": st.model.p0.tolist(),
-            "p1": st.model.p1.tolist(),
-            "on_cost": st.on_cost,
-            "off_cost": st.off_cost,
-        }
-        for i, st in g.nodes.items()
-    }
+    nodes = {str(i): _detector_entry(st) for i, st in g.nodes.items()}
     edges = [[i, n] for i in sorted(g.edges) for n in g.edges[i]]
     return {
         "format": "guidedproc-model",

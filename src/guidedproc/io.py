@@ -257,6 +257,9 @@ def parse_model_document(raw: dict) -> ModelDocument:
             nid = int(key)
         except ValueError:
             raise ModelFormatError(f"node {key!r}: ids must be integers") from None
+        # int() also reads "01", " 1 " and "+1", which would alias node 1
+        if str(nid) != key or nid < 1:
+            raise ModelFormatError(f"node {key!r}: ids must be written as positive decimal integers")
         where = f"node {nid}"
         if isinstance(item, dict) and "uncertainty" in item:
             raise ModelFormatError(f"{where}: uncertainty is only supported on cascade stages")

@@ -168,10 +168,6 @@ class BeliefGrid:
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
-    @property
-    def step(self) -> float:
-        return 1.0 / (self.size - 1)
-
 
 @dataclass(frozen=True)
 class BeliefTable:

@@ -136,14 +136,6 @@ class SimReport:
     final_eta: tuple | None = None
     rate_errors: tuple | None = None
 
-    @property
-    def miss_frequency(self) -> float:
-        return self.miss_count / self.n_frames
-
-    @property
-    def fa_frequency(self) -> float:
-        return self.fa_count / self.n_frames
-
 
 def _generator(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=seed, counter=chunk_index << 128))
@@ -225,7 +217,7 @@ class _Accumulator:
         self.sum_e_miss += float(energy.take(np.flatnonzero(miss)).sum())
         self.sum_e_fa += float(energy.take(np.flatnonzero(fa)).sum())
 
-    def report(self, **extra) -> SimReport:
+    def report(self) -> SimReport:
         n = self.n
         mean_e = self.sum_e / n
         var_e = max(self.sumsq_e / n - mean_e * mean_e, 0.0)
@@ -259,7 +251,6 @@ class _Accumulator:
             miss_rate_se=math.sqrt(miss_rate * (1.0 - miss_rate) / n1) if n1 else 0.0,
             fa_rate=fa_rate,
             fa_rate_se=math.sqrt(fa_rate * (1.0 - fa_rate) / n0) if n0 else 0.0,
-            **extra,
         )
 
 
@@ -295,7 +286,7 @@ def simulate(config: StreamConfig, policy=None) -> SimReport:
         return _simulate_duty_cycle(config, system)
     else:
         raise ModelFormatError(f"cannot simulate a {type(system).__name__}")
-    deployed = lambda node, idx, beliefs, symbols: route(*routes[node], beliefs)
+    deployed = lambda node, idx, beliefs, symbols, first: route(*routes[node], beliefs)
     acc = _Accumulator(costs.miss_cost, costs.fa_cost, policy.energy_weight)
     prior = prior if config.prior is None else config.prior
     return _walk(config, graph, prior, deployed, acc)
@@ -306,10 +297,11 @@ def _walk(
 ) -> SimReport:
     """Stream through a detection graph.
 
-    route(node, idx, beliefs, symbols) maps the frames at a node (their
-    chunk indices, ascending on a path graph, updated beliefs and this
-    node's symbols) to 0 (stop), a successor id, or at a terminal the
-    declared label.  The first `skip` frames are walked but not reported.
+    route(node, idx, beliefs, symbols, first) maps the frames at a node
+    (their chunk indices, ascending on a path graph, updated beliefs and
+    this node's symbols) to 0 (stop), a successor id, or at a terminal the
+    declared label.  The first `skip` frames are walked but not reported:
+    `first` is the chunk index of the first reported frame.
     """
     topo = list(reversed(post_order(graph)))  # root first
     dstop = downstream_off_costs(graph)
@@ -322,11 +314,10 @@ def _walk(
         declared = np.zeros(count, dtype=bool)
         energy = np.zeros(count)
         every = np.arange(count)
+        first = max(skip - c * CHUNK_FRAMES, 0)  # chunk index of the first reported frame
         # frontier[node]: (frame indices, beliefs) handed over by each parent
         frontier = {graph.root: [(every, prior)]}
         for nid in topo:
-            if nid not in frontier:
-                continue
             parts = frontier.pop(nid)
             idx, pi = parts[0] if len(parts) == 1 else (np.concatenate(a) for a in zip(*parts))
             node, w = graph.nodes[nid], words[row[nid]]
@@ -337,7 +328,7 @@ def _walk(
                 np.add.at(energy, idx, node.on_cost)
                 y = sampler[nid](x.take(idx), w.take(idx))
             pi = posterior_update(pi, node.model, y)
-            action = route(nid, idx, pi, y)
+            action = route(nid, idx, pi, y, first)
             if graph.is_terminal(nid):
                 declared[idx] = action == 1
                 continue
@@ -349,7 +340,6 @@ def _walk(
                     (idx, pi) if go.size == idx.size else (idx.take(go), pi.take(go))
                 )
             del go  # the hand-offs hold the frames now
-        first = max(skip - c * CHUNK_FRAMES, 0)  # chunk index of the first reported frame
         if first < count:
             acc.add(x[first:], declared[first:], energy[first:])
     return acc.report()
@@ -371,13 +361,9 @@ def _simulate_adaptive(config: StreamConfig, spec: SystemSpec, policy: Policy) -
     eta = [limit / 2.0 for limit in limits]
     rates = list(targets)
     visits, acts = [0] * n, [0] * n
-    walked, first = 0, 0  # frames of earlier chunks; chunk index of the first measured
 
-    def route(node, idx, beliefs, symbols):
-        nonlocal walked, first
+    def route(node, idx, beliefs, symbols, first):
         k = node - 1
-        if k == 0:  # the root opens each chunk with all of its frames
-            first, walked = config.burn_in - walked, walked + idx.size
         feature = feature_rule[k]
         rule = symbols.tolist() if feature else (beliefs >= policy.thresholds[k]).tolist()
         e, r, target, limit = eta[k], rates[k], targets[k], limits[k]

@@ -191,10 +191,11 @@ class TestFeatureCut:
             m = sorted_model(rng, 9)
             belief = float(rng.uniform(0.05, 0.9))
             tau = float(rng.uniform(0.05, 0.95))
-            cut = feature_cut(m, belief, tau)
-            for y in range(m.alphabet_size):
-                above = posterior_update(belief, m, y) >= tau
-                assert above == (y >= cut)
+            for model in (m, duplicate_columns(rng, m)):  # copies tie in ratio
+                cut = feature_cut(model, belief, tau)
+                for y in range(model.alphabet_size):
+                    above = posterior_update(belief, model, y) >= tau
+                    assert above == (y >= cut)
 
     def test_unreachable_threshold_maps_to_alphabet_size(self, rng):
         m = sorted_model(rng, 5)

@@ -30,6 +30,7 @@ from guidedproc import (
     simulate,
     solve,
 )
+from guidedproc import cascade
 from guidedproc.cascade import CALIBRATE_REL_TOL, path_graph, robustify_stages
 from guidedproc.graph import declaration_table, downstream_off_costs
 from guidedproc.models import expected_next
@@ -268,10 +269,11 @@ class TestDecomposition:
         assert min(r.inter_miss, r.final_miss, r.final_fa, r.energy) >= 0.0
 
 
-def grid_transitions(spec: SystemSpec, grid: BeliefGrid) -> tuple:
-    """Per-stage transitions at the grid points (entry 0 unread); calibrate_lambda
-    builds all but the last, which it reads only through the terminal table."""
-    return (None, *(belief_transition(st.model, grid.points) for st in spec.stages[1:]))
+def grid_transitions(spec: SystemSpec, grid: BeliefGrid) -> dict:
+    """Transitions at the grid points of the stages after the first, keyed by
+    node (stage k is node k + 1); calibrate_lambda builds all but the last,
+    which it reads only through the propagated terminal table."""
+    return {k: belief_transition(st.model, grid.points) for k, st in enumerate(spec.stages[1:], 2)}
 
 
 def whole_grid_evaluate(spec: SystemSpec, policy: Policy) -> RiskReport:
@@ -442,20 +444,43 @@ class TestCalibration:
                 spec = with_zero_masses(rng, spec)
             grid = BeliefGrid(501)
             transitions = grid_transitions(spec, grid)
+            K = spec.n_stages
             declare = declaration_table(grid, spec.miss_cost, spec.fa_cost)
-            terminal = expected_next(grid, declare, transitions[-1])
+            terminal = {K: expected_next(grid, declare, transitions[K])}
+            ahead = {k: t for k, t in transitions.items() if k < K}
             for lam in (0.0, spec.energy_weight, 10.0 * spec.energy_weight):
                 run = replace(spec, energy_weight=lam)
                 plain = solve(run, grid)
-                for cached in (
-                    solve(run, grid, transitions), solve(run, grid, transitions[:-1], terminal)
-                ):
+                for cached in (solve(run, grid, transitions), solve(run, grid, ahead, terminal)):
                     assert (plain.thresholds, plain.raw_thresholds, plain.v0) == (
                         cached.thresholds, cached.raw_thresholds, cached.v0
                     )
                     for a, b in zip(plain.value_tables, cached.value_tables):
                         assert np.array_equal(a.values, b.values)
                     assert evaluate(run, plain) == evaluate(run, cached)
+
+    def test_calibration_ends_where_the_cuts_stop_moving(self, monkeypatch):
+        # ties continue at weight 0 and stop at any positive weight, so the
+        # ends' risks differ by rounding and their tangents cross where no cut
+        # moves them; a search that creeps by its margin needs about 10**7 solves
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            if calls > 100:
+                raise AssertionError("calibrate_lambda took more than 100 solves")
+            return solve(*args)
+
+        monkeypatch.setattr(cascade, "solve", counted)
+        rng = np.random.default_rng(5)
+        draws = [random_system(rng) for _ in range(18)]
+        for i, budget in ((4, 7.040077031573256), (17, 4.902978870002004)):
+            spec = replace(draws[i], energy_weight=None, energy_budget=budget)
+            calls = 0
+            lam, policy = calibrate_lambda(spec, BeliefGrid(301))
+            run = replace(spec, energy_weight=lam, energy_budget=None)
+            assert evaluate(run, policy).energy <= budget
 
     def test_calibration_finds_the_breakpoint(self):
         # seeded property test against a plain bisection kept here

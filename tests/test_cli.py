@@ -655,6 +655,16 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "numerical failure: value iteration diverged" in err and "Traceback" not in err
 
+    def test_aliased_node_key_exits_2(self, tmp_path, capsys):
+        # "01" reads as node 1 too; the later detector would replace node 1's
+        raw = graph_raw()
+        raw["nodes"]["01"] = dict(raw["nodes"]["1"], on_cost=50.0)
+        path = tmp_path / "g.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["optimize", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "node '01': ids must be written" in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["optimize", "simulate"])
     def test_graph_without_energy_weight_exits_2(self, tmp_path, capsys, command):
         raw = graph_raw()

@@ -13,6 +13,7 @@ from guidedproc import (
     evidence,
     ideal_duty_cycle,
     posterior_update,
+    positive_symbols,
     single_stage_risks,
     solve,
 )
@@ -23,7 +24,8 @@ from guidedproc.fixtures import (
     detector_suite,
     monitoring_system,
 )
-from conftest import random_model
+from conftest import duplicate_columns, random_model
+from test_adaptive import zero_some_masses
 
 # ---------------------------------------------------------------------------
 # Oracle: exact conditional declaration risks of a single always-on detector
@@ -76,6 +78,25 @@ class TestSingleStageRisks:
         m = FeatureModel(p0=np.array([1.0, 0.0]), p1=np.array([0.0, 1.0]))
         miss, fa = single_stage_risks(m, 0.3, 2.0, 1.0)
         assert miss == 0.0 and fa == 0.0
+
+
+class TestPositiveSymbols:
+    def test_matches_the_scalar_rule(self, rng):
+        # tied ratios (split columns) share one class; zero-mass symbols
+        # leave the belief; priors 0 and 1 are absorbing
+        for k in range(12):
+            m = random_model(rng)
+            if k % 2:
+                m = zero_some_masses(rng, m)
+            if k % 4 > 1:
+                m = duplicate_columns(rng, m)
+            miss, fa = float(rng.uniform(0.5, 5)), float(rng.uniform(0.5, 5))
+            for prior in (0.0, 1.0, float(rng.uniform(0.02, 0.5))):
+                want = [
+                    posterior_update(prior, m, y) >= fa / (fa + miss)
+                    for y in range(m.alphabet_size)
+                ]
+                assert np.array_equal(positive_symbols(m, prior, miss, fa), want)
 
 
 class TestDutyCycleRisk:

@@ -1,7 +1,8 @@
 """Import hygiene: every module under the package uses what it imports,
 every name it exports exists, and its ``__all__`` lists exactly the public
-functions and classes it defines; every CLI option is read; and every
-parameter default of a package function is overridden by some caller.
+functions and classes it defines; every CLI option is read; every
+parameter default of a package function is overridden by some caller;
+and every ``*args`` or ``**kwargs`` parameter is filled by one.
 
 No linter ships with the project, so these stdlib AST scans are the guard.
 The package ``__init__`` is skipped by the import scan: its imports are
@@ -122,47 +123,96 @@ def test_every_cli_option_is_read():
     assert {name: dests for name, dests in unread.items() if dests} == {}
 
 
-def unset_parameters(modules, callers) -> list[str]:
-    """``module.function(parameter)`` for each parameter with a default,
-    of a function defined in the `modules` files, that no call of the
-    function's name in the `callers` files sets, by keyword or by position.
-    A call that unpacks ``*args`` or ``**kwargs`` sets them all; a method's
-    ``self`` or ``cls`` takes no position."""
+def calls_by_name(callers) -> dict[str, list[ast.Call]]:
+    """Every call in the `callers` files, keyed by the called name."""
     calls = {}
     for path in callers:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Call):
                 name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 calls.setdefault(name, []).append(node)
-    unset = []
+    return calls
+
+
+def functions(modules):
+    """(path, function definition) for every function in the `modules` files."""
     for path in modules:
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            a = fn.args
-            positional = a.posonlyargs + a.args
-            shift = 1 if positional and positional[0].arg in ("self", "cls") else 0
-            first = len(positional) - len(a.defaults)
-            # (name, position in a call), inf for keyword-only parameters
-            defaulted = [(p.arg, i - shift) for i, p in enumerate(positional) if i >= first]
-            defaulted += [(p.arg, math.inf) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
-            set_by = set()
-            for call in calls.get(fn.name, []):
-                unpacks = any(isinstance(x, ast.Starred) for x in call.args)
-                unpacks |= any(k.arg is None for k in call.keywords)
-                set_by |= {k.arg for k in call.keywords}
-                set_by |= {n for n, i in defaulted if unpacks or i < len(call.args)}
-            unset += [f"{path.stem}.{fn.name}({n})" for n, _ in defaulted if n not in set_by]
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield path, fn
+
+
+def positional_parameters(fn) -> tuple[list[ast.arg], int]:
+    """The parameters a call can fill by position, and 1 for a method's
+    ``self`` or ``cls``, which takes no position, else 0."""
+    positional = fn.args.posonlyargs + fn.args.args
+    return positional, 1 if positional and positional[0].arg in ("self", "cls") else 0
+
+
+def unset_parameters(modules, callers) -> list[str]:
+    """``module.function(parameter)`` for each parameter with a default,
+    of a function defined in the `modules` files, that no call of the
+    function's name in the `callers` files sets, by keyword or by position.
+    A call that unpacks ``*args`` or ``**kwargs`` sets them all; a method's
+    ``self`` or ``cls`` takes no position."""
+    calls = calls_by_name(callers)
+    unset = []
+    for path, fn in functions(modules):
+        a = fn.args
+        positional, shift = positional_parameters(fn)
+        first = len(positional) - len(a.defaults)
+        # (name, position in a call), inf for keyword-only parameters
+        defaulted = [(p.arg, i - shift) for i, p in enumerate(positional) if i >= first]
+        defaulted += [(p.arg, math.inf) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d]
+        set_by = set()
+        for call in calls.get(fn.name, []):
+            unpacks = any(isinstance(x, ast.Starred) for x in call.args)
+            unpacks |= any(k.arg is None for k in call.keywords)
+            set_by |= {k.arg for k in call.keywords}
+            set_by |= {n for n, i in defaulted if unpacks or i < len(call.args)}
+        unset += [f"{path.stem}.{fn.name}({n})" for n, _ in defaulted if n not in set_by]
     return sorted(unset)
 
 
-def test_every_parameter_default_is_overridden_somewhere():
+def unfilled_variadics(modules, callers) -> list[str]:
+    """``module.function(*args)`` or ``module.function(**kwargs)`` for each
+    variadic parameter, of a function defined in the `modules` files, that
+    no call of the function's name in the `callers` files fills: ``*args``
+    by a positional argument past the named ones or by unpacking a
+    sequence, ``**kwargs`` by a keyword that names no parameter or by
+    unpacking a mapping."""
+    calls = calls_by_name(callers)
+    unfilled = []
+    for path, fn in functions(modules):
+        a, of = fn.args, calls.get(fn.name, [])
+        positional, shift = positional_parameters(fn)
+        named = {p.arg for p in positional + a.kwonlyargs}
+        if a.vararg and not any(
+            len(c.args) > len(positional) - shift or any(isinstance(x, ast.Starred) for x in c.args)
+            for c in of
+        ):
+            unfilled.append(f"{path.stem}.{fn.name}(*{a.vararg.arg})")
+        if a.kwarg and not any(k.arg is None or k.arg not in named for c in of for k in c.keywords):
+            unfilled.append(f"{path.stem}.{fn.name}(**{a.kwarg.arg})")
+    return sorted(unfilled)
+
+
+def package_and_callers() -> tuple[list[Path], list[Path]]:
+    """The package's modules, and every Python file that may call them."""
     modules = sorted(PACKAGE.glob("*.py"))
     callers = [
         p for d in ("src", "tests", "demos", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))
     ]
     assert modules and callers
-    assert unset_parameters(modules, callers) == []
+    return modules, callers
+
+
+def test_every_parameter_default_is_overridden_somewhere():
+    assert unset_parameters(*package_and_callers()) == []
+
+
+def test_every_variadic_parameter_is_filled_somewhere():
+    assert unfilled_variadics(*package_and_callers()) == []
 
 
 def test_default_scan_flags_an_unset_parameter(tmp_path):
@@ -176,3 +226,17 @@ def test_default_scan_flags_an_unset_parameter(tmp_path):
     caller = tmp_path / "use.py"
     caller.write_text("f(0, c=5, e=6)\ng(*xs)\nK().m(2)\n")
     assert unset_parameters([module], [module, caller]) == ["m.f(b)", "m.f(d)"]
+
+
+def test_variadic_scan_flags_an_unfilled_parameter(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def f(a, *rest, b=1, **extra): pass\n"
+        "def g(*xs, **kw): pass\n"
+        "def h(**kw): pass\n"
+        "class K:\n"
+        "    def m(self, a, *rest): pass\n"
+    )
+    caller = tmp_path / "use.py"
+    caller.write_text("f(0, b=2)\nf(a=1)\ng(*ys)\ng(**opts)\nh(z=1)\nK().m(1, 2)\n")
+    assert unfilled_variadics([module], [module, caller]) == ["m.f(**extra)", "m.f(*rest)"]

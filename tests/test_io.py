@@ -3,6 +3,7 @@
 import copy
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -191,6 +192,15 @@ class TestValidation:
         raw = graph_raw()
         mangle(raw)
         with pytest.raises(ModelFormatError):
+            io.parse_model_document(raw)
+
+    @pytest.mark.parametrize("key", ["01", "1_0", " 4 ", "+1", "-01", "0", "-1"])
+    def test_node_keys_must_be_written_canonically(self, key):
+        # int() reads each of these; "01" next to "1" would silently keep one,
+        # and the refusal names the key as written
+        raw = graph_raw()
+        raw["nodes"][key] = raw["nodes"]["2"]
+        with pytest.raises(ModelFormatError, match=re.escape(f"node {key!r}: ids must be written")):
             io.parse_model_document(raw)
 
     # an int just past the float range that rounds down to its end

@@ -129,7 +129,7 @@ class TestGridAndTables:
     def test_grid_endpoints_and_step(self):
         g = BeliefGrid(size=11)
         assert g.points[0] == 0.0 and g.points[-1] == 1.0
-        assert g.step == pytest.approx(0.1)
+        assert np.diff(g.points) == pytest.approx(0.1)
 
     def test_grid_size_is_bounded(self):
         assert BeliefGrid(size=MAX_GRID_SIZE).points[-1] == 1.0

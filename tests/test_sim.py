@@ -771,8 +771,8 @@ class TestReportInternals:
         lam = policy.energy_weight
         want = (
             lam * report.energy
-            + spec.miss_cost * report.miss_frequency
-            + spec.fa_cost * report.fa_frequency
+            + spec.miss_cost * report.miss_count / report.n_frames
+            + spec.fa_cost * report.fa_count / report.n_frames
         )
         assert report.empirical_risk == pytest.approx(want, abs=1e-12)
 
