@@ -53,8 +53,6 @@ def stationary_targets(spec: SystemSpec, policy: Policy) -> tuple[np.ndarray, np
     beliefs, weights = np.array([float(spec.prior)]), np.ones(1)
     p_reach = 1.0
     for k, stage in enumerate(spec.stages):
-        if not beliefs.size:
-            break
         reach[k] = p_reach
         post, ev = belief_transition(stage.model, beliefs)
         go = post >= policy.thresholds[k]

@@ -324,9 +324,13 @@ def calibrate_lambda(spec: SystemSpec, grid: BeliefGrid | None = None) -> tuple[
     policy is optimal on all of (0, hi], or when three cuts in a row return
     the same (risk, energy): ties continue at weight 0 and stop at any
     positive weight, so the end policies' risks can differ by rounding alone
-    and their tangents cross where no cut moves them.  Logs one DEBUG record
-    on the ``guidedproc`` logger: solve count, final bracket, weight, energy
-    and budget slack.
+    and their tangents cross where no cut moves them.  The step-up also
+    stops at the first weight whose policy never continues past stage 1,
+    and returns it: no weight spends less, and its energy is the floor of
+    ``achievable_energy_range`` up to the rounding of ``evaluate``'s sum
+    over ratio classes, so it may exceed a budget at the floor by that
+    rounding.  Logs one DEBUG record on the ``guidedproc`` logger: solve
+    count, final bracket, weight, energy and budget slack.
     """
     grid = grid or BeliefGrid()
     if spec.energy_budget is None:
@@ -359,6 +363,9 @@ def calibrate_lambda(spec: SystemSpec, grid: BeliefGrid | None = None) -> tuple[
     lo = hi = 0.0
     pol, r_hi, e_hi = solved(hi)
     while e_hi > target:
+        if pol.raw_thresholds[0] == math.inf:  # stops at stage 1: no weight spends less
+            lo = hi
+            break
         lo, r_lo, e_lo = hi, r_hi, e_hi
         hi = 4.0 * hi if hi else 1.0
         pol, r_hi, e_hi = solved(hi)

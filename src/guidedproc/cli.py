@@ -7,8 +7,7 @@ policy), and compare (sweep the prior and race the cascade against ideal
 and real duty cycling, CSV out).
 
 Exit codes: 0 success, 2 malformed input, 3 infeasible configuration,
-4 numerical failure.  GUIDEDPROC_THREADS=N (a positive integer) runs
-compare rows in up to N worker processes, at most one per row and per CPU.
+4 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,9 +16,7 @@ import argparse
 import csv
 import functools
 import io as _stdio
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +55,9 @@ COMPARE_COLUMNS = [
     "dominance_eq13",
     "dominance_eq14",
 ]
+# compare streams row r from seeds --seed + 2r and --seed + 2r + 1, wrapped
+# into the seed range [0, 2**128) of StreamConfig
+_SEEDS = 1 << 128
 
 
 @functools.cache
@@ -242,9 +242,7 @@ def _duty_block(doc) -> tuple[float, float]:
     return float(on), float(off)
 
 
-def _compare_row(task) -> dict:
-    doc, pi0, n_frames, seed, grid_size, row = task
-    grid = BeliefGrid(grid_size)
+def _compare_row(doc, pi0, grid, duty, n_frames, seed, row) -> dict:
     spec, _, policy = _solve_document(doc, pi0, grid)
     lam = policy.energy_weight
     report = evaluate(spec, policy)
@@ -254,17 +252,13 @@ def _compare_row(task) -> dict:
     rho_ideal, _ = energy_equivalent_rho(report.energy, last.on_cost, last.off_cost)
     ideal_total = dc_risk(ideal_duty_cycle(spec, rho_ideal), lam).total
 
-    dc_on, dc_off = _duty_block(doc)
+    dc_on, dc_off = duty
     rho_real, _ = energy_equivalent_rho(report.energy, dc_on, dc_off)
     dc_spec = replace(ideal_duty_cycle(spec, rho_real), on_cost=dc_on, off_cost=dc_off)
-    gp_sim = simulate(
-        StreamConfig(system=spec, n_frames=n_frames, seed=seed + 2 * row), policy
-    )
+    gp_seed, dc_seed = ((seed + 2 * row + i) % _SEEDS for i in (0, 1))
+    gp_sim = simulate(StreamConfig(system=spec, n_frames=n_frames, seed=gp_seed), policy)
     dc_sim = simulate(
-        StreamConfig(
-            system=dc_spec, n_frames=n_frames, seed=seed + 2 * row + 1, energy_weight=lam
-        ),
-        None,
+        StreamConfig(system=dc_spec, n_frames=n_frames, seed=dc_seed, energy_weight=lam), None
     )
     return {
         "pi0": pi0,
@@ -297,18 +291,6 @@ def _parse_sweep(text) -> tuple[float, float, int]:
     return lo, hi, n
 
 
-def _worker_count(n_rows: int) -> int:
-    """GUIDEDPROC_THREADS, clamped to one compare-row worker per row and per CPU."""
-    raw = os.environ.get("GUIDEDPROC_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ModelFormatError(f"GUIDEDPROC_THREADS must be a positive integer, got {raw!r}")
-    return min(workers, n_rows, os.cpu_count() or 1)
-
-
 def cmd_compare(args) -> int:
     doc = _cascade_document(args.model, args.command)
     if args.sweep is not None:
@@ -316,17 +298,14 @@ def cmd_compare(args) -> int:
         points = np.linspace(lo, hi, n)
     else:
         points = doc.sweep_points()
-    grid_size = doc.grid_size if args.grid is None else args.grid
-    tasks = [
-        (doc, float(pi0), args.n_frames, args.seed, grid_size, row)
+    grid = BeliefGrid(doc.grid_size if args.grid is None else args.grid)
+    duty = _duty_block(doc)
+    if not 0 <= args.seed < _SEEDS:
+        raise ModelFormatError("seed must be an integer in [0, 2**128)")
+    rows = [
+        _compare_row(doc, float(pi0), grid, duty, args.n_frames, args.seed, row)
         for row, pi0 in enumerate(points)
     ]
-    workers = _worker_count(len(tasks))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_compare_row, tasks))
-    else:
-        rows = [_compare_row(t) for t in tasks]
 
     buf = _stdio.StringIO()
     writer = csv.DictWriter(buf, fieldnames=COMPARE_COLUMNS, lineterminator="\n")

@@ -54,8 +54,8 @@ __all__ = [
 MODEL_FORMAT = "guidedproc-model"
 RENORM_WARN = 1e-9
 RENORM_FAIL = 1e-6
-# compare solves and streams one row per sweep point, about 30 ms each at
-# the default frame count: 10,001 rows are about 5 minutes serially
+# compare solves and streams one row per sweep point in turn, about 30 ms
+# each at the default frame count: 10,001 rows are about 5 minutes
 MAX_SWEEP_POINTS = 10_001
 
 

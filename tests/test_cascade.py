@@ -434,6 +434,20 @@ class TestCalibration:
         assert achieved <= budget + 1e-4
         assert lam >= 0.0
 
+    @pytest.mark.parametrize("grid_size", [101, 1001])
+    def test_budget_at_the_floor_takes_the_stop_everything_policy(self, grid_size):
+        # evaluate sums the class evidences, so the stop-everything policy's
+        # energy lands a rounding error above the floor on this draw
+        rng = np.random.default_rng(7)
+        for _ in range(7):
+            spec = random_system(rng)
+        floor, _ = achievable_energy_range(spec)
+        lam, policy = calibrate_lambda(
+            replace(spec, energy_weight=None, energy_budget=floor), BeliefGrid(grid_size)
+        )
+        assert policy.raw_thresholds[0] == math.inf
+        assert evaluate(replace(spec, energy_weight=lam), policy).energy == pytest.approx(floor)
+
     def test_transitions_change_no_bit(self, rng):
         # calibrate_lambda hands solve the grid transitions and the terminal
         # table propagated once, in place of the last stage's transition;

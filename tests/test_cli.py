@@ -14,7 +14,6 @@ import sys
 import tempfile
 from io import StringIO
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -237,54 +236,33 @@ class TestCompare:
         rows = self.read_rows(out)
         assert len(rows) == 1 and float(rows[0]["pi0"]) == 0.1
 
-    def test_stdout_and_worker_pool_agree(self, model_file, tmp_path, capsys, monkeypatch):
+    def test_stdout_matches_the_output_file(self, model_file, tmp_path, capsys):
         args = ["compare", model_file, "--sweep", "0.09:0.11:2", "--n-frames", "1000"]
         assert main(args) == 0
-        serial = capsys.readouterr().out
-        monkeypatch.setenv("GUIDEDPROC_THREADS", "2")
-        assert main(args) == 0
-        assert capsys.readouterr().out == serial
+        out = tmp_path / "rows.csv"
+        assert main([*args, "-o", str(out)]) == 0
+        assert capsys.readouterr().out == out.read_text(encoding="utf-8")
 
-    @pytest.mark.parametrize("value", ["abc", "0"])
-    def test_bad_thread_count_exits_2(self, model_file, capsys, monkeypatch, value):
-        monkeypatch.setenv("GUIDEDPROC_THREADS", value)
-        assert main(["compare", model_file, "--sweep", "0.09:0.11:2", "--n-frames", "100"]) == 2
-        err = capsys.readouterr().err
-        assert "GUIDEDPROC_THREADS" in err and "Traceback" not in err
-
-    def test_thread_count_clamped_to_rows_and_cpus(self, model_file, monkeypatch):
-        # A stand-in pool records its size and maps in-process, so a large
-        # request never starts any worker.
-        sizes = []
-
-        class RecordingPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setenv("GUIDEDPROC_THREADS", "100000")
-        args = ["compare", model_file, "--sweep", "0.08:0.12:3", "--n-frames", "100"]
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert main(args) == 0
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        assert main(args) == 0
-        assert sizes == [2, 3]
+    def test_row_seeds_wrap_at_the_top_of_the_range(self, model_file, tmp_path):
+        # row 1 of a sweep from seed 2**128 - 2 streams from seeds 0 and 1,
+        # as row 0 from seed 0 does
+        top, zero = tmp_path / "top.csv", tmp_path / "zero.csv"
+        frames = ["--n-frames", "1000"]
+        argv = ["compare", model_file, "--sweep", "0.09:0.11:2", "--seed", str(2**128 - 2)]
+        assert main([*argv, *frames, "-o", str(top)]) == 0
+        argv = ["compare", model_file, "--sweep", "0.11:0.11:1", "--seed", "0"]
+        assert main([*argv, *frames, "-o", str(zero)]) == 0
+        assert self.read_rows(top)[1] == self.read_rows(zero)[0]
+        # the top seed itself: the duty cycler's stream wraps to seed 0
+        argv = ["compare", model_file, "--sweep", "0.1:0.1:1", "--seed", str(2**128 - 1)]
+        assert main([*argv, *frames, "-o", str(top)]) == 0
 
     def test_bad_sweep(self, model_file):
         assert main(["compare", model_file, "--sweep", "0.2:0.1"]) == 2
 
     @pytest.mark.parametrize("where", ["flag", "file"])
     def test_sweep_over_the_cap_exits_2_before_any_row(self, tmp_path, capsys, monkeypatch, where):
-        def no_rows(task):
+        def no_rows(*row):
             raise AssertionError("a row was solved")
 
         monkeypatch.setattr(cli, "_compare_row", no_rows)
@@ -470,6 +448,36 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "energy_weight" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "make, mangle, code, field",
+        [
+            (cascade_raw, lambda r: r["stages"][0].update(uncertainty={"eps0": 1.0}), 3, "eps0"),
+            (cascade_raw, lambda r: r["stages"][0].update(uncertainty={"eps1": -0.1}), 2, "eps1"),
+            (cascade_raw, lambda r: r["stages"][0].update(uncertainty={"nu0": 1.0}), 2, "nu0"),
+            (lambda: [cascade_raw()], lambda r: None, 2, "JSON object"),
+            (
+                cascade_raw,
+                lambda r: r.pop("prior") and r.update(prior_sweep=[0.15, 0.05, 3]),
+                2,
+                "prior_sweep",
+            ),
+            (graph_raw, lambda r: r.update(nodes=list(r["nodes"].values())), 2, "'nodes'"),
+            (graph_raw, lambda r: r["edges"].append([7, 2]), 2, "edge source 7"),
+        ],
+        ids=[
+            "eps-one", "eps-negative", "nu-one", "json-array", "sweep-reversed", "nodes-list",
+            "edge-from-unknown-node",
+        ],
+    )
+    def test_refusal_names_the_field(self, tmp_path, capsys, make, mangle, code, field):
+        raw = make()
+        mangle(raw)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["optimize", str(path)]) == code
+        err = capsys.readouterr().err
+        assert field in err and "Traceback" not in err
+
     @pytest.mark.parametrize("command", ["simulate", "compare"])
     def test_negative_seed_exits_2(self, model_file, capsys, command):
         argv = [command, model_file, "--seed", "-1", "--n-frames", "1000"]
@@ -592,16 +600,16 @@ class TestExitCodes:
         assert main(["optimize", model_file, "--energy-budget", "0.01"]) == 3
 
     @pytest.mark.parametrize(
-        "argv, threads",
+        "argv",
         [
-            (["optimize"], "1"),
-            (["check-optimality"], "1"),
-            (["simulate", "--n-frames", "1000"], "1"),
-            (["compare", "--sweep", "0.1:0.2:2", "--n-frames", "1000"], "2"),
+            ["optimize"],
+            ["check-optimality"],
+            ["simulate", "--n-frames", "1000"],
+            ["compare", "--sweep", "0.1:0.2:2", "--n-frames", "1000"],
         ],
-        ids=["optimize", "check-optimality", "simulate", "compare-workers"],
+        ids=["optimize", "check-optimality", "simulate", "compare"],
     )
-    def test_oversized_work_exits_3_before_allocating(self, tmp_path, argv, threads):
+    def test_oversized_work_exits_3_before_allocating(self, tmp_path, argv):
         # 20,000 distinct ratios on the largest grid: each transition pair
         # would take 32 GB.  The child process may map 3 GiB at most, so
         # the exit must come from the guard, before any large allocation.
@@ -619,11 +627,7 @@ class TestExitCodes:
         path = tmp_path / "model.json"
         path.write_text(json.dumps(raw), encoding="utf-8")
         src = str(Path(guidedproc.__file__).resolve().parents[1])
-        env = dict(
-            os.environ,
-            GUIDEDPROC_THREADS=threads,
-            PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]),
-        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         limit = 3 << 30
         proc = subprocess.run(
             [sys.executable, "-m", "guidedproc.cli", argv[0], str(path), *argv[1:]],
@@ -920,8 +924,7 @@ def mutated_flags(draw):
 def test_mutated_flags_keep_the_exit_contract(command_flags, raw):
     command, flags = command_flags
     err = StringIO()
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
-        os.environ.pop("GUIDEDPROC_THREADS", None)  # serial compare: no worker process
+    with tempfile.TemporaryDirectory() as tmp:
         model, out = Path(tmp, "model.json"), Path(tmp, "out")
         model.write_text(json.dumps(raw), encoding="utf-8")
         argv = [command, str(model), "--grid", "101", *flags, "-o", str(out)]

@@ -2,7 +2,8 @@
 every name it exports exists, and its ``__all__`` lists exactly the public
 functions and classes it defines; every CLI option is read; every
 parameter default of a package function is overridden by some caller;
-and every ``*args`` or ``**kwargs`` parameter is filled by one.
+every ``*args`` or ``**kwargs`` parameter is filled by one; and no module
+reads the process environment.
 
 No linter ships with the project, so these stdlib AST scans are the guard.
 The package ``__init__`` is skipped by the import scan: its imports are
@@ -121,6 +122,36 @@ def test_every_cli_option_is_read():
     unread = unread_options()
     assert set(unread) == set(cli._COMMANDS)
     assert {name: dests for name, dests in unread.items() if dests} == {}
+
+
+ENVIRONMENT_READERS = {"environ", "environb", "getenv", "getenvb"}
+
+
+def environment_reads(path: Path) -> list[str]:
+    """``line: name`` for each ``os.environ``/``os.getenv`` attribute the
+    module reads or imports: an environment variable is a knob that the
+    option and default scans cannot see."""
+    reads = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT_READERS:
+            reads.append(f"{node.lineno}: {node.attr}")
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            reads += [f"{node.lineno}: {a.name}" for a in node.names if a.name in ENVIRONMENT_READERS]
+    return sorted(reads)
+
+
+def test_no_module_reads_the_environment():
+    reads = {p.name: environment_reads(p) for p in sorted(PACKAGE.glob("*.py"))}
+    assert {name: r for name, r in reads.items() if r} == {}
+
+
+def test_environment_scan_flags_each_reader(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import os\nfrom os import getenv, path\n"
+        "a = os.environ.get('X')\nb = os.getenv('Y')\nc = os.path.join('z')\n"
+    )
+    assert environment_reads(module) == ["2: getenv", "3: environ", "4: getenv"]
 
 
 def calls_by_name(callers) -> dict[str, list[ast.Call]]:
