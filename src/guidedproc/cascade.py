@@ -9,7 +9,9 @@ expected per-frame energy.
 
 A cascade is the detection graph in which every node has one successor,
 so ``solve`` is ``graph.solve_graph`` on the path graph 1 -> 2 -> ... -> K:
-one backward DP over a uniform belief grid serves both.  Stage values are
+one backward DP over a uniform belief grid serves both, and the last
+stage's declaration table, carried through its transition, comes from the
+graph module's process-wide memo.  Stage values are
 piecewise-linear concave in the belief, so the continue region at each
 intermediate stage is an upper interval of beliefs: the policy is a single
 threshold per stage.  Ties continue: the threshold is the smallest grid
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleBudgetError, ModelFormatError
-from .graph import DetectionGraph, declaration_table, downstream_off_costs, solve_graph
+from .graph import DetectionGraph, downstream_off_costs, solve_graph
 from .models import (
     BeliefGrid,
     BeliefTable,
@@ -182,17 +184,15 @@ def path_graph(spec: SystemSpec) -> DetectionGraph:
     )
 
 
-def solve(
-    spec: SystemSpec, grid: BeliefGrid | None = None, transitions=None, propagated=None
-) -> Policy:
+def solve(spec: SystemSpec, grid: BeliefGrid | None = None, transitions=None) -> Policy:
     """Backward DP over the belief grid; returns the threshold policy.
 
     Solves the path graph of the stages, then maps each intermediate
     threshold onto its stage's admissible posterior interval: a threshold
     below it is raised to its lower end, and a stage that never continues
-    gets the smallest float above its upper end.  `transitions` and
-    `propagated` are ``graph.solve_graph``'s caches, keyed by node (stage k
-    is node k + 1), for callers that solve one cascade at many weights.
+    gets the smallest float above its upper end.  `transitions` is
+    ``graph.solve_graph``'s cache of grid transitions, keyed by node (stage
+    k is node k + 1), for callers that solve one cascade at many weights.
     """
     if spec.energy_weight is None:
         raise ModelFormatError("solve needs energy_weight; use calibrate_lambda for budgets")
@@ -200,7 +200,7 @@ def solve(
     lam = float(spec.energy_weight)
     ids = range(1, spec.n_stages + 1)
     gp = solve_graph(
-        path_graph(spec), spec.miss_cost, spec.fa_cost, lam, spec.prior, grid, transitions, propagated
+        path_graph(spec), spec.miss_cost, spec.fa_cost, lam, spec.prior, grid, transitions
     )
     raw = tuple(gp.stop_thresholds[i] for i in ids)
     # a finite raw threshold above the interval already stops every
@@ -329,8 +329,11 @@ def calibrate_lambda(spec: SystemSpec, grid: BeliefGrid | None = None) -> tuple[
     and returns it: no weight spends less, and its energy is the floor of
     ``achievable_energy_range`` up to the rounding of ``evaluate``'s sum
     over ratio classes, so it may exceed a budget at the floor by that
-    rounding.  Logs one DEBUG record on the ``guidedproc`` logger: solve
-    count, final bracket, weight, energy and budget slack.
+    rounding.  The grid transitions of stages 2..K-1 are built once per
+    call and reused by every solve; the last stage's declaration table, which
+    no weight changes, comes from ``solve_graph``'s process-wide memo.  Logs
+    one DEBUG record on the ``guidedproc`` logger: solve count, final
+    bracket, weight, energy and budget slack.
     """
     grid = grid or BeliefGrid()
     if spec.energy_budget is None:
@@ -341,21 +344,19 @@ def calibrate_lambda(spec: SystemSpec, grid: BeliefGrid | None = None) -> tuple[
         raise InfeasibleBudgetError(
             f"budget {target!r} outside achievable energy range [{floor!r}, {ceil!r}]"
         )
-    # posteriors and evidence depend on the grid and the stage models only,
-    # and so does the terminal declaration table; the first stage is read
-    # at the prior alone, and the last only through that table
+    # posteriors and evidence depend on the grid and the stage models only;
+    # the first stage is read at the prior alone
     transitions = {
-        k: belief_transition(st.model, grid.points) for k, st in enumerate(spec.stages[1:], start=2)
+        k: belief_transition(st.model, grid.points)
+        for k, st in enumerate(spec.stages[1:-1], start=2)
     }
-    declare = declaration_table(grid, spec.miss_cost, spec.fa_cost)
-    propagated = {spec.n_stages: expected_next(grid, declare, transitions.pop(spec.n_stages))}
     solves = 0
 
     def solved(lam: float) -> tuple[Policy, float, float]:
         nonlocal solves
         solves += 1
         run = replace(spec, energy_weight=lam, energy_budget=None)
-        pol = solve(run, grid, transitions, propagated)
+        pol = solve(run, grid, transitions)
         rep = evaluate(run, pol)
         # the risk parts of a partition do not depend on the weight
         return pol, rep.inter_miss + rep.final_miss + rep.final_fa, rep.energy

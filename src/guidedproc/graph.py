@@ -13,23 +13,32 @@ Actions are node ids: the chosen successor id, or 0 for stop; a terminal
 declares its label (0 or 1).  Node ids must therefore be positive integers.
 The solver cuts at the grid beliefs where its decision changes, so every
 belief in [b_j, b_{j+1}) takes grid point j's action.
+
+A terminal node's declaration table, carried through its transition, is the
+half of the DP that no energy weight or prior changes.  ``solve_graph``
+computes it once per process for each (class masses, grid size, miss cost,
+false-alarm cost) and keeps it in a small memo (``TERMINAL_MEMO_ENTRIES``),
+so every cascade, graph, compare row and calibration that meets the same
+terminal model again reads it back bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ModelFormatError
-from .models import BeliefGrid, BeliefTable, belief_transition, expected_next
+from .models import BeliefGrid, BeliefTable, FeatureModel, belief_transition, expected_next
 
 if TYPE_CHECKING:  # cascade imports this module to solve its path graph
     from .cascade import StageSpec
 
 __all__ = [
+    "TERMINAL_MEMO_ENTRIES",
     "DetectionGraph",
     "GraphPolicy",
     "post_order",
@@ -150,6 +159,34 @@ def declaration_table(grid: BeliefGrid, miss_cost: float, fa_cost: float) -> np.
     return np.where(b >= fa_cost / (fa_cost + miss_cost), fa_cost * (1.0 - b), miss_cost * b)
 
 
+# Most terminal continuation tables the process keeps; past it the oldest
+# entry goes.  Each is one read-only float64 table on the grid, so the memo
+# holds at most 16 * 8 * MAX_GRID_SIZE bytes, about 12.8 MB.
+TERMINAL_MEMO_ENTRIES = 16
+_terminal_memo: dict[tuple, np.ndarray] = {}
+_terminal_lock = threading.Lock()  # solves on several threads share the memo
+
+
+def _terminal_onward(
+    model: FeatureModel, grid: BeliefGrid, miss_cost: float, fa_cost: float
+) -> np.ndarray:
+    """The declaration table carried through the terminal model's grid
+    transition by ``expected_next``.  The memo key holds everything that
+    table depends on, so a hit returns the floats a build computes; a build
+    that raises stores nothing."""
+    key = (model.class_p0.tobytes(), model.class_p1.tobytes(), grid.size, miss_cost, fa_cost)
+    ahead = _terminal_memo.get(key)
+    if ahead is None:
+        pair = belief_transition(model, grid.points)
+        ahead = expected_next(grid, declaration_table(grid, miss_cost, fa_cost), pair)
+        ahead.setflags(write=False)
+        with _terminal_lock:
+            if len(_terminal_memo) >= TERMINAL_MEMO_ENTRIES:
+                del _terminal_memo[next(iter(_terminal_memo))]
+            _terminal_memo[key] = ahead
+    return ahead
+
+
 def route(cuts: np.ndarray, actions: np.ndarray, beliefs) -> np.ndarray:
     """actions[j] at each belief with j of the sorted `cuts` at or below it:
     actions[0] plus, per cut passed, the step to the next action, summed in
@@ -191,7 +228,6 @@ def solve_graph(
     prior: float,
     grid: BeliefGrid | None = None,
     transitions=None,
-    propagated=None,
 ) -> GraphPolicy:
     """Exact-on-the-grid value iteration over the DAG.
 
@@ -199,11 +235,10 @@ def solve_graph(
     stopping (miss risk plus weighted downstream idle energy) against each
     successor (its processing cost plus expected continuation value).  Ties
     between stop and the best successor continue; ties among successors go
-    to the smallest id.  For callers that solve one graph at many weights,
-    `transitions` may map node ids to their ``belief_transition`` at the
-    grid points, and `propagated` may map terminal ids to their
-    ``declaration_table`` carried through that transition by
-    ``expected_next``, which no weight changes.
+    to the smallest id.  A terminal successor's continuation comes from the
+    process-wide memo (see the module docstring).  For callers that solve
+    one graph at many weights, `transitions` may map internal node ids to
+    their ``belief_transition`` at the grid points.
     """
     if not (0.0 < miss_cost < math.inf and 0.0 < fa_cost < math.inf):
         raise ModelFormatError("miss_cost and fa_cost must be positive and finite")
@@ -219,9 +254,8 @@ def solve_graph(
     routes: dict[int, tuple[np.ndarray, np.ndarray]] = {}
     thresholds: dict[int, float] = {}
     transitions = transitions or {}
-    propagated = propagated or {}
     # continuation table of each node, computed when a first predecessor
-    # needs it: a shared successor is propagated once
+    # needs it: a shared successor goes through expected_next once
     onward: dict[int, np.ndarray] = {}
 
     tau_term = fa_cost / (fa_cost + miss_cost)
@@ -241,8 +275,9 @@ def solve_graph(
                 assert n in tables, "post-order violated"
                 if n not in onward:
                     nxt = graph.nodes[n]
-                    ahead = propagated.get(n)
-                    if ahead is None:
+                    if graph.is_terminal(n):
+                        ahead = _terminal_onward(nxt.model, grid, miss_cost, fa_cost)
+                    else:
                         pair = transitions.get(n) or belief_transition(nxt.model, b)
                         ahead = expected_next(grid, tables[n].values, pair)
                         del pair  # 16·C·M bytes: freed before the next node's pair is built

@@ -58,8 +58,8 @@ DEFAULT_GRID_SIZE = 1001
 
 # Largest belief grid, and largest transition pair in bytes.  A stage's
 # (C, n) pair (posteriors and evidence, float64, one row per ratio class)
-# takes 16 * C * n bytes; the DP holds one per stage during calibration,
-# plus temporaries as large.  The budget admits 100 classes on the largest
+# takes 16 * C * n bytes; calibration holds one per stage 2..K-1, plus
+# temporaries as large.  The budget admits 100 classes on the largest
 # grid (160 MB); the largest grid in use is 10001 (16 MB per such stage).
 MAX_GRID_SIZE = 100_001
 MAX_TRANSITION_BYTES = 1 << 28

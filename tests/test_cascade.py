@@ -30,9 +30,9 @@ from guidedproc import (
     simulate,
     solve,
 )
-from guidedproc import cascade
+from guidedproc import cascade, graph
 from guidedproc.cascade import CALIBRATE_REL_TOL, path_graph, robustify_stages
-from guidedproc.graph import declaration_table, downstream_off_costs
+from guidedproc.graph import downstream_off_costs
 from guidedproc.models import expected_next
 from conftest import duplicate_columns, random_model, random_system, tail_off_costs
 
@@ -270,10 +270,10 @@ class TestDecomposition:
 
 
 def grid_transitions(spec: SystemSpec, grid: BeliefGrid) -> dict:
-    """Transitions at the grid points of the stages after the first, keyed by
-    node (stage k is node k + 1); calibrate_lambda builds all but the last,
-    which it reads only through the propagated terminal table."""
-    return {k: belief_transition(st.model, grid.points) for k, st in enumerate(spec.stages[1:], 2)}
+    """Transitions at the grid points of stages 2..K-1, keyed by node (stage
+    k is node k + 1), as calibrate_lambda builds them: the first stage is
+    read at the prior alone, and the last through solve_graph's memo."""
+    return {k: belief_transition(st.model, grid.points) for k, st in enumerate(spec.stages[1:-1], 2)}
 
 
 def whole_grid_evaluate(spec: SystemSpec, policy: Policy) -> RiskReport:
@@ -322,6 +322,42 @@ def with_zero_masses(rng, spec: SystemSpec) -> SystemSpec:
         p1[-1] += p1.sum() == 0.0
         stages.append(replace(st, model=FeatureModel(p0=p0 / p0.sum(), p1=p1 / p1.sum())))
     return replace(spec, stages=tuple(stages))
+
+
+def assert_same_solution(spec: SystemSpec, a: Policy, b: Policy) -> None:
+    """The two policies agree bit for bit, and so do their reports."""
+    assert (a.thresholds, a.raw_thresholds, a.v0) == (b.thresholds, b.raw_thresholds, b.v0)
+    for x, y in zip(a.value_tables, b.value_tables, strict=True):
+        assert np.array_equal(x.values, y.values)
+    assert evaluate(spec, a) == evaluate(spec, b)
+
+
+class TestTerminalMemo:
+    def test_cold_and_warm_memo_agree(self, rng, monkeypatch):
+        # the warm solve reads the last stage's table that the cold one
+        # stored, through a content-equal copy of its model
+        memo = {}
+        monkeypatch.setattr(graph, "_terminal_memo", memo)
+        grid = BeliefGrid(301)
+        for k in range(9):
+            spec = random_system(rng)
+            if k % 3 == 1:
+                spec = with_zero_masses(rng, spec)
+            elif k % 3 == 2:
+                spec = replace(
+                    spec,
+                    stages=tuple(replace(st, model=duplicate_columns(rng, st.model)) for st in spec.stages),
+                )
+            last = spec.stages[-1]
+            copy = replace(last, model=FeatureModel(p0=last.model.p0.copy(), p1=last.model.p1.copy()))
+            for lam in (0.0, spec.energy_weight, 10.0 * spec.energy_weight):
+                memo.clear()
+                run = replace(spec, energy_weight=lam)
+                cold = solve(run, grid)
+                (entry,) = memo.values()
+                warm = solve(replace(run, stages=(*run.stages[:-1], copy)), grid)
+                assert next(iter(memo.values())) is entry and len(memo) == 1
+                assert_same_solution(run, cold, warm)
 
 
 class TestRatioClasses:
@@ -449,29 +485,17 @@ class TestCalibration:
         assert evaluate(replace(spec, energy_weight=lam), policy).energy == pytest.approx(floor)
 
     def test_transitions_change_no_bit(self, rng):
-        # calibrate_lambda hands solve the grid transitions and the terminal
-        # table propagated once, in place of the last stage's transition;
-        # neither may change a bit at any weight
+        # calibrate_lambda hands solve the grid transitions of stages
+        # 2..K-1; they may not change a bit at any weight
         for k in range(6):
             spec = random_system(rng)
             if k % 2:
                 spec = with_zero_masses(rng, spec)
             grid = BeliefGrid(501)
             transitions = grid_transitions(spec, grid)
-            K = spec.n_stages
-            declare = declaration_table(grid, spec.miss_cost, spec.fa_cost)
-            terminal = {K: expected_next(grid, declare, transitions[K])}
-            ahead = {k: t for k, t in transitions.items() if k < K}
             for lam in (0.0, spec.energy_weight, 10.0 * spec.energy_weight):
                 run = replace(spec, energy_weight=lam)
-                plain = solve(run, grid)
-                for cached in (solve(run, grid, transitions), solve(run, grid, ahead, terminal)):
-                    assert (plain.thresholds, plain.raw_thresholds, plain.v0) == (
-                        cached.thresholds, cached.raw_thresholds, cached.v0
-                    )
-                    for a, b in zip(plain.value_tables, cached.value_tables):
-                        assert np.array_equal(a.values, b.values)
-                    assert evaluate(run, plain) == evaluate(run, cached)
+                assert_same_solution(run, solve(run, grid), solve(run, grid, transitions))
 
     def test_calibration_ends_where_the_cuts_stop_moving(self, monkeypatch):
         # ties continue at weight 0 and stop at any positive weight, so the

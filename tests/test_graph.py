@@ -1,11 +1,16 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from guidedproc import (
     BeliefGrid,
     DetectionGraph,
+    FeatureModel,
     ModelFormatError,
     StageSpec,
+    WorkSizeError,
     belief_transition,
     downstream_off_costs,
     evidence,
@@ -16,6 +21,7 @@ from guidedproc import (
     solve,
     solve_graph,
 )
+from guidedproc import graph as graph_mod, models
 from guidedproc.fixtures import diamond_graph, monitoring_system
 from conftest import random_model, random_system
 
@@ -356,9 +362,10 @@ class TestDiamond:
     def test_shared_successor_propagated_once(self, monkeypatch):
         # Node 4 feeds both 2 and 3; its continuation table is built once
         # and reused, so each node's transition is built once and goes
-        # through the grid propagation once (the root at the prior).
-        import guidedproc.graph as graph_mod
-
+        # through the grid propagation once (the root at the prior).  On a
+        # cold memo the terminal node 4 is built too; a second solve reads
+        # its table from the memo and builds only 2, 3 and 1.
+        monkeypatch.setattr(graph_mod, "_terminal_memo", {})
         g = diamond_graph()
         node_of = {id(st.model): i for i, st in g.nodes.items()}
         built, propagated, node_of_pair = [], [], {}
@@ -378,3 +385,92 @@ class TestDiamond:
         monkeypatch.setattr(graph_mod, "expected_next", propagating)
         solve_graph(g, miss_cost=3.0, fa_cost=1.0, energy_weight=0.002, prior=0.1, grid=self.GRID)
         assert built == propagated == [4, 2, 3, 1]
+        built.clear()
+        propagated.clear()
+        solve_graph(g, miss_cost=3.0, fa_cost=1.0, energy_weight=0.002, prior=0.1, grid=self.GRID)
+        assert built == propagated == [2, 3, 1]
+
+
+class TestTerminalMemo:
+    GRID = BeliefGrid(size=51)
+
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        """An empty memo for each test; the process's own comes back after."""
+        memo = {}
+        monkeypatch.setattr(graph_mod, "_terminal_memo", memo)
+        return memo
+
+    def onward(self, model, grid=GRID, miss_cost=3.0, fa_cost=1.0):
+        return graph_mod._terminal_onward(model, grid, miss_cost, fa_cost)
+
+    def test_a_content_equal_model_hits(self, rng, cold):
+        model = random_model(rng)
+        first = self.onward(model)
+        assert self.onward(FeatureModel(p0=model.p0.copy(), p1=model.p1.copy())) is first
+        assert len(cold) == 1
+
+    def test_each_price_and_grid_size_is_its_own_entry(self, rng, cold):
+        model = random_model(rng)
+        first = self.onward(model)
+        others = [
+            self.onward(model, miss_cost=3.5),
+            self.onward(model, fa_cost=1.5),
+            self.onward(model, grid=BeliefGrid(size=52)),
+            self.onward(random_model(rng)),
+        ]
+        assert all(o is not first for o in others) and len(cold) == 5
+        assert self.onward(model) is first
+
+    def test_entries_are_read_only_and_bounded(self, rng, cold):
+        model = random_model(rng)
+        costs = [1.0 + k for k in range(3 * graph_mod.TERMINAL_MEMO_ENTRIES)]
+        for miss in costs:
+            ahead = self.onward(model, miss_cost=miss)
+            assert not ahead.flags.writeable
+            assert len(cold) <= graph_mod.TERMINAL_MEMO_ENTRIES
+        # the oldest entries went first
+        kept = sorted(key[3] for key in cold)
+        assert kept == costs[-graph_mod.TERMINAL_MEMO_ENTRIES :]
+
+    def test_threads_share_the_memo(self, rng, cold):
+        # four threads build and evict over one key set at a short switch
+        # interval: no error, no entry past the bound, every table the same
+        model = random_model(rng)
+        costs = [1.0 + k for k in range(2 * graph_mod.TERMINAL_MEMO_ENTRIES)]
+        expected = {c: self.onward(model, miss_cost=c).copy() for c in costs}
+        cold.clear()
+        errors, sizes = [], []
+
+        def work(order):
+            try:
+                for c in order:
+                    assert np.array_equal(self.onward(model, miss_cost=c), expected[c])
+                    sizes.append(len(cold))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=work, args=(costs[k:] + costs[:k],)) for k in range(4)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == [] and len(sizes) == 4 * len(costs)
+        assert max(sizes) <= graph_mod.TERMINAL_MEMO_ENTRIES
+
+    def test_a_refused_build_leaves_no_entry(self, monkeypatch, cold):
+        monkeypatch.setattr(models, "MAX_TRANSITION_BYTES", 16)
+        with pytest.raises(WorkSizeError):
+            solve_graph(
+                diamond_graph(), miss_cost=3.0, fa_cost=1.0, energy_weight=0.002, prior=0.1,
+                grid=self.GRID,
+            )
+        assert cold == {}

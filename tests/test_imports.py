@@ -2,8 +2,9 @@
 every name it exports exists, and its ``__all__`` lists exactly the public
 functions and classes it defines; every CLI option is read; every
 parameter default of a package function is overridden by some caller;
-every ``*args`` or ``**kwargs`` parameter is filled by one; and no module
-reads the process environment.
+every ``*args`` or ``**kwargs`` parameter is filled by one; no module
+reads the process environment; and only the declared functions keep state
+between calls.
 
 No linter ships with the project, so these stdlib AST scans are the guard.
 The package ``__init__`` is skipped by the import scan: its imports are
@@ -152,6 +153,85 @@ def test_environment_scan_flags_each_reader(tmp_path):
         "a = os.environ.get('X')\nb = os.getenv('Y')\nc = os.path.join('z')\n"
     )
     assert environment_reads(module) == ["2: getenv", "3: environ", "4: getenv"]
+
+
+CACHE_DECORATORS = {"cache", "lru_cache"}
+CONTAINER_WRITERS = {"pop", "setdefault", "update", "clear", "append"}
+# The package's process-wide state: the parser that cli.main builds once,
+# and solve_graph's bounded memo of terminal continuation tables.
+STATE_KEEPERS = ["cli._build_parser", "graph._terminal_onward"]
+
+
+def state_keepers(path: Path) -> list[str]:
+    """``module.function`` for each function or method of the module that
+    keeps state between calls: it is decorated with ``functools.cache`` or
+    ``lru_cache``, holds a ``global`` statement, or writes a container bound
+    at module level and not in the function, by ``NAME[...] = ...``,
+    ``del NAME[...]`` or a call of one of CONTAINER_WRITERS on it."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    shared = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            shared |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    defined = [(n.name, n) for n in tree.body if isinstance(n, ast.FunctionDef)]
+    defined += [
+        (f"{c.name}.{n.name}", n)
+        for c in tree.body if isinstance(c, ast.ClassDef)
+        for n in c.body if isinstance(n, ast.FunctionDef)
+    ]
+    keepers = []
+    for name, fn in defined:
+        inner = list(ast.walk(fn))
+        local = {n.arg for n in inner if isinstance(n, ast.arg)}
+        local |= {n.id for n in inner if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+
+        def module_level(expr):
+            return isinstance(expr, ast.Name) and expr.id in shared - local
+
+        def cached(decorator):
+            f = decorator.func if isinstance(decorator, ast.Call) else decorator
+            return getattr(f, "attr", getattr(f, "id", None)) in CACHE_DECORATORS
+
+        if any(
+            isinstance(n, ast.Global)
+            or (isinstance(n, ast.FunctionDef) and any(map(cached, n.decorator_list)))
+            or (isinstance(n, ast.Subscript) and not isinstance(n.ctx, ast.Load) and module_level(n.value))
+            or (
+                isinstance(n, ast.Call)
+                and isinstance(n.func, ast.Attribute)
+                and n.func.attr in CONTAINER_WRITERS
+                and module_level(n.func.value)
+            )
+            for n in inner
+        ):
+            keepers.append(f"{path.stem}.{name}")
+    return sorted(keepers)
+
+
+def test_only_the_declared_functions_keep_state():
+    keepers = [k for p in sorted(PACKAGE.glob("*.py")) for k in state_keepers(p)]
+    assert keepers == STATE_KEEPERS
+
+
+def test_state_scan_flags_each_keeper(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "import functools\nfrom functools import lru_cache\nimport numpy as np\n"
+        "_memo = {}\n_seen: list = []\nLIMIT = 3\n"
+        "@functools.cache\ndef a(): pass\n"
+        "@lru_cache(maxsize=2)\ndef b(): pass\n"
+        "def c(k): _memo[k] = 1\n"
+        "def d():\n    global LIMIT\n    LIMIT = 4\n"
+        "def e(): _seen.append(1)\n"
+        "def f(): del _memo['x']\n"
+        "def g():\n    _memo = {}\n    _memo['x'] = 1\n"
+        "def h(_seen): _seen.append(1)\n"
+        "def i(): return _memo.get('x'), np.append([], 1)\n"
+        "def j():\n    @functools.lru_cache\n    def inner(): pass\n    return inner\n"
+        "class K:\n    def m(self): _memo.update(x=1)\n    def n(self): return LIMIT\n"
+    )
+    assert state_keepers(module) == ["m.K.m", "m.a", "m.b", "m.c", "m.d", "m.e", "m.f", "m.j"]
 
 
 def calls_by_name(callers) -> dict[str, list[ast.Call]]:
