@@ -11,7 +11,7 @@ A cascade is the detection graph in which every node has one successor,
 so ``solve`` is ``graph.solve_graph`` on the path graph 1 -> 2 -> ... -> K:
 one backward DP over a uniform belief grid serves both, and the last
 stage's declaration table, carried through its transition, comes from the
-graph module's process-wide memo.  Stage values are
+graph module's process-wide memo of terminal tables.  Stage values are
 piecewise-linear concave in the belief, so the continue region at each
 intermediate stage is an upper interval of beliefs: the policy is a single
 threshold per stage.  Ties continue: the threshold is the smallest grid
@@ -25,7 +25,10 @@ upper end.  The grid thresholds are kept alongside because the risk
 decomposition must follow the optimizer's stop/continue partition at every
 grid node that interpolation reads, and those nodes bracket the reachable
 beliefs rather than equal them.  ``evaluate`` carries the decomposition
-back over that read set only, which a forward pass from the prior collects.
+back over that read set only, which a forward pass from the prior collects,
+and takes the last stage's miss and false-alarm parts, carried through its
+transition, from the same memo: like the declaration table, they depend on
+no weight, prior or earlier threshold.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleBudgetError, ModelFormatError
-from .graph import DetectionGraph, downstream_off_costs, solve_graph
+from .graph import DetectionGraph, _terminal_onward, downstream_off_costs, solve_graph
 from .models import (
     BeliefGrid,
     BeliefTable,
@@ -239,8 +242,16 @@ def evaluate(spec: SystemSpec, policy: Policy) -> RiskReport:
     stage by stage, the grid nodes that interpolation at the reachable
     posteriors reads, and which of them continue; the backward pass fills
     each table on those nodes alone, so every entry it reads is the value
-    the whole-grid recursion would hold there.  Logs one DEBUG record on
-    the ``guidedproc`` logger: the read-set size per stage.
+    the whole-grid recursion would hold there.  The last stage's two
+    nonzero parts, final miss and final false alarm, depend on no weight,
+    prior or earlier threshold, so they are not carried per call: stage
+    K-1's continue nodes read them, already carried through the last
+    stage's transition, from ``graph``'s process-wide memo of terminal
+    tables, under the policy's last threshold.  On a cold memo this builds
+    the last stage's whole-grid transition, as ``solve`` does.  Logs one
+    DEBUG record on the ``guidedproc`` logger: per stage, the read-set
+    size, and for the last stage the number of continue nodes read from
+    the memo.
     """
     grid = policy.grid
     b = grid.points
@@ -251,35 +262,39 @@ def evaluate(spec: SystemSpec, policy: Policy) -> RiskReport:
 
     root = belief_transition(stages[0].model, [spec.prior])
     reads = [_read_set(b, root[0])]
-    steps = []
+    splits, pairs = [], []
     for k in range(K - 1):
         go = b[reads[k]] >= policy.raw_thresholds[k]
         cont, stop = reads[k][go], reads[k][~go]
-        # numpy sums one column pairwise but several row by row, as on the
-        # whole grid: a lone continue node is carried twice
-        cols = np.repeat(cont, 2) if cont.size == 1 else cont
-        pair = belief_transition(stages[k + 1].model, b[cols])
-        steps.append((cont, stop, pair))
-        reads.append(_read_set(b, pair[0]))
+        splits.append((cont, stop))
+        if k < K - 2:
+            # numpy sums one column pairwise but several row by row, as on
+            # the whole grid: a lone continue node is carried twice
+            cols = np.repeat(cont, 2) if cont.size == 1 else cont
+            pairs.append(belief_transition(stages[k + 1].model, b[cols]))
+            reads.append(_read_set(b, pairs[k][0]))
 
-    at = reads[K - 1]
-    positive = b[at] >= policy.thresholds[K - 1]
-    tables = np.zeros((4, b.size))
-    tables[1, at] = np.where(positive, 0.0, spec.miss_cost * b[at])
-    tables[2, at] = np.where(positive, spec.fa_cost * (1.0 - b[at]), 0.0)
+    # stage K-1's continue nodes read the last stage's risk parts in the memo
+    into_last = splits[-1][0]
+    values = np.zeros((4, into_last.size))
+    values[1:3] = _terminal_onward(
+        stages[-1].model, grid, spec.miss_cost, spec.fa_cost, policy.thresholds[K - 1]
+    )[1:, into_last]
     for k in range(K - 2, -1, -1):
-        cont, stop, pair = steps[k]
-        values = expected_next(grid, tables, pair)
+        cont, stop = splits[k]
         values[3] += stages[k + 1].on_cost
         tables = np.zeros((4, b.size))
         tables[0, stop] = spec.miss_cost * b[stop]
         tables[3, stop] = dstop[k + 1]
         tables[:, cont] = values[:, : cont.size]
+        if k:
+            values = expected_next(grid, tables, pairs[k - 1])
 
     if logger.isEnabledFor(logging.DEBUG):
         logger.debug(
-            "evaluate: grid nodes read per stage %s of %d",
-            [int(r.size) for r in reads], b.size,
+            "evaluate: grid nodes read per stage %s of %d, the last stage's at the"
+            " continue nodes from the terminal memo",
+            [*(int(r.size) for r in reads), int(into_last.size)], b.size,
         )
     at_prior = expected_next(grid, tables, root)[:, 0]
     r_inter, r_final_m, r_final_fa, e = at_prior.tolist()
@@ -330,8 +345,9 @@ def calibrate_lambda(spec: SystemSpec, grid: BeliefGrid | None = None) -> tuple[
     ``achievable_energy_range`` up to the rounding of ``evaluate``'s sum
     over ratio classes, so it may exceed a budget at the floor by that
     rounding.  The grid transitions of stages 2..K-1 are built once per
-    call and reused by every solve; the last stage's declaration table, which
-    no weight changes, comes from ``solve_graph``'s process-wide memo.  Logs
+    call and reused by every solve; the last stage's declaration table and
+    risk parts, which no weight changes, come from ``graph``'s process-wide
+    memo, so neither ``solve`` nor ``evaluate`` propagates through it.  Logs
     one DEBUG record on the ``guidedproc`` logger: solve count, final
     bracket, weight, energy and budget slack.
     """

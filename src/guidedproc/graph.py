@@ -14,12 +14,14 @@ declares its label (0 or 1).  Node ids must therefore be positive integers.
 The solver cuts at the grid beliefs where its decision changes, so every
 belief in [b_j, b_{j+1}) takes grid point j's action.
 
-A terminal node's declaration table, carried through its transition, is the
-half of the DP that no energy weight or prior changes.  ``solve_graph``
-computes it once per process for each (class masses, grid size, miss cost,
-false-alarm cost) and keeps it in a small memo (``TERMINAL_MEMO_ENTRIES``),
-so every cascade, graph, compare row and calibration that meets the same
-terminal model again reads it back bit for bit.
+No energy weight or prior changes a terminal node's declaration table
+carried through its transition (the solver's half of the DP), nor its miss
+and false-alarm parts carried the same way (the last stage of
+``cascade.evaluate``).  One ``expected_next`` call computes the three once
+per process for each (class masses, grid size, miss cost, false-alarm
+cost, declaration cut), and a small memo (``TERMINAL_MEMO_ENTRIES``) keeps
+them, so every cascade, graph, compare row, calibration and risk report
+that meets the same terminal model again reads them back bit for bit.
 """
 
 from __future__ import annotations
@@ -159,26 +161,35 @@ def declaration_table(grid: BeliefGrid, miss_cost: float, fa_cost: float) -> np.
     return np.where(b >= fa_cost / (fa_cost + miss_cost), fa_cost * (1.0 - b), miss_cost * b)
 
 
-# Most terminal continuation tables the process keeps; past it the oldest
-# entry goes.  Each is one read-only float64 table on the grid, so the memo
-# holds at most 16 * 8 * MAX_GRID_SIZE bytes, about 12.8 MB.
+# Most terminal continuation entries the process keeps; past it the oldest
+# entry goes.  Each is one read-only (3, M) float64 array, so the memo holds
+# at most 16 * 3 * 8 * MAX_GRID_SIZE bytes, about 38.4 MB.
 TERMINAL_MEMO_ENTRIES = 16
 _terminal_memo: dict[tuple, np.ndarray] = {}
 _terminal_lock = threading.Lock()  # solves on several threads share the memo
 
 
 def _terminal_onward(
-    model: FeatureModel, grid: BeliefGrid, miss_cost: float, fa_cost: float
+    model: FeatureModel, grid: BeliefGrid, miss_cost: float, fa_cost: float, cut: float
 ) -> np.ndarray:
-    """The declaration table carried through the terminal model's grid
-    transition by ``expected_next``.  The memo key holds everything that
-    table depends on, so a hit returns the floats a build computes; a build
-    that raises stores nothing."""
-    key = (model.class_p0.tobytes(), model.class_p1.tobytes(), grid.size, miss_cost, fa_cost)
+    """Three terminal tables carried through the model's grid transition by
+    one ``expected_next``, as the rows of a (3, M) array: the declaration
+    table that declares positive from `cut` up, its miss part (miss * b
+    below the cut, else 0) and its false-alarm part (fa * (1 - b) from the
+    cut up, else 0).  ``solve_graph`` reads row 0 at the cut
+    fa / (fa + miss), ``cascade.evaluate`` rows 1 and 2 at its policy's
+    last threshold.  The memo key holds everything the rows depend on, so a
+    hit returns the floats a build computes; a build that raises stores
+    nothing."""
+    key = (model.class_p0.tobytes(), model.class_p1.tobytes(), grid.size, miss_cost, fa_cost, cut)
     ahead = _terminal_memo.get(key)
     if ahead is None:
-        pair = belief_transition(model, grid.points)
-        ahead = expected_next(grid, declaration_table(grid, miss_cost, fa_cost), pair)
+        b = grid.points
+        positive = b >= cut
+        miss = np.where(positive, 0.0, miss_cost * b)
+        fa = np.where(positive, fa_cost * (1.0 - b), 0.0)
+        # one part is 0.0 at each node, so their sum is the declaration table
+        ahead = expected_next(grid, np.stack([miss + fa, miss, fa]), belief_transition(model, b))
         ahead.setflags(write=False)
         with _terminal_lock:
             if len(_terminal_memo) >= TERMINAL_MEMO_ENTRIES:
@@ -276,7 +287,7 @@ def solve_graph(
                 if n not in onward:
                     nxt = graph.nodes[n]
                     if graph.is_terminal(n):
-                        ahead = _terminal_onward(nxt.model, grid, miss_cost, fa_cost)
+                        ahead = _terminal_onward(nxt.model, grid, miss_cost, fa_cost, tau_term)[0]
                     else:
                         pair = transitions.get(n) or belief_transition(nxt.model, b)
                         ahead = expected_next(grid, tables[n].values, pair)

@@ -359,6 +359,51 @@ class TestTerminalMemo:
                 assert next(iter(memo.values())) is entry and len(memo) == 1
                 assert_same_solution(run, cold, warm)
 
+    def test_warm_evaluate_builds_no_last_stage_transition(self, rng, monkeypatch):
+        # the solve stores the last stage's entry; evaluate then builds the
+        # transitions of stages 1..K-1 only, on the read set, and reads the
+        # last stage's risk parts from the memo
+        monkeypatch.setattr(graph, "_terminal_memo", {})
+        built = []
+        build = cascade.belief_transition
+
+        def building(model, beliefs):
+            built.append(model)
+            return build(model, beliefs)
+
+        for _ in range(6):
+            spec = random_system(rng, energy_weight=1e-4)
+            policy = solve(spec, BeliefGrid(301))
+            monkeypatch.setattr(cascade, "belief_transition", building)
+            monkeypatch.setattr(graph, "belief_transition", building)
+            report = evaluate(spec, policy)
+            monkeypatch.setattr(cascade, "belief_transition", build)
+            monkeypatch.setattr(graph, "belief_transition", build)
+            assert [id(m) for m in built] == [id(st.model) for st in spec.stages[:-1]]
+            assert report == whole_grid_evaluate(spec, policy)
+            built.clear()
+
+    def test_another_last_threshold_has_its_own_entry(self, rng, monkeypatch):
+        # a hand-made policy whose declaration cut is not fa / (fa + miss)
+        # is priced at its own cut, and leaves the solver's entry alone
+        memo = {}
+        monkeypatch.setattr(graph, "_terminal_memo", memo)
+        grid = BeliefGrid(201)
+        for _ in range(6):
+            spec = random_system(rng)
+            memo.clear()
+            cold = solve(spec, grid)
+            memo.clear()
+            cut = float(rng.uniform(0.05, 0.95))
+            raw = (*cold.raw_thresholds[:-1], cut)
+            hand = Policy(grid, raw, raw, (), 0.0, spec.energy_weight)
+            assert cut != spec.fa_cost / (spec.fa_cost + spec.miss_cost)
+            assert evaluate(spec, hand) == whole_grid_evaluate(spec, hand)
+            assert len(memo) == 1
+            warm = solve(spec, grid)
+            assert len(memo) == 2
+            assert_same_solution(spec, cold, warm)
+
 
 class TestRatioClasses:
     @pytest.mark.parametrize("size", [101, 1001])
@@ -421,7 +466,10 @@ class TestReadSetEvaluate:
         assert record.name == "guidedproc" and record.levelno == logging.DEBUG
         counts, size = record.args
         assert size == 101 and len(counts) == 3
-        assert all(1 <= n <= 101 for n in counts)
+        # the read sets of stages 1 and 2, then stage 2's continue nodes, at
+        # which the last stage's parts are read from the terminal memo
+        assert all(1 <= n <= 101 for n in counts[:-1])
+        assert 0 <= counts[-1] <= counts[-2]
 
 
 class TestCalibration:

@@ -401,8 +401,30 @@ class TestTerminalMemo:
         monkeypatch.setattr(graph_mod, "_terminal_memo", memo)
         return memo
 
-    def onward(self, model, grid=GRID, miss_cost=3.0, fa_cost=1.0):
-        return graph_mod._terminal_onward(model, grid, miss_cost, fa_cost)
+    def onward(self, model, grid=GRID, miss_cost=3.0, fa_cost=1.0, cut=None):
+        """The entry at `cut`, by default the solver's fa / (fa + miss)."""
+        cut = fa_cost / (fa_cost + miss_cost) if cut is None else cut
+        return graph_mod._terminal_onward(model, grid, miss_cost, fa_cost, cut)
+
+    def test_rows_are_the_declaration_table_and_its_parts(self, rng):
+        # row 0 is what the solver propagates; rows 1 and 2 are the miss and
+        # false-alarm parts, each carried through the grid transition alone
+        b = self.GRID.points
+        for cut in (0.25, 0.5, b[20], 1.0):
+            model = random_model(rng)
+            rows = self.onward(model, cut=cut)
+            positive = b >= cut
+            parts = (
+                np.where(positive, 1.0 - b, 3.0 * b),
+                np.where(positive, 0.0, 3.0 * b),
+                np.where(positive, 1.0 - b, 0.0),
+            )
+            pair = belief_transition(model, b)
+            for row, part in zip(rows, parts, strict=True):
+                assert np.array_equal(row, expected_next(self.GRID, part, pair))
+        solver = self.onward(model)
+        declared = expected_next(self.GRID, graph_mod.declaration_table(self.GRID, 3.0, 1.0), pair)
+        assert np.array_equal(solver[0], declared)
 
     def test_a_content_equal_model_hits(self, rng, cold):
         model = random_model(rng)
@@ -418,8 +440,9 @@ class TestTerminalMemo:
             self.onward(model, fa_cost=1.5),
             self.onward(model, grid=BeliefGrid(size=52)),
             self.onward(random_model(rng)),
+            self.onward(model, cut=0.5),
         ]
-        assert all(o is not first for o in others) and len(cold) == 5
+        assert all(o is not first for o in others) and len(cold) == 6
         assert self.onward(model) is first
 
     def test_entries_are_read_only_and_bounded(self, rng, cold):
@@ -427,7 +450,7 @@ class TestTerminalMemo:
         costs = [1.0 + k for k in range(3 * graph_mod.TERMINAL_MEMO_ENTRIES)]
         for miss in costs:
             ahead = self.onward(model, miss_cost=miss)
-            assert not ahead.flags.writeable
+            assert not ahead.flags.writeable and ahead.shape == (3, self.GRID.size)
             assert len(cold) <= graph_mod.TERMINAL_MEMO_ENTRIES
         # the oldest entries went first
         kept = sorted(key[3] for key in cold)
