@@ -5,7 +5,7 @@ threshold crossed at that stage maps to a threshold on the raw symbol, so
 the deployed sensor never needs posterior arithmetic: it compares y to a
 per-stage scalar eta and nudges eta whenever the observed activation rate
 drifts from the rate the solved policy would produce.  Stages that fail the
-monotonicity check keep the belief-domain rule, on the stream's belief.
+monotonicity check keep the deployed belief rule, ``Policy.routes``.
 
 Updates use one shared step size mu: the rate estimate is an EWMA of the
 activation indicator, and eta moves by mu times the tracking error, clamped
@@ -22,6 +22,7 @@ import numpy as np
 
 from .cascade import Policy, SystemSpec
 from .errors import GuidedProcError, ModelFormatError
+from .graph import route
 from .models import FeatureModel, belief_transition, posterior_update
 
 __all__ = ["is_monotone_ratio", "stationary_targets", "feature_cut"]
@@ -37,7 +38,7 @@ def is_monotone_ratio(model: FeatureModel) -> bool:
 
 
 def stationary_targets(spec: SystemSpec, policy: Policy) -> tuple[np.ndarray, np.ndarray]:
-    """Exact long-run activation rates under the deployed thresholds.
+    """Exact long-run activation rates under the deployed ``policy.routes``.
 
     Returns (targets, reach): targets[i] is the activation probability at
     stage i conditioned on reaching it; reach[i] the unconditional reach
@@ -50,12 +51,13 @@ def stationary_targets(spec: SystemSpec, policy: Policy) -> tuple[np.ndarray, np
     n = spec.n_stages
     targets = np.zeros(n)
     reach = np.zeros(n)
+    routes = policy.routes
     beliefs, weights = np.array([float(spec.prior)]), np.ones(1)
     p_reach = 1.0
     for k, stage in enumerate(spec.stages):
         reach[k] = p_reach
         post, ev = belief_transition(stage.model, beliefs)
-        go = post >= policy.thresholds[k]
+        go = route(*routes[k + 1], post) != 0
         act = float(weights @ np.sum(ev * go, axis=0))
         targets[k] = act
         if k == n - 1 or act <= 0.0:

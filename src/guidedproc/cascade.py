@@ -16,7 +16,7 @@ piecewise-linear concave in the belief, so the continue region at each
 intermediate stage is an upper interval of beliefs: the policy is a single
 threshold per stage.  Ties continue: the threshold is the smallest grid
 belief at which continuing costs no more than stopping, matching the
-deployed rule, which continues when the belief is at or above it.
+deployed rule, ``Policy.routes``, which continues at or above it.
 Deployed thresholds are the grid thresholds mapped onto each stage's
 admissible posterior interval so that both choose the same action at every
 reachable belief: a threshold below the interval is raised to its lower
@@ -149,6 +149,17 @@ class Policy:
     value_tables: tuple[BeliefTable, ...]
     v0: float
     energy_weight: float
+
+    @property
+    def routes(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """``graph.route`` tables of the path graph: stage k cuts at
+        thresholds[k - 1], going on to node k + 1 or, last, declaring 1."""
+        n = len(self.thresholds)
+        label = np.min_scalar_type(n)  # holds every stage id
+        return {
+            k: (np.array([t]), np.array([0, k % n + 1], label))
+            for k, t in enumerate(self.thresholds, start=1)
+        }
 
 
 @dataclass(frozen=True)

@@ -224,12 +224,6 @@ class GraphPolicy:
     prior: float
     v0: float
 
-    def decision_at(self, node: int, belief) -> np.ndarray:
-        """Deployed action at any belief: the action of the largest grid
-        point not above it (within a grid step the decision is constant
-        between threshold crossings, so this reproduces the threshold rule)."""
-        return route(*self.routes[node], belief)
-
 
 def solve_graph(
     graph: DetectionGraph,

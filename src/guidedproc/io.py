@@ -54,8 +54,8 @@ __all__ = [
 MODEL_FORMAT = "guidedproc-model"
 RENORM_WARN = 1e-9
 RENORM_FAIL = 1e-6
-# compare solves and streams one row per sweep point in turn, about 30 ms
-# each at the default frame count: 10,001 rows are about 5 minutes
+# compare solves and streams one row per sweep point in turn, about 12 ms
+# each at the default frame count (2-vCPU Xeon): 10,001 rows are 2 minutes
 MAX_SWEEP_POINTS = 10_001
 
 
@@ -306,9 +306,7 @@ def load_policy_file(path, spec: SystemSpec) -> Policy:
 
 def dump_model_file(raw: dict, path) -> None:
     parse_model_document(raw)  # refuse to write a file we could not load
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(raw, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(raw, path)
 
 
 def build_from_document(

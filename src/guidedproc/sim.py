@@ -44,10 +44,10 @@ continues every frame costs no gathers.  ``models.posterior_update`` runs
 the root's Bayes step once per class and gathers; every later node updates
 each frame with its class's masses.  A route returns one small integer per
 frame (0 stop, a successor id, or the declared label) with no branching
-select: the belief rule is ``graph.route`` on each node's cut points, and
-a cascade stage's one cut is its deployed threshold.  The stopped frames
-and each successor's frames become index lists (``np.flatnonzero``) and
-every per-frame array is gathered through them with ``take``, never
+select: the belief rule is ``graph.route`` on the policy's ``routes``,
+where a cascade stage's one cut is its deployed threshold.  The stopped
+frames and each successor's frames become index lists (``np.flatnonzero``)
+and every per-frame array is gathered through them with ``take``, never
 through a boolean mask: frames arrive in random order, so a mask is a
 random bit pattern and masked selection pays a branch miss per frame.
 Energy is a scatter-add through the same lists.  Adaptive mode routes a
@@ -268,27 +268,24 @@ def simulate(config: StreamConfig, policy=None) -> SimReport:
             raise ModelFormatError("cascade simulation needs a solved Policy")
         if len(policy.thresholds) != system.n_stages:
             raise ModelFormatError("policy does not match the system's stage count")
-        if config.mode == "adaptive":
-            return _simulate_adaptive(config, system, policy)
-        graph, prior, costs, n = path_graph(system), system.prior, system, system.n_stages
-        label = np.min_scalar_type(n)  # holds every stage id; the last declares 1
-        # one cut per stage, at its deployed threshold: not a grid point
-        routes = {
-            k: (np.array([t]), np.array([0, k % n + 1], label))
-            for k, t in enumerate(policy.thresholds, start=1)
-        }
+        graph, prior, costs, weight = path_graph(system), system.prior, system, policy.energy_weight
     elif isinstance(system, DetectionGraph):
         if not isinstance(policy, GraphPolicy):
             raise ModelFormatError("graph simulation needs a GraphPolicy")
         # root prior: the graph policy was solved for one
-        graph, prior, costs, routes = system, policy.prior, policy, policy.routes
+        graph, prior, costs, weight = system, policy.prior, policy, policy.energy_weight
     elif isinstance(system, DutyCycleSpec):
-        return _simulate_duty_cycle(config, system)
+        graph, prior, costs, weight = None, system.prior, system, config.energy_weight
     else:
         raise ModelFormatError(f"cannot simulate a {type(system).__name__}")
-    deployed = lambda node, idx, beliefs, symbols, first: route(*routes[node], beliefs)
-    acc = _Accumulator(costs.miss_cost, costs.fa_cost, policy.energy_weight)
     prior = prior if config.prior is None else config.prior
+    acc = _Accumulator(costs.miss_cost, costs.fa_cost, weight)
+    if graph is None:  # the duty cycler's variate layout is its own
+        return _simulate_duty_cycle(config, system, prior, acc)
+    if config.mode == "adaptive":
+        return _simulate_adaptive(config, system, policy, graph, prior, acc)
+    routes = policy.routes
+    deployed = lambda node, idx, beliefs, symbols, first: route(*routes[node], beliefs)
     return _walk(config, graph, prior, deployed, acc)
 
 
@@ -345,13 +342,13 @@ def _walk(
     return acc.report()
 
 
-def _simulate_adaptive(config: StreamConfig, spec: SystemSpec, policy: Policy) -> SimReport:
+def _simulate_adaptive(
+    config: StreamConfig, spec: SystemSpec, policy: Policy, graph: DetectionGraph, prior, acc
+) -> SimReport:
     """Cascade stream under the adaptive feature-domain rule, a route through
     the walker (see the module docstring).  Fallback stages decide on the
-    belief, which carries every earlier stage's evidence."""
-    prior = spec.prior if config.prior is None else config.prior
-    n, mu = spec.n_stages, config.mu
-    label = np.min_scalar_type(n).type  # holds every stage id
+    belief, which carries every earlier stage's evidence, by its route."""
+    n, mu, routes = spec.n_stages, config.mu, policy.routes
     # non-monotone stages fall back to the belief rule; thresholds start
     # mid-alphabet and rate estimates at their targets, so the first
     # updates react to data, not initialization
@@ -362,10 +359,10 @@ def _simulate_adaptive(config: StreamConfig, spec: SystemSpec, policy: Policy) -
     rates = list(targets)
     visits, acts = [0] * n, [0] * n
 
-    def route(node, idx, beliefs, symbols, first):
+    def adapt(node, idx, beliefs, symbols, first):
         k = node - 1
         feature = feature_rule[k]
-        rule = symbols.tolist() if feature else (beliefs >= policy.thresholds[k]).tolist()
+        rule = symbols.tolist() if feature else (route(*routes[node], beliefs) != 0).tolist()
         e, r, target, limit = eta[k], rates[k], targets[k], limits[k]
         acted = []
         for v in rule:
@@ -379,22 +376,19 @@ def _simulate_adaptive(config: StreamConfig, spec: SystemSpec, policy: Policy) -
         m = int(np.searchsorted(idx, first))  # idx[m:] are measured
         visits[k] += idx.size - m
         acts[k] += int(np.count_nonzero(acted[m:]))
-        return acted.view(np.uint8) * label(node % n + 1)  # the last stage declares 1
+        return acted.view(np.uint8) * routes[node][1][1]  # the go label: next node, or 1
 
-    acc = _Accumulator(spec.miss_cost, spec.fa_cost, policy.energy_weight)
-    report = _walk(config, path_graph(spec), prior, route, acc, skip=config.burn_in)
+    report = _walk(config, graph, prior, adapt, acc, skip=config.burn_in)
     rate_errors = tuple(
         abs(acts[k] / visits[k] - targets[k]) if visits[k] else 0.0 for k in range(n)
     )
     return replace(report, final_eta=tuple(eta), rate_errors=rate_errors)
 
 
-def _simulate_duty_cycle(config: StreamConfig, dc_spec: DutyCycleSpec) -> SimReport:
+def _simulate_duty_cycle(config: StreamConfig, dc_spec: DutyCycleSpec, prior, acc) -> SimReport:
     """Stream the duty cycler: a coin gates the detector each frame."""
-    prior = dc_spec.prior if config.prior is None else config.prior
     positive = positive_symbols(dc_spec.detector, prior, dc_spec.miss_cost, dc_spec.fa_cost)
     sample = _SymbolSampler(dc_spec.detector)
-    acc = _Accumulator(dc_spec.miss_cost, dc_spec.fa_cost, config.energy_weight)
     for c, count in _chunks(config.n_frames):
         gen = _generator(config.seed, c)
         x = gen.random(count) < prior

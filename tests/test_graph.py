@@ -36,7 +36,7 @@ def exact_policy_risk(graph, policy, prior) -> float:
     lam, miss, fa = policy.energy_weight, policy.miss_cost, policy.fa_cost
 
     def after(node: int, belief: float) -> float:
-        action = int(policy.decision_at(node, belief))
+        action = int(graph_mod.route(*policy.routes[node], belief))
         if graph.is_terminal(node):
             return fa * (1.0 - belief) if action == 1 else miss * belief
         if action == 0:
@@ -318,7 +318,7 @@ class TestDiamond:
         # strong branch works the uncertain middle and the cheap branch is
         # enough to confirm already-high beliefs.
         _, gp = self.solve_fixture()
-        root_dec = gp.decision_at(1, gp.grid.points)
+        root_dec = graph_mod.route(*gp.routes[1], gp.grid.points)
         assert (root_dec == 2).any()
         assert (root_dec == 3).any()
         assert (root_dec == 0).any()
@@ -335,10 +335,11 @@ class TestDiamond:
         assert gp.routes[1][1].tolist() == [0, 3, 2]  # stop, node 3, node 2: not monotone
         for node, table in grid_actions(diamond_graph(), gp).items():
             for j, pi in enumerate(b.tolist()):
-                assert gp.decision_at(node, pi) == table[j]
+                assert graph_mod.route(*gp.routes[node], pi) == table[j]
             # the floor rule: just below a grid point, its left neighbour acts
-            np.testing.assert_array_equal(gp.decision_at(node, b), table)
-            np.testing.assert_array_equal(gp.decision_at(node, np.nextafter(b[1:], 0.0)), table[:-1])
+            np.testing.assert_array_equal(graph_mod.route(*gp.routes[node], b), table)
+            below = np.nextafter(b[1:], 0.0)
+            np.testing.assert_array_equal(graph_mod.route(*gp.routes[node], below), table[:-1])
 
     def test_decision_tables_follow_thresholds(self):
         # Below the stop threshold the action is stop, at and above it the
@@ -346,7 +347,7 @@ class TestDiamond:
         _, gp = self.solve_fixture()
         for i in (1, 2, 3):
             b = gp.grid.points
-            dec = gp.decision_at(i, b)
+            dec = graph_mod.route(*gp.routes[i], b)
             tau = gp.stop_thresholds[i]
             np.testing.assert_array_equal(dec == 0, b < tau)
 
@@ -356,7 +357,7 @@ class TestDiamond:
         g = diamond_graph()
         twin = DetectionGraph(nodes={**g.nodes, 3: g.nodes[2]}, edges=g.edges, root=1)
         gp = solve_graph(twin, miss_cost=3.0, fa_cost=1.0, energy_weight=0.002, prior=0.1)
-        root = gp.decision_at(1, gp.grid.points)
+        root = graph_mod.route(*gp.routes[1], gp.grid.points)
         assert set(root.tolist()) == {0, 2}
 
     def test_shared_successor_propagated_once(self, monkeypatch):

@@ -2,9 +2,10 @@
 every name it exports exists, and its ``__all__`` lists exactly the public
 functions and classes it defines; every CLI option is read; every
 parameter default of a package function is overridden by some caller;
-every ``*args`` or ``**kwargs`` parameter is filled by one; no module
-reads the process environment; and only the declared functions keep state
-between calls.
+every ``*args`` or ``**kwargs`` parameter is filled by one; every public
+function, method and property is named by the program that ships; no
+module reads the process environment; and only the declared functions keep
+state between calls.
 
 No linter ships with the project, so these stdlib AST scans are the guard.
 The package ``__init__`` is skipped by the import scan: its imports are
@@ -351,3 +352,79 @@ def test_variadic_scan_flags_an_unfilled_parameter(tmp_path):
     caller = tmp_path / "use.py"
     caller.write_text("f(0, b=2)\nf(a=1)\ng(*ys)\ng(**opts)\nh(z=1)\nK().m(1, 2)\n")
     assert unfilled_variadics([module], [module, caller]) == ["m.f(**extra)", "m.f(*rest)"]
+
+
+# The scalar Bayes API that the test oracles build on; the package reads
+# whole arrays through belief_transition and posterior_update instead.
+UNNAMED_API = ["models.evidence"]
+
+
+def public_api(path: Path) -> list[tuple[str, str]]:
+    """(``module.function`` or ``module.Class.member``, name) for each
+    public function of the module and each public method or property of
+    its public classes."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    api = [(f"{path.stem}.{n.name}", n.name) for n in tree.body if isinstance(n, defs)]
+    api += [
+        (f"{path.stem}.{c.name}.{n.name}", n.name)
+        for c in tree.body if isinstance(c, ast.ClassDef) and not c.name.startswith("_")
+        for n in c.body if isinstance(n, defs)
+    ]
+    return [(qual, name) for qual, name in api if not name.startswith("_")]
+
+
+def names_read(path: Path) -> set[str]:
+    """Every name the file reads, as a variable or an attribute, outside
+    the definitions of functions of that name (an import is no read)."""
+    read = set()
+
+    def visit(node, inside):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            inside = inside | {node.name}
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in inside:
+                read.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, inside)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return read
+
+
+def unnamed_api(modules, callers) -> list[str]:
+    """The public functions, methods and properties of the `modules` files
+    whose name no `callers` file reads outside their own definition."""
+    read = set().union(*(names_read(p) for p in callers))
+    return sorted(qual for p in modules for qual, name in public_api(p) if name not in read)
+
+
+def test_every_public_function_is_named_by_the_program():
+    modules, _ = package_and_callers()
+    callers = [p for d in ("src", "demos", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unnamed_api(modules, callers) == UNNAMED_API
+
+
+def test_api_scan_flags_an_unnamed_member(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def f(): return f()\n"
+        "def g(): pass\n"
+        "def _h(): pass\n"
+        "class K:\n"
+        "    def m(self): return self.m()\n"
+        "    def n(self): pass\n"
+        "    @property\n"
+        "    def p(self): return 1\n"
+        "    @property\n"
+        "    def q(self): return 2\n"
+        "    def __len__(self): return 0\n"
+        "class _P:\n"
+        "    def r(self): pass\n"
+        "def s(): return t()\n"
+        "def t(): pass\n"
+    )
+    caller = tmp_path / "use.py"
+    caller.write_text("from m import K, f, g, s\nk = K()\nk.n()\nk.p\nk.q = 1\ns()\n")
+    assert unnamed_api([module], [module, caller]) == ["m.K.m", "m.K.q", "m.f", "m.g"]

@@ -1,4 +1,5 @@
 import bisect
+import json
 import math
 from dataclasses import fields, replace
 
@@ -16,6 +17,7 @@ from guidedproc import (
     StreamConfig,
     SystemSpec,
     UncertaintyParams,
+    belief_transition,
     build_system,
     dc_risk,
     energy_equivalent_rho,
@@ -26,7 +28,10 @@ from guidedproc import (
     solve,
     solve_graph,
 )
-from guidedproc import sim as sim_module
+from guidedproc import io, sim as sim_module
+from guidedproc.adaptive import stationary_targets
+from guidedproc.cascade import Policy
+from guidedproc.graph import route
 from guidedproc.sim import GUIDE_CELLS, _SymbolSampler
 from guidedproc.fixtures import (
     DUTY_OFF_MJ,
@@ -36,7 +41,7 @@ from guidedproc.fixtures import (
     diamond_graph,
     monitoring_system,
 )
-from conftest import tail_off_costs
+from conftest import random_model, tail_off_costs
 from test_adaptive import class_system, dict_enumeration
 
 # ---------------------------------------------------------------------------
@@ -125,7 +130,7 @@ def oracle_cascade_stream(spec, policy, n_frames, seed):
 
 def oracle_graph_stream(graph, policy, n_frames, seed, prior):
     """Scalar replay of a graph stream: one uniform row per node in
-    ascending id order, decisions from the policy's decision_at.  Also
+    ascending id order, decisions from the policy's routes.  Also
     returns the set of (node, action) pairs taken."""
     ids = sorted(graph.nodes)
     row = {nid: j for j, nid in enumerate(ids)}
@@ -138,7 +143,7 @@ def oracle_graph_stream(graph, policy, n_frames, seed, prior):
             while True:
                 m = graph.nodes[node].model
                 pi = bayes(pi, m, draw(cdf[node], x[t], u[row[node]][t]))
-                action = int(policy.decision_at(node, pi))
+                action = int(route(*policy.routes[node], pi))
                 actions.add((node, action))
                 if graph.is_terminal(node):
                     declared = action == 1
@@ -940,3 +945,84 @@ class TestValidation:
         for seed in (2**128 - 1, np.int64(7)):
             cfg = StreamConfig(system=spec, n_frames=np.int64(10), seed=seed, prior=1.0)
             assert simulate(cfg, policy).n_target == 10
+
+
+def round_trip(policy, spec):
+    """The policy as ``simulate --policy`` reads it back from a file."""
+    return io.policy_from_payload(json.loads(io.write_json(io.policy_payload(policy), None)), spec)
+
+
+def assert_same_routes(a, b):
+    assert a.keys() == b.keys()
+    for node in a:
+        for x, y in zip(a[node], b[node], strict=True):
+            assert x.dtype == y.dtype
+            np.testing.assert_array_equal(x, y)
+
+
+class TestDeployedRoutes:
+    """A cascade's deployed rule is its ``Policy.routes``: one cut per
+    stage at the deployed threshold, read through ``graph.route`` by the
+    stream, the adaptive fallback and ``stationary_targets``."""
+
+    def test_bundled_routes_survive_a_file_round_trip(self):
+        spec, _ = monitoring_system()
+        policy = solve(spec)
+        routes = policy.routes
+        assert sorted(routes) == [1, 2, 3]
+        for node, (cuts, actions) in routes.items():
+            assert cuts.tolist() == [policy.thresholds[node - 1]]
+            assert actions.tolist() == [0, node + 1 if node < 3 else 1]
+            assert actions.dtype == np.uint8
+        assert_same_routes(round_trip(policy, spec).routes, routes)
+
+    def test_a_260_stage_cascade_routes_with_uint16_labels(self):
+        # at weight 0 every belief continues, so each frame reaches stage
+        # 260, past the 255 that a uint8 label could name
+        rng = np.random.default_rng(5)
+        stages = tuple(
+            StageSpec(model=random_model(rng), on_cost=1.0 + k / 100, off_cost=0.5)
+            for k in range(260)
+        )
+        spec = SystemSpec(stages=stages, miss_cost=2.0, fa_cost=1.0, prior=0.3, energy_weight=0.0)
+        policy = solve(spec)
+        loaded = round_trip(policy, spec)
+        assert_same_routes(loaded.routes, policy.routes)
+        assert policy.routes[255][1].tolist() == [0, 256]
+        assert policy.routes[255][1].dtype == np.uint16
+        report = simulate(StreamConfig(system=spec, n_frames=200, seed=3), policy)
+        assert report == simulate(StreamConfig(system=spec, n_frames=200, seed=3), loaded)
+        assert_counts_match(report, *oracle_cascade_stream(spec, policy, 200, 3))
+        assert report.energy == pytest.approx(sum(s.on_cost for s in stages), rel=1e-12)
+
+    def test_stream_and_targets_read_the_property(self, monkeypatch):
+        spec, _ = monitoring_system()
+        policy = solve(spec)
+        reads, deployed = [], Policy.routes.fget
+        monkeypatch.setattr(Policy, "routes", property(lambda p: reads.append(p) or deployed(p)))
+        simulate(StreamConfig(system=spec, n_frames=100, seed=1), policy)
+        assert reads == [policy]
+        simulate(StreamConfig(system=spec, n_frames=100, seed=1, mode="adaptive"), policy)
+        assert reads == [policy] * 3  # the adaptive route's and its targets'
+
+    def test_a_threshold_on_a_reachable_posterior_continues(self):
+        # stage 1's threshold set exactly on a class's posterior from the
+        # prior: the stream and the exact targets both continue it, as they
+        # do one ulp lower, and stop it one ulp higher.  Some classes' ratios
+        # differ by ulps, so the class is the likeliest of those whose
+        # posterior has no other within 1e-12.
+        spec, _ = monitoring_system()
+        policy = solve(spec)
+        post, ev = belief_transition(spec.stages[0].model, np.array([spec.prior]))
+        post, ev = post[:, 0], ev[:, 0]
+        alone = [np.count_nonzero(np.abs(post - p) < 1e-12) == 1 for p in post]
+        tie = float(post[np.argmax(np.where(alone, ev, 0.0))])
+
+        def at(t):
+            p = replace(policy, thresholds=(t, *policy.thresholds[1:]))
+            cfg = StreamConfig(system=spec, n_frames=20_000, seed=9)
+            return simulate(cfg, p), stationary_targets(spec, p)[0].tolist()
+
+        on, below, above = at(tie), at(np.nextafter(tie, 0.0)), at(np.nextafter(tie, 1.0))
+        assert on == below
+        assert on[0] != above[0] and on[1] != above[1]
