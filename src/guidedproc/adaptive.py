@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cascade import Policy, SystemSpec
-from .errors import GuidedProcError, ModelFormatError
+from .errors import ModelFormatError, WorkSizeError
 from .graph import route
 from .models import FeatureModel, belief_transition, posterior_update
 
@@ -66,7 +66,7 @@ def stationary_targets(spec: SystemSpec, policy: Policy) -> tuple[np.ndarray, np
         live = go & (w > 0.0)
         beliefs, atom = np.unique(post[live], return_inverse=True)
         if beliefs.size > _MAX_BELIEF_STATES:
-            raise GuidedProcError("reachable belief set too large to enumerate exactly")
+            raise WorkSizeError("reachable belief set too large to enumerate exactly")
         weights = np.bincount(atom, weights=w[live], minlength=beliefs.size) / act
         p_reach *= act
     return targets, reach

@@ -289,7 +289,7 @@ def evaluate(spec: SystemSpec, policy: Policy) -> RiskReport:
     into_last = splits[-1][0]
     values = np.zeros((4, into_last.size))
     values[1:3] = _terminal_onward(
-        stages[-1].model, grid, spec.miss_cost, spec.fa_cost, policy.thresholds[K - 1]
+        stages[-1].model, grid.size, spec.miss_cost, spec.fa_cost, policy.thresholds[K - 1]
     )[1:, into_last]
     for k in range(K - 2, -1, -1):
         cont, stop = splits[k]

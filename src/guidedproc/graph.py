@@ -18,16 +18,17 @@ No energy weight or prior changes a terminal node's declaration table
 carried through its transition (the solver's half of the DP), nor its miss
 and false-alarm parts carried the same way (the last stage of
 ``cascade.evaluate``).  One ``expected_next`` call computes the three once
-per process for each (class masses, grid size, miss cost, false-alarm
-cost, declaration cut), and a small memo (``TERMINAL_MEMO_ENTRIES``) keeps
-them, so every cascade, graph, compare row, calibration and risk report
-that meets the same terminal model again reads them back bit for bit.
+per process for each (model PMFs, grid size, miss cost, false-alarm cost,
+declaration cut), and an LRU memo of ``TERMINAL_MEMO_ENTRIES`` entries
+keeps them, the least recently used going first, so every cascade, graph,
+compare row, calibration and risk report that meets the same terminal
+model again reads them back bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -46,7 +47,6 @@ __all__ = [
     "post_order",
     "downstream_off_costs",
     "check_energy_weight",
-    "declaration_table",
     "route",
     "solve_graph",
 ]
@@ -153,48 +153,41 @@ def check_energy_weight(energy_weight: float, nodes, miss_cost: float, fa_cost: 
         raise ModelFormatError("energy_weight must be nonnegative and keep the costs finite")
 
 
-def declaration_table(grid: BeliefGrid, miss_cost: float, fa_cost: float) -> np.ndarray:
-    """A terminal node's value: the cheaper declaration at each grid belief,
-    positive (fa * (1 - b)) from fa / (fa + miss) up, else negative
-    (miss * b).  It does not depend on the energy weight."""
-    b = grid.points
-    return np.where(b >= fa_cost / (fa_cost + miss_cost), fa_cost * (1.0 - b), miss_cost * b)
+def _declarations(b: np.ndarray, miss_cost: float, fa_cost: float, cut: float) -> np.ndarray:
+    """A terminal node's declaration at beliefs `b`, positive (fa * (1 - b))
+    from `cut` up, else negative (miss * b), and its miss and false-alarm
+    parts, as the rows of a (3, n) array.  One part is 0.0 at each belief,
+    so row 0, their sum, is the cheaper declaration when the cut is
+    fa / (fa + miss).  No row depends on the energy weight."""
+    positive = b >= cut
+    miss = np.where(positive, 0.0, miss_cost * b)
+    fa = np.where(positive, fa_cost * (1.0 - b), 0.0)
+    return np.stack([miss + fa, miss, fa])
 
 
-# Most terminal continuation entries the process keeps; past it the oldest
-# entry goes.  Each is one read-only (3, M) float64 array, so the memo holds
-# at most 16 * 3 * 8 * MAX_GRID_SIZE bytes, about 38.4 MB.
+# Most terminal continuation entries the process keeps; past it the least
+# recently used goes.  Each holds one read-only (3, M) float64 array and
+# pins its model (about 7 KB for a 100-symbol model), so the memo holds at
+# most 16 * 3 * 8 * MAX_GRID_SIZE bytes of tables, about 38.4 MB, plus the
+# models.
 TERMINAL_MEMO_ENTRIES = 16
-_terminal_memo: dict[tuple, np.ndarray] = {}
-_terminal_lock = threading.Lock()  # solves on several threads share the memo
 
 
+@functools.lru_cache(maxsize=TERMINAL_MEMO_ENTRIES)
 def _terminal_onward(
-    model: FeatureModel, grid: BeliefGrid, miss_cost: float, fa_cost: float, cut: float
+    model: FeatureModel, size: int, miss_cost: float, fa_cost: float, cut: float
 ) -> np.ndarray:
-    """Three terminal tables carried through the model's grid transition by
-    one ``expected_next``, as the rows of a (3, M) array: the declaration
-    table that declares positive from `cut` up, its miss part (miss * b
-    below the cut, else 0) and its false-alarm part (fa * (1 - b) from the
-    cut up, else 0).  ``solve_graph`` reads row 0 at the cut
-    fa / (fa + miss), ``cascade.evaluate`` rows 1 and 2 at its policy's
-    last threshold.  The memo key holds everything the rows depend on, so a
-    hit returns the floats a build computes; a build that raises stores
-    nothing."""
-    key = (model.class_p0.tobytes(), model.class_p1.tobytes(), grid.size, miss_cost, fa_cost, cut)
-    ahead = _terminal_memo.get(key)
-    if ahead is None:
-        b = grid.points
-        positive = b >= cut
-        miss = np.where(positive, 0.0, miss_cost * b)
-        fa = np.where(positive, fa_cost * (1.0 - b), 0.0)
-        # one part is 0.0 at each node, so their sum is the declaration table
-        ahead = expected_next(grid, np.stack([miss + fa, miss, fa]), belief_transition(model, b))
-        ahead.setflags(write=False)
-        with _terminal_lock:
-            if len(_terminal_memo) >= TERMINAL_MEMO_ENTRIES:
-                del _terminal_memo[next(iter(_terminal_memo))]
-            _terminal_memo[key] = ahead
+    """``_declarations`` at `cut` on the grid of `size` points, carried
+    through the model's grid transition by one ``expected_next``.
+    ``solve_graph`` reads row 0 at the cut fa / (fa + miss),
+    ``cascade.evaluate`` rows 1 and 2 at its policy's last threshold.  The
+    arguments are everything the rows depend on, so a hit returns the
+    floats a build computes; a build that raises stores nothing."""
+    grid = BeliefGrid(size)
+    b = grid.points
+    declared = _declarations(b, miss_cost, fa_cost, cut)
+    ahead = expected_next(grid, declared, belief_transition(model, b))
+    ahead.setflags(write=False)
     return ahead
 
 
@@ -268,7 +261,7 @@ def solve_graph(
         node = graph.nodes[i]
         succ = graph.successors(i)
         if not succ:
-            v = declaration_table(grid, miss_cost, fa_cost)
+            v = _declarations(b, miss_cost, fa_cost, tau_term)[0]
             key, labels = b >= tau_term, (0, 1)  # per grid point, an index into labels
             thresholds[i] = tau_term
         else:
@@ -281,7 +274,9 @@ def solve_graph(
                 if n not in onward:
                     nxt = graph.nodes[n]
                     if graph.is_terminal(n):
-                        ahead = _terminal_onward(nxt.model, grid, miss_cost, fa_cost, tau_term)[0]
+                        ahead = _terminal_onward(
+                            nxt.model, grid.size, miss_cost, fa_cost, tau_term
+                        )[0]
                     else:
                         pair = transitions.get(n) or belief_transition(nxt.model, b)
                         ahead = expected_next(grid, tables[n].values, pair)

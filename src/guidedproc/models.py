@@ -86,11 +86,13 @@ class FeatureModel:
 
     class_of[y] is the ratio class of symbol y (see the module docstring);
     class_p0 and class_p1 hold each class's masses, summed over its symbols
-    in alphabet order.
+    in alphabet order.  Models compare and hash by the bytes of their two
+    PMFs, so a content-equal copy is equal and a one-ulp change is not.
     """
 
-    p0: np.ndarray
-    p1: np.ndarray
+    p0: np.ndarray = field(compare=False)
+    p1: np.ndarray = field(compare=False)
+    _pmf_bytes: bytes = field(init=False, repr=False)
     class_of: np.ndarray = field(init=False, repr=False, compare=False)
     class_p0: np.ndarray = field(init=False, repr=False, compare=False)
     class_p1: np.ndarray = field(init=False, repr=False, compare=False)
@@ -114,6 +116,7 @@ class FeatureModel:
         object.__setattr__(self, "class_p0", masses[0])
         object.__setattr__(self, "class_p1", masses[1])
         object.__setattr__(self, "_symbol_class_masses", per_symbol)
+        object.__setattr__(self, "_pmf_bytes", self.p0.tobytes() + self.p1.tobytes())
 
     @property
     def alphabet_size(self) -> int:
@@ -158,7 +161,7 @@ class BeliefGrid:
     """Uniform grid of M belief points spanning [0, 1]."""
 
     size: int = DEFAULT_GRID_SIZE
-    points: np.ndarray = field(init=False, repr=False)
+    points: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 2 <= int(self.size) <= MAX_GRID_SIZE:

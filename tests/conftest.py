@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from guidedproc import FeatureModel, StageSpec, SystemSpec
+from guidedproc.graph import _terminal_onward
 
 
 def random_model(rng, n_symbols=None) -> FeatureModel:
@@ -59,3 +60,12 @@ def tail_off_costs(stages) -> np.ndarray:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260819)
+
+
+@pytest.fixture
+def cold_memo():
+    """An empty terminal memo for the test, emptied again after it; yields
+    the memo's ``cache_info``."""
+    _terminal_onward.cache_clear()
+    yield _terminal_onward.cache_info
+    _terminal_onward.cache_clear()

@@ -5,7 +5,6 @@ import pytest
 
 from guidedproc import (
     FeatureModel,
-    GuidedProcError,
     ModelFormatError,
     Policy,
     StageSpec,
@@ -16,6 +15,7 @@ from guidedproc import (
     posterior_update,
     solve,
     stationary_targets,
+    WorkSizeError,
 )
 from guidedproc import adaptive, fixtures
 from conftest import duplicate_columns, random_model, random_system, sorted_model
@@ -151,7 +151,7 @@ class TestTargetsBitForBit:
         self.check(spec, thresholds)
         monkeypatch.setattr(adaptive, "_MAX_BELIEF_STATES", 5)
         policy = Policy(None, thresholds, thresholds, (), 0.0, 0.0)
-        with pytest.raises(GuidedProcError, match="too large"):
+        with pytest.raises(WorkSizeError, match="too large"):
             stationary_targets(spec, policy)
 
 

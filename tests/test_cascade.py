@@ -333,11 +333,9 @@ def assert_same_solution(spec: SystemSpec, a: Policy, b: Policy) -> None:
 
 
 class TestTerminalMemo:
-    def test_cold_and_warm_memo_agree(self, rng, monkeypatch):
+    def test_cold_and_warm_memo_agree(self, rng, cold_memo):
         # the warm solve reads the last stage's table that the cold one
         # stored, through a content-equal copy of its model
-        memo = {}
-        monkeypatch.setattr(graph, "_terminal_memo", memo)
         grid = BeliefGrid(301)
         for k in range(9):
             spec = random_system(rng)
@@ -351,19 +349,20 @@ class TestTerminalMemo:
             last = spec.stages[-1]
             copy = replace(last, model=FeatureModel(p0=last.model.p0.copy(), p1=last.model.p1.copy()))
             for lam in (0.0, spec.energy_weight, 10.0 * spec.energy_weight):
-                memo.clear()
+                graph._terminal_onward.cache_clear()
                 run = replace(spec, energy_weight=lam)
                 cold = solve(run, grid)
-                (entry,) = memo.values()
+                info = cold_memo()
+                assert (info.hits, info.misses, info.currsize) == (0, 1, 1)
                 warm = solve(replace(run, stages=(*run.stages[:-1], copy)), grid)
-                assert next(iter(memo.values())) is entry and len(memo) == 1
+                info = cold_memo()
+                assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
                 assert_same_solution(run, cold, warm)
 
-    def test_warm_evaluate_builds_no_last_stage_transition(self, rng, monkeypatch):
+    def test_warm_evaluate_builds_no_last_stage_transition(self, rng, monkeypatch, cold_memo):
         # the solve stores the last stage's entry; evaluate then builds the
         # transitions of stages 1..K-1 only, on the read set, and reads the
         # last stage's risk parts from the memo
-        monkeypatch.setattr(graph, "_terminal_memo", {})
         built = []
         build = cascade.belief_transition
 
@@ -383,25 +382,23 @@ class TestTerminalMemo:
             assert report == whole_grid_evaluate(spec, policy)
             built.clear()
 
-    def test_another_last_threshold_has_its_own_entry(self, rng, monkeypatch):
+    def test_another_last_threshold_has_its_own_entry(self, rng, cold_memo):
         # a hand-made policy whose declaration cut is not fa / (fa + miss)
         # is priced at its own cut, and leaves the solver's entry alone
-        memo = {}
-        monkeypatch.setattr(graph, "_terminal_memo", memo)
         grid = BeliefGrid(201)
         for _ in range(6):
             spec = random_system(rng)
-            memo.clear()
+            graph._terminal_onward.cache_clear()
             cold = solve(spec, grid)
-            memo.clear()
+            graph._terminal_onward.cache_clear()
             cut = float(rng.uniform(0.05, 0.95))
             raw = (*cold.raw_thresholds[:-1], cut)
             hand = Policy(grid, raw, raw, (), 0.0, spec.energy_weight)
             assert cut != spec.fa_cost / (spec.fa_cost + spec.miss_cost)
             assert evaluate(spec, hand) == whole_grid_evaluate(spec, hand)
-            assert len(memo) == 1
+            assert cold_memo().currsize == 1
             warm = solve(spec, grid)
-            assert len(memo) == 2
+            assert cold_memo().currsize == 2
             assert_same_solution(spec, cold, warm)
 
 

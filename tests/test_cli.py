@@ -20,7 +20,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 import guidedproc
-from guidedproc import BeliefGrid, cli, io, solve
+from guidedproc import BeliefGrid, adaptive, cli, io, solve
 from guidedproc.cli import COMPARE_COLUMNS, main
 from guidedproc.errors import GuidedProcError
 from guidedproc.fixtures import as_document, graph_document
@@ -649,6 +649,16 @@ class TestExitCodes:
         assert main(["optimize", model_file]) == 3
         err = capsys.readouterr().err
         assert "Unable to allocate" in err and "Traceback" not in err
+
+    def test_oversized_belief_atom_set_exits_3(self, tmp_path, capsys, monkeypatch):
+        # the adaptive rate targets refuse to enumerate more belief atoms
+        # than the guard admits: work over the budget, not a numerical failure
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(as_document()), encoding="utf-8")
+        monkeypatch.setattr(adaptive, "_MAX_BELIEF_STATES", 3)
+        assert main(["simulate", str(path), "--mode", "adaptive", "--n-frames", "1000"]) == 3
+        err = capsys.readouterr().err
+        assert "infeasible: reachable belief set too large" in err and "Traceback" not in err
 
     def test_numerical_failure_exits_4(self, model_file, capsys, monkeypatch):
         def diverged(args):

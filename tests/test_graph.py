@@ -3,6 +3,7 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from guidedproc import (
     BeliefGrid,
@@ -24,6 +25,7 @@ from guidedproc import (
 from guidedproc import graph as graph_mod, models
 from guidedproc.fixtures import diamond_graph, monitoring_system
 from conftest import random_model, random_system
+from test_models import pmf_pairs
 
 # ---------------------------------------------------------------------------
 # Oracles.  Both compute exact risks by walking the symbol tree with scalar
@@ -360,13 +362,12 @@ class TestDiamond:
         root = graph_mod.route(*gp.routes[1], gp.grid.points)
         assert set(root.tolist()) == {0, 2}
 
-    def test_shared_successor_propagated_once(self, monkeypatch):
+    def test_shared_successor_propagated_once(self, monkeypatch, cold_memo):
         # Node 4 feeds both 2 and 3; its continuation table is built once
         # and reused, so each node's transition is built once and goes
         # through the grid propagation once (the root at the prior).  On a
         # cold memo the terminal node 4 is built too; a second solve reads
         # its table from the memo and builds only 2, 3 and 1.
-        monkeypatch.setattr(graph_mod, "_terminal_memo", {})
         g = diamond_graph()
         node_of = {id(st.model): i for i, st in g.nodes.items()}
         built, propagated, node_of_pair = [], [], {}
@@ -392,20 +393,14 @@ class TestDiamond:
         assert built == propagated == [2, 3, 1]
 
 
+@pytest.mark.usefixtures("cold_memo")
 class TestTerminalMemo:
     GRID = BeliefGrid(size=51)
 
-    @pytest.fixture(autouse=True)
-    def cold(self, monkeypatch):
-        """An empty memo for each test; the process's own comes back after."""
-        memo = {}
-        monkeypatch.setattr(graph_mod, "_terminal_memo", memo)
-        return memo
-
-    def onward(self, model, grid=GRID, miss_cost=3.0, fa_cost=1.0, cut=None):
+    def onward(self, model, size=GRID.size, miss_cost=3.0, fa_cost=1.0, cut=None):
         """The entry at `cut`, by default the solver's fa / (fa + miss)."""
         cut = fa_cost / (fa_cost + miss_cost) if cut is None else cut
-        return graph_mod._terminal_onward(model, grid, miss_cost, fa_cost, cut)
+        return graph_mod._terminal_onward(model, size, miss_cost, fa_cost, cut)
 
     def test_rows_are_the_declaration_table_and_its_parts(self, rng):
         # row 0 is what the solver propagates; rows 1 and 2 are the miss and
@@ -424,53 +419,80 @@ class TestTerminalMemo:
             for row, part in zip(rows, parts, strict=True):
                 assert np.array_equal(row, expected_next(self.GRID, part, pair))
         solver = self.onward(model)
-        declared = expected_next(self.GRID, graph_mod.declaration_table(self.GRID, 3.0, 1.0), pair)
+        declared = expected_next(self.GRID, np.where(b >= 0.25, 1.0 - b, 3.0 * b), pair)
         assert np.array_equal(solver[0], declared)
 
-    def test_a_content_equal_model_hits(self, rng, cold):
+    @settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        pmf_pairs(),
+        st.integers(2, 400),
+        st.floats(0.01, 100.0),
+        st.floats(0.01, 100.0),
+        st.floats(0.0, 1.0),
+    )
+    def test_a_hit_is_a_fresh_build(self, model, size, miss_cost, fa_cost, cut):
+        # a content-equal copy reads the stored entry, whose floats an
+        # uncached build computes again
+        first = self.onward(model, size, miss_cost, fa_cost, cut)
+        copy = FeatureModel(p0=model.p0.copy(), p1=model.p1.copy())
+        ahead = self.onward(copy, size, miss_cost, fa_cost, cut)
+        assert ahead is first
+        assert not ahead.flags.writeable and ahead.shape == (3, size)
+        fresh = graph_mod._terminal_onward.__wrapped__(model, size, miss_cost, fa_cost, cut)
+        assert np.array_equal(ahead, fresh)
+
+    def test_a_content_equal_model_hits(self, rng, cold_memo):
         model = random_model(rng)
         first = self.onward(model)
         assert self.onward(FeatureModel(p0=model.p0.copy(), p1=model.p1.copy())) is first
-        assert len(cold) == 1
+        assert cold_memo().currsize == 1
 
-    def test_each_price_and_grid_size_is_its_own_entry(self, rng, cold):
+    def test_each_price_and_grid_size_is_its_own_entry(self, rng, cold_memo):
         model = random_model(rng)
         first = self.onward(model)
         others = [
             self.onward(model, miss_cost=3.5),
             self.onward(model, fa_cost=1.5),
-            self.onward(model, grid=BeliefGrid(size=52)),
+            self.onward(model, size=52),
             self.onward(random_model(rng)),
             self.onward(model, cut=0.5),
         ]
-        assert all(o is not first for o in others) and len(cold) == 6
+        assert all(o is not first for o in others) and cold_memo().currsize == 6
         assert self.onward(model) is first
 
-    def test_entries_are_read_only_and_bounded(self, rng, cold):
+    def test_entries_are_read_only_and_bounded(self, rng, cold_memo):
         model = random_model(rng)
         costs = [1.0 + k for k in range(3 * graph_mod.TERMINAL_MEMO_ENTRIES)]
         for miss in costs:
             ahead = self.onward(model, miss_cost=miss)
             assert not ahead.flags.writeable and ahead.shape == (3, self.GRID.size)
-            assert len(cold) <= graph_mod.TERMINAL_MEMO_ENTRIES
-        # the oldest entries went first
-        kept = sorted(key[3] for key in cold)
-        assert kept == costs[-graph_mod.TERMINAL_MEMO_ENTRIES :]
+            assert cold_memo().currsize <= graph_mod.TERMINAL_MEMO_ENTRIES
+        # the oldest entries went first: the newest all hit, and fill the memo
+        kept = costs[-graph_mod.TERMINAL_MEMO_ENTRIES :]
+        before = cold_memo()
+        for miss in kept:
+            self.onward(model, miss_cost=miss)
+        after = cold_memo()
+        assert (after.hits - before.hits, after.misses, after.currsize) == (
+            len(kept), len(costs), graph_mod.TERMINAL_MEMO_ENTRIES
+        )
 
-    def test_threads_share_the_memo(self, rng, cold):
+    def test_threads_share_the_memo(self, rng, cold_memo):
         # four threads build and evict over one key set at a short switch
         # interval: no error, no entry past the bound, every table the same
         model = random_model(rng)
         costs = [1.0 + k for k in range(2 * graph_mod.TERMINAL_MEMO_ENTRIES)]
         expected = {c: self.onward(model, miss_cost=c).copy() for c in costs}
-        cold.clear()
+        graph_mod._terminal_onward.cache_clear()
         errors, sizes = [], []
 
         def work(order):
             try:
                 for c in order:
                     assert np.array_equal(self.onward(model, miss_cost=c), expected[c])
-                    sizes.append(len(cold))
+                    sizes.append(cold_memo().currsize)
             except Exception as exc:  # reported by the main thread
                 errors.append(exc)
 
@@ -490,11 +512,11 @@ class TestTerminalMemo:
         assert errors == [] and len(sizes) == 4 * len(costs)
         assert max(sizes) <= graph_mod.TERMINAL_MEMO_ENTRIES
 
-    def test_a_refused_build_leaves_no_entry(self, monkeypatch, cold):
+    def test_a_refused_build_leaves_no_entry(self, monkeypatch, cold_memo):
         monkeypatch.setattr(models, "MAX_TRANSITION_BYTES", 16)
         with pytest.raises(WorkSizeError):
             solve_graph(
                 diamond_graph(), miss_cost=3.0, fa_cost=1.0, energy_weight=0.002, prior=0.1,
                 grid=self.GRID,
             )
-        assert cold == {}
+        assert cold_memo().currsize == 0

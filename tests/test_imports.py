@@ -5,7 +5,7 @@ parameter default of a package function is overridden by some caller;
 every ``*args`` or ``**kwargs`` parameter is filled by one; every public
 function, method and property is named by the program that ships; no
 module reads the process environment; and only the declared functions keep
-state between calls.
+state between calls, each through a ``functools`` cache decorator.
 
 No linter ships with the project, so these stdlib AST scans are the guard.
 The package ``__init__`` is skipped by the import scan: its imports are
@@ -163,10 +163,12 @@ CONTAINER_WRITERS = {"pop", "setdefault", "update", "clear", "append"}
 STATE_KEEPERS = ["cli._build_parser", "graph._terminal_onward"]
 
 
-def state_keepers(path: Path) -> list[str]:
+def state_keepers(path: Path) -> dict[str, list[str]]:
     """``module.function`` for each function or method of the module that
-    keeps state between calls: it is decorated with ``functools.cache`` or
-    ``lru_cache``, holds a ``global`` statement, or writes a container bound
+    keeps state between calls, with the sorted kinds of state it keeps:
+    "cache" when it or a function inside it is decorated with
+    ``functools.cache`` or ``lru_cache``, "global" when it holds a
+    ``global`` statement, and "container" when it writes a container bound
     at module level and not in the function, by ``NAME[...] = ...``,
     ``del NAME[...]`` or a call of one of CONTAINER_WRITERS on it."""
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -181,7 +183,7 @@ def state_keepers(path: Path) -> list[str]:
         for c in tree.body if isinstance(c, ast.ClassDef)
         for n in c.body if isinstance(n, ast.FunctionDef)
     ]
-    keepers = []
+    keepers = {}
     for name, fn in defined:
         inner = list(ast.walk(fn))
         local = {n.arg for n in inner if isinstance(n, ast.arg)}
@@ -194,25 +196,28 @@ def state_keepers(path: Path) -> list[str]:
             f = decorator.func if isinstance(decorator, ast.Call) else decorator
             return getattr(f, "attr", getattr(f, "id", None)) in CACHE_DECORATORS
 
-        if any(
-            isinstance(n, ast.Global)
-            or (isinstance(n, ast.FunctionDef) and any(map(cached, n.decorator_list)))
-            or (isinstance(n, ast.Subscript) and not isinstance(n.ctx, ast.Load) and module_level(n.value))
-            or (
-                isinstance(n, ast.Call)
-                and isinstance(n.func, ast.Attribute)
-                and n.func.attr in CONTAINER_WRITERS
-                and module_level(n.func.value)
-            )
-            for n in inner
-        ):
-            keepers.append(f"{path.stem}.{name}")
-    return sorted(keepers)
+        def kind(n):
+            if isinstance(n, ast.Global):
+                return "global"
+            if isinstance(n, ast.FunctionDef) and any(map(cached, n.decorator_list)):
+                return "cache"
+            if isinstance(n, ast.Subscript) and not isinstance(n.ctx, ast.Load):
+                return "container" if module_level(n.value) else None
+            if isinstance(n, ast.Call) and getattr(n.func, "attr", None) in CONTAINER_WRITERS:
+                return "container" if module_level(n.func.value) else None
+            return None
+
+        kinds = sorted({kind(n) for n in inner} - {None})
+        if kinds:
+            keepers[f"{path.stem}.{name}"] = kinds
+    return keepers
 
 
 def test_only_the_declared_functions_keep_state():
-    keepers = [k for p in sorted(PACKAGE.glob("*.py")) for k in state_keepers(p)]
-    assert keepers == STATE_KEEPERS
+    keepers = {k: v for p in sorted(PACKAGE.glob("*.py")) for k, v in state_keepers(p).items()}
+    assert sorted(keepers) == STATE_KEEPERS
+    # each through a stdlib cache, never a hand-kept container or a global
+    assert {k: kinds for k, kinds in keepers.items() if kinds != ["cache"]} == {}
 
 
 def test_state_scan_flags_each_keeper(tmp_path):
@@ -230,9 +235,20 @@ def test_state_scan_flags_each_keeper(tmp_path):
         "def h(_seen): _seen.append(1)\n"
         "def i(): return _memo.get('x'), np.append([], 1)\n"
         "def j():\n    @functools.lru_cache\n    def inner(): pass\n    return inner\n"
+        "@lru_cache\ndef k(x):\n    global LIMIT\n    _memo[x] = LIMIT = x\n"
         "class K:\n    def m(self): _memo.update(x=1)\n    def n(self): return LIMIT\n"
     )
-    assert state_keepers(module) == ["m.K.m", "m.a", "m.b", "m.c", "m.d", "m.e", "m.f", "m.j"]
+    assert state_keepers(module) == {
+        "m.a": ["cache"],
+        "m.b": ["cache"],
+        "m.c": ["container"],
+        "m.d": ["global"],
+        "m.e": ["container"],
+        "m.f": ["container"],
+        "m.j": ["cache"],
+        "m.k": ["cache", "container", "global"],
+        "m.K.m": ["container"],
+    }
 
 
 def calls_by_name(callers) -> dict[str, list[ast.Call]]:

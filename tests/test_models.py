@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from guidedproc import (
     BeliefGrid,
+    DetectionGraph,
+    DutyCycleSpec,
     FeatureModel,
     ModelFormatError,
+    StreamConfig,
     WorkSizeError,
     belief_transition,
     evidence,
@@ -16,7 +20,8 @@ from guidedproc import (
 )
 from guidedproc.graph import route
 from guidedproc.models import MAX_GRID_SIZE, _bayes
-from conftest import duplicate_columns, random_model
+from guidedproc.fixtures import diamond_graph
+from conftest import duplicate_columns, random_model, random_system
 
 
 def pmf_pairs(min_size=2, max_size=12):
@@ -58,6 +63,49 @@ class TestFeatureModel:
         assert np.isposinf(r[2])
         # 0/0 counts as ratio one: the symbol carries no information
         assert r[3] == 1.0
+
+
+def twin(model: FeatureModel) -> FeatureModel:
+    """A content-equal model built from copies of the PMFs."""
+    return FeatureModel(p0=model.p0.copy(), p1=model.p1.copy())
+
+
+class TestValueSemantics:
+    def test_content_equal_copies_are_equal_and_hash_equal(self, rng):
+        model, spec = random_model(rng), random_system(rng)
+        copied = replace(spec, stages=tuple(replace(st, model=twin(st.model)) for st in spec.stages))
+        duty = DutyCycleSpec(
+            detector=model, rho=0.5, on_cost=1.0, off_cost=0.1, miss_cost=3.0, fa_cost=1.0, prior=0.1
+        )
+        for a, b in (
+            (model, twin(model)),
+            (BeliefGrid(101), BeliefGrid(101)),
+            (spec.stages[-1], copied.stages[-1]),
+            (spec, copied),
+            (duty, replace(duty, detector=twin(model))),
+        ):
+            assert a is not b and a == b and hash(a) == hash(b)
+        assert BeliefGrid(101) != BeliefGrid(102)
+        assert spec != replace(copied, prior=spec.prior / 2.0)
+
+    @pytest.mark.parametrize("which", ["p0", "p1"])
+    def test_one_ulp_makes_another_model(self, rng, which):
+        model = random_model(rng)
+        pmfs = {"p0": model.p0.copy(), "p1": model.p1.copy()}
+        pmfs[which][1] = np.nextafter(pmfs[which][1], 1.0)
+        other = FeatureModel(**pmfs)
+        assert other != model and model != other
+
+    def test_graphs_and_stream_configs_compare_without_raising(self, rng):
+        graph = diamond_graph()
+        nodes = {i: replace(st, model=twin(st.model)) for i, st in graph.nodes.items()}
+        copied = DetectionGraph(nodes=nodes, edges=dict(graph.edges), root=graph.root)
+        assert graph == copied
+        assert graph != DetectionGraph(nodes={1: nodes[1]}, edges={}, root=1)
+        spec = random_system(rng)
+        config = StreamConfig(system=spec, n_frames=1000, seed=7)
+        assert config == StreamConfig(system=replace(spec), n_frames=1000, seed=7)
+        assert config != replace(config, system=graph)
 
 
 class TestPosterior:
