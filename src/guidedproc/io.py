@@ -10,11 +10,20 @@ by more than 1e-9 is renormalized with a warning, closer ones silently.
 Result bundles echo a sha256 over the canonical (sorted-keys, compact)
 JSON of the model document plus the tool version, so any result can be
 traced to the exact configuration that produced it.  Floats go through the
-default JSON float repr, which round-trips float64 exactly.
+default JSON float repr, which round-trips float64 exactly.  Each document
+computes that hash once, on first use.
+
+``load_model_file`` parses each file text once per process: an LRU memo of
+``DOCUMENT_MEMO_ENTRIES`` documents, keyed by the text, hands a repeated
+read the document the first read built.  That document is shared, to be
+read and never mutated, and a renormalizing PMF warns on the first read
+only.  A file that fails to load stores nothing and fails the same way on
+every read.  Policy files are read afresh each time.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -33,6 +42,7 @@ from .robust import RobustBand
 from .sim import SimReport
 
 __all__ = [
+    "DOCUMENT_MEMO_ENTRIES",
     "ModelDocument",
     "load_model_file",
     "load_policy_file",
@@ -61,7 +71,11 @@ MAX_SWEEP_POINTS = 10_001
 
 @dataclass(frozen=True)
 class ModelDocument:
-    """Parsed model file plus the raw dict it came from (for hashing)."""
+    """Parsed model file plus the raw dict it came from (for hashing).
+
+    A document from ``load_model_file`` may be shared by every later read
+    of the same file text in the process: read it, never mutate it or its
+    ``raw``."""
 
     kind: str  # "cascade" | "graph"
     miss_cost: float
@@ -87,6 +101,11 @@ class ModelDocument:
             return np.array([self.prior])
         lo, hi, n = self.prior_sweep
         return np.linspace(lo, hi, n)
+
+    @functools.cached_property
+    def config_hash(self) -> str:
+        """``config_hash`` of the raw document, computed on first use."""
+        return config_hash(self.raw)
 
 
 def _finite(v, what) -> float:
@@ -282,23 +301,44 @@ def parse_model_document(raw: dict) -> ModelDocument:
     )
 
 
-def _read_json(path):
+def _read_json(path, decode):
+    """`decode` of the file's text (UTF-8, universal newlines); text that
+    is not JSON fails as a ModelFormatError that names the path."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            text = fh.read()
+        return decode(text)
     # bytes that are not UTF-8, and arrays nested past the decoder's stack
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ModelFormatError(f"{path}: not valid JSON ({exc})") from exc
 
 
+# Most parsed model documents the process keeps; past it the least recently
+# used goes.  Each entry holds its file text, the decoded dict (about 32 B
+# per PMF entry) and the parsed arrays, 90-105 B per PMF entry in all
+# (62 KB for three 100-symbol stages, 11 MB for three of 20,000), so the
+# memo holds at most 8 times the largest document the process has read.
+DOCUMENT_MEMO_ENTRIES = 8
+
+
+@functools.lru_cache(maxsize=DOCUMENT_MEMO_ENTRIES)
+def _parsed_document(text: str) -> ModelDocument:
+    """The document of a model file's text; a text that fails to parse
+    stores nothing."""
+    return parse_model_document(json.loads(text))
+
+
 def load_model_file(path) -> ModelDocument:
-    return parse_model_document(_read_json(path))
+    """The document of the model file at `path`, parsed once per process
+    for each file text (see the module docstring): a repeated read returns
+    the shared document of the first, to be read and never mutated."""
+    return _read_json(path, _parsed_document)
 
 
 def load_policy_file(path, spec: SystemSpec) -> Policy:
     """The policy of a result bundle written by ``optimize``, or a bare
     policy payload, to be run on the cascade `spec`."""
-    raw = _read_json(path)
+    raw = _read_json(path, json.loads)
     if not isinstance(raw, dict):
         raise ModelFormatError(f"{path}: a policy file must hold a JSON object")
     return policy_from_payload(raw.get("policy", raw), spec)
@@ -345,7 +385,7 @@ def result_bundle(doc: ModelDocument, **payload) -> dict:
     out = {
         "format": "guidedproc-result",
         "tool_version": __version__,
-        "config_hash": config_hash(doc.raw),
+        "config_hash": doc.config_hash,
     }
     out.update(payload)
     return out

@@ -3,6 +3,7 @@ import pytest
 
 from guidedproc import FeatureModel, StageSpec, SystemSpec
 from guidedproc.graph import _terminal_onward
+from guidedproc.io import _parsed_document
 
 
 def random_model(rng, n_symbols=None) -> FeatureModel:
@@ -69,3 +70,12 @@ def cold_memo():
     _terminal_onward.cache_clear()
     yield _terminal_onward.cache_info
     _terminal_onward.cache_clear()
+
+
+@pytest.fixture
+def cold_documents():
+    """An empty model-document memo for the test, emptied again after it;
+    yields the memo's ``cache_info``."""
+    _parsed_document.cache_clear()
+    yield _parsed_document.cache_info
+    _parsed_document.cache_clear()

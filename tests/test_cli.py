@@ -579,6 +579,45 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "not valid JSON" in err and "Traceback" not in err
 
+    # an incomplete model file, its "fa_cost" key missing its colon on line 4
+    TRUNCATED = json.dumps(
+        {"format": "guidedproc-model", "miss_cost": 3.0, "fa_cost": 1.0}, indent=2
+    )
+    UNREADABLE = {
+        "bom": (
+            b"\xef\xbb\xbf" + TRUNCATED.encode(),
+            "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)",
+        ),
+        "utf16": (TRUNCATED.encode("utf-16"), None),
+        # universal newlines: the position counts each CRLF as one character
+        "crlf": (
+            TRUNCATED.replace('"fa_cost":', '"fa_cost"').replace("\n", "\r\n").encode(),
+            "Expecting ':' delimiter: line 4 column 13 (char 66)",
+        ),
+        "empty": (b"", None),
+        "deep": (b"[" * 100_000, None),
+        "missing": (None, None),
+        "directory": ("dir", None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNREADABLE))
+    def test_unreadable_model_fails_alike_every_time(self, tmp_path, capsys, case):
+        data, reason = self.UNREADABLE[case]
+        path = tmp_path / "model.json"
+        if data == "dir":
+            path.mkdir()
+        elif data is not None:
+            path.write_bytes(data)
+        runs = []
+        for _ in range(2):
+            rc = main(["optimize", str(path)])
+            runs.append((rc, capsys.readouterr().err))
+        (rc, err), again = runs
+        assert again == (rc, err)
+        assert rc == 2 and err.count("\n") == 1 and "Traceback" not in err
+        if reason is not None:
+            assert err == f"guidedproc: {path}: not valid JSON ({reason})\n"
+
     def test_grid_with_policy_exits_2(self, model_file, tmp_path, capsys):
         # the policy file fixes the grid, so a --grid flag would go unused
         policy = tmp_path / "policy.json"
@@ -739,10 +778,14 @@ class TestRepeatedCalls:
     def test_output_does_not_depend_on_call_order(self, model_file, graph_file, capsys):
         commands = self.commands(model_file, graph_file)
         cli._build_parser.cache_clear()
+        io._parsed_document.cache_clear()
         forward = [self.run(argv, capsys) for argv in commands]
+        warm = [self.run(argv, capsys) for argv in commands]  # every document a memo hit
         cli._build_parser.cache_clear()
+        io._parsed_document.cache_clear()
         backward = [self.run(argv, capsys) for argv in reversed(commands)]
         assert forward == backward[::-1]
+        assert warm == forward
 
     def test_version_and_bad_flag_after_reuse(self, model_file, capsys):
         cli._build_parser.cache_clear()

@@ -159,8 +159,9 @@ def test_environment_scan_flags_each_reader(tmp_path):
 CACHE_DECORATORS = {"cache", "lru_cache"}
 CONTAINER_WRITERS = {"pop", "setdefault", "update", "clear", "append"}
 # The package's process-wide state: the parser that cli.main builds once,
-# and solve_graph's bounded memo of terminal continuation tables.
-STATE_KEEPERS = ["cli._build_parser", "graph._terminal_onward"]
+# solve_graph's bounded memo of terminal continuation tables, and
+# load_model_file's bounded memo of parsed model documents.
+STATE_KEEPERS = ["cli._build_parser", "graph._terminal_onward", "io._parsed_document"]
 
 
 def state_keepers(path: Path) -> dict[str, list[str]]:

@@ -5,6 +5,7 @@ import json
 import math
 import re
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -262,6 +263,74 @@ class TestConfigHash:
         assert bundle["config_hash"] == io.config_hash(doc.raw)
         assert bundle["extra"] == [1, 2]
         assert isinstance(bundle["tool_version"], str)
+
+
+class TestDocumentMemo:
+    """``load_model_file`` parses each file text once per process."""
+
+    def test_unchanged_file_is_one_document(self, tmp_path, cold_documents):
+        path = tmp_path / "model.json"
+        io.dump_model_file(cascade_raw(), path)
+        doc = io.load_model_file(path)
+        assert io.load_model_file(path) is doc
+        # the key is the text, not the path
+        copy_path = tmp_path / "copy.json"
+        copy_path.write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+        assert io.load_model_file(copy_path) is doc
+        assert cold_documents()[:2] == (2, 1)  # hits, misses
+
+    def test_rewritten_file_is_read_anew(self, tmp_path, cold_documents):
+        path = tmp_path / "model.json"
+        io.dump_model_file(cascade_raw(), path)
+        old = io.load_model_file(path)
+        io.dump_model_file(cascade_raw(prior=0.3), path)
+        new = io.load_model_file(path)
+        assert new is not old
+        assert (old.prior, new.prior) == (0.1, 0.3)
+        assert new.config_hash != old.config_hash
+
+    def test_document_hash_is_the_raw_hash(self, tmp_path, cold_documents):
+        path = tmp_path / "model.json"
+        io.dump_model_file(cascade_raw(), path)
+        doc = io.load_model_file(path)
+        assert doc.config_hash == io.config_hash(doc.raw)
+        assert io.result_bundle(doc)["config_hash"] == doc.config_hash
+        assert io.parse_model_document(cascade_raw()).config_hash == doc.config_hash
+
+    def test_least_recently_used_goes_past_the_bound(self, tmp_path, cold_documents):
+        n = io.DOCUMENT_MEMO_ENTRIES
+        assert cold_documents().maxsize == n
+        paths = [tmp_path / f"model{i}.json" for i in range(n + 1)]
+        for i, path in enumerate(paths):
+            io.dump_model_file(cascade_raw(prior=0.01 * (i + 1)), path)
+        docs = [io.load_model_file(path) for path in paths[:n]]
+        assert io.load_model_file(paths[0]) is docs[0]  # paths[1] is now the oldest
+        io.load_model_file(paths[n])  # evicts paths[1]
+        assert cold_documents()[1:] == (n + 1, n, n)  # misses, maxsize, currsize
+        assert io.load_model_file(paths[0]) is docs[0]
+        assert io.load_model_file(paths[1]) is not docs[1]
+        assert cold_documents().misses == n + 2
+
+    def test_renormalizing_file_warns_on_its_first_load(self, tmp_path, cold_documents):
+        raw = cascade_raw()
+        raw["stages"][0]["p0"] = [0.7, 0.2, 0.1 + 5e-8]
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        with pytest.warns(UserWarning, match="renormalizing"):
+            doc = io.load_model_file(path)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert io.load_model_file(path) is doc
+
+    def test_a_failed_load_stores_nothing(self, tmp_path, cold_documents):
+        raw = cascade_raw()
+        raw.pop("miss_cost")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        for _ in range(2):
+            with pytest.raises(ModelFormatError, match="missing 'miss_cost'"):
+                io.load_model_file(path)
+        assert cold_documents()[:2] == (0, 2) and cold_documents().currsize == 0
 
 
 class TestPayloads:
