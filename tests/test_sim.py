@@ -41,7 +41,7 @@ from guidedproc.fixtures import (
     diamond_graph,
     monitoring_system,
 )
-from conftest import random_model, tail_off_costs
+from conftest import random_model, random_system, tail_off_costs
 from test_adaptive import class_system, dict_enumeration
 
 # ---------------------------------------------------------------------------
@@ -271,6 +271,23 @@ def assert_counts_match(report, counts, mean_e):
     assert report.energy == pytest.approx(mean_e, rel=1e-12)
 
 
+def assert_adaptive_matches_replay(spec, n_frames, seed, mu, burn_in):
+    """Adaptive mode against ``oracle_adaptive_stream``: counts, final etas
+    and rate errors equal; returns the clamps the replay hit."""
+    policy = solve(spec)
+    cfg = StreamConfig(
+        system=spec, n_frames=n_frames, seed=seed, mode="adaptive", mu=mu, burn_in=burn_in
+    )
+    report = simulate(cfg, policy)
+    counts, mean_e, eta, rate_errors, clamps = oracle_adaptive_stream(
+        spec, policy, n_frames, seed, mu, burn_in
+    )
+    assert_counts_match(report, counts, mean_e)
+    assert report.final_eta == eta
+    assert report.rate_errors == rate_errors
+    return clamps
+
+
 def oracle_duty_stream(dc, n_frames, seed):
     tau = dc.fa_cost / (dc.fa_cost + dc.miss_cost)
     positive = [
@@ -397,17 +414,7 @@ class TestStreamContract:
     )
     def test_adaptive_matches_scalar_replay(self, system, mu, burn_in, n_frames):
         spec = system()
-        policy = solve(spec)
-        cfg = StreamConfig(
-            system=spec, n_frames=n_frames, seed=3, mode="adaptive", mu=mu, burn_in=burn_in
-        )
-        report = simulate(cfg, policy)
-        counts, mean_e, eta, rate_errors, clamps = oracle_adaptive_stream(
-            spec, policy, n_frames, 3, mu, burn_in
-        )
-        assert_counts_match(report, counts, mean_e)
-        assert report.final_eta == eta
-        assert report.rate_errors == rate_errors
+        clamps = assert_adaptive_matches_replay(spec, n_frames, 3, mu, burn_in)
         if system is fallback_system:
             assert scalar_feature_rule(spec) == [False, True]
             assert clamps == {"low", "high"}
@@ -447,6 +454,135 @@ class TestStreamContract:
         y = _SymbolSampler(model)(np.zeros(w.size, dtype=bool), w)
         assert y.tolist() == [0, 5, 9, 9]
         assert np.all(model.p0[y] > 0.0)
+
+
+def sorted_symbols(spec):
+    """The system with each stage's symbols put in nondecreasing
+    likelihood-ratio order, so every stage runs the feature rule."""
+    def reorder(model):
+        order = np.argsort(model.ratios(), kind="stable")
+        return FeatureModel(p0=model.p0[order], p1=model.p1[order])
+
+    return replace(spec, stages=tuple(replace(s, model=reorder(s.model)) for s in spec.stages))
+
+
+def pinned_system(miss_cost, fa_cost):
+    """A weak first stage that every frame passes (activation target 1)
+    ahead of a detector that declares every frame (miss_cost >> fa_cost,
+    target 1) or none (fa_cost >> miss_cost, target 0)."""
+    weak = FeatureModel(p0=[0.3, 0.25, 0.25, 0.2], p1=[0.2, 0.25, 0.25, 0.3])
+    good = FeatureModel(p0=[0.4, 0.3, 0.2, 0.1], p1=[0.1, 0.2, 0.3, 0.4])
+    stages = (StageSpec(model=weak, on_cost=1.0), StageSpec(model=good, on_cost=1.0))
+    return SystemSpec(
+        stages=stages, miss_cost=miss_cost, fa_cost=fa_cost, prior=0.3, energy_weight=0.0
+    )
+
+
+@pytest.fixture
+def horizons(monkeypatch):
+    """Every safe horizon adaptive mode computes, as (lo, hi, m)."""
+    seen = []
+    real = sim_module._safe_horizon
+
+    def spy(eta, r, target, mu, lo, hi):
+        m = real(eta, r, target, mu, lo, hi)
+        seen.append((lo, hi, m))
+        return m
+
+    monkeypatch.setattr(sim_module, "_safe_horizon", spy)
+    return seen
+
+
+class TestAdaptiveBlocks:
+    """Adaptive mode steps a stage's frames in blocks over which no decision
+    can change; every report must still be the frame-by-frame rule's."""
+
+    @pytest.mark.parametrize("mu", [1e-3, 1e-2, 0.2, 0.9])
+    def test_random_cascades_match_scalar_replay(self, mu, horizons):
+        rng = np.random.default_rng(int(mu * 1e4))
+        cases = [(random_system(rng), 0, 1500) for _ in range(3)]
+        cases += [(sorted_symbols(random_system(rng)), 0, 1500) for _ in range(3)]
+        # a burn-in that ends just past the first chunk edge
+        cases.append((sorted_symbols(random_system(rng)), CHUNK_FRAMES - 300, 600))
+        for i, (spec, burn_in, n_frames) in enumerate(cases):
+            assert_adaptive_matches_replay(spec, n_frames, i, mu, burn_in)
+        if mu <= 1e-2:  # the block path ran
+            assert max(m for _, _, m in horizons) >= sim_module._MIN_BLOCK
+
+    def test_eta_crossing_levels_in_burn_in(self, horizons):
+        # the detector's eta starts at 6.0, in (5, 6], and crosses symbol 5
+        assert_adaptive_matches_replay(trigger_system(), 200, 3, 3e-3, 12_000)
+        brackets = {(lo, hi) for lo, hi, m in horizons if m >= sim_module._MIN_BLOCK}
+        assert {(5, 6), (4, 5)} <= brackets
+
+    def test_trigger_zero_mass_gap(self, horizons):
+        # symbols 3 and 4 carry no mass: the trigger's bracket is (2, 5]
+        assert_adaptive_matches_replay(trigger_system(), 3000, 3, 1e-3, 0)
+        assert any(
+            (lo, hi) == (2, 5) and m >= sim_module._MIN_BLOCK for lo, hi, m in horizons
+        )
+
+    def test_fallback_stage_clamps_both_ways(self, horizons):
+        spec = fallback_system()
+        assert assert_adaptive_matches_replay(spec, 4000, 3, 0.5, 1000) == {"low", "high"}
+        assert (0.0, 3.0, 0) in horizons  # the fallback stage's range, [0, limit]
+
+    def test_target_one_pins_eta_at_zero(self, horizons):
+        spec = pinned_system(miss_cost=100.0, fa_cost=0.01)
+        assert stationary_targets(spec, solve(spec))[0].tolist() == [1.0, 1.0]
+        assert assert_adaptive_matches_replay(spec, 2000, 3, 0.2, 0) == {"low"}
+        assert horizons[-1] == (0.0, 0, 0)  # eta == 0: no safe step
+
+    def test_target_zero_lifts_eta_past_every_symbol(self, horizons):
+        # the detector's eta climbs past its top symbol 3, where the clamp
+        # bound 4.0 closes the bracket: a feature stage's eta can come near
+        # that clamp (within the last rate estimate) but not reach it
+        spec = pinned_system(miss_cost=0.01, fa_cost=100.0)
+        assert stationary_targets(spec, solve(spec))[0].tolist() == [1.0, 0.0]
+        assert assert_adaptive_matches_replay(spec, 4000, 3, 3e-3, 0) == {"low"}
+        assert any(
+            (lo, hi) == (3, 4.0) and m >= sim_module._MIN_BLOCK for lo, hi, m in horizons
+        )
+
+
+def scalar_steps(eta, r, target, mu, acts, limit):
+    """The frame-by-frame update over a sequence of acts, every eta after
+    each step, and whether any step clamped."""
+    path, clamped = [], False
+    for a in acts:
+        r += mu * (a - r)
+        nxt = eta + mu * (r - target)
+        clamped |= not 0.0 <= nxt <= limit
+        eta = min(max(nxt, 0.0), limit)
+        path.append(eta)
+    return path, clamped
+
+
+class TestSafeHorizon:
+    @pytest.mark.parametrize("mu", [1e-4, 1e-3, 1e-2, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("lo, hi, limit", [(0.0, 1, 12.0), (2, 5, 6.0), (10, 12.0, 12.0)])
+    def test_steps_keep_eta_inside_its_bracket(self, mu, lo, hi, limit):
+        # all ones and all zeros drive the rate estimate, and so eta, as far
+        # up and as far down as any act sequence can
+        safe = 0
+        for f in (1e-9, 0.01, 0.3, 0.5, 0.9, 1.0):
+            eta = lo + f * (hi - lo)
+            for r in (0.0, 0.3, 1.0):
+                for target in (0.0, 0.3, 1.0):
+                    m = sim_module._safe_horizon(eta, r, target, mu, lo, hi)
+                    g, u, half = abs(r - target), math.ulp(hi), 0.5 * min(eta - lo, hi - eta)
+                    drift = lambda k: mu * k * g + mu * mu * k * k + k * u
+                    assert drift(m) <= half < drift(m + 1)  # the largest such m
+                    for a in (0.0, 1.0):
+                        path, clamped = scalar_steps(eta, r, target, mu, [a] * m, limit)
+                        assert not clamped
+                        assert all(lo < e <= hi for e in path)
+                    safe += m > 0
+        assert safe or mu >= 0.5  # small steps leave room for some
+
+    def test_no_room_no_steps(self):
+        assert sim_module._safe_horizon(5.0, 0.3, 0.3, 1e-3, 2, 5) == 0  # eta at hi
+        assert sim_module._safe_horizon(0.0, 0.3, 0.3, 1e-3, 0.0, 1) == 0  # clamped low
 
 
 def uniforms(words):
