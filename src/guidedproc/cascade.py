@@ -40,7 +40,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InfeasibleBudgetError, ModelFormatError
-from .graph import DetectionGraph, _terminal_onward, downstream_off_costs, solve_graph
+from .graph import (
+    DetectionGraph, _terminal_onward, check_prices, check_prior, downstream_off_costs, solve_graph
+)
 from .models import (
     BeliefGrid,
     BeliefTable,
@@ -115,10 +117,7 @@ class SystemSpec:
         object.__setattr__(self, "stages", tuple(self.stages))
         if len(self.stages) < 2:
             raise ModelFormatError("a cascade needs at least 2 stages")
-        if not (0.0 < self.miss_cost < math.inf and 0.0 < self.fa_cost < math.inf):
-            raise ModelFormatError("miss_cost and fa_cost must be positive and finite")
-        if not 0.0 <= self.prior <= 1.0:
-            raise ModelFormatError("prior must lie in [0, 1]")
+        check_prices(self.miss_cost, self.fa_cost, self.prior)
         if (self.energy_weight is None) == (self.energy_budget is None):
             raise ModelFormatError("set exactly one of energy_weight or energy_budget")
         if self.energy_weight is not None and not 0.0 <= self.energy_weight < math.inf:
@@ -467,6 +466,7 @@ def robustify_stages(stages, prior: float) -> list[tuple[StageSpec, RobustBand]]
     if not u_last.is_zero:
         raise ModelFormatError("the last stage is exact; its uncertainty must be zero")
 
+    check_prior(prior)
     out = []
     interval = BeliefInterval(prior, prior)
     for stage, u in front:

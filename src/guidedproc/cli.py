@@ -39,7 +39,7 @@ from .errors import (
 )
 from .graph import solve_graph
 from .models import BeliefGrid
-from .sim import StreamConfig, simulate
+from .sim import SEED_LIMIT, StreamConfig, check_seed, simulate
 
 COMPARE_COLUMNS = [
     "pi0",
@@ -55,9 +55,6 @@ COMPARE_COLUMNS = [
     "dominance_eq13",
     "dominance_eq14",
 ]
-# compare streams row r from seeds --seed + 2r and --seed + 2r + 1, wrapped
-# into the seed range [0, 2**128) of StreamConfig
-_SEEDS = 1 << 128
 
 
 @functools.cache
@@ -198,36 +195,26 @@ def cmd_simulate(args) -> int:
     doc = io.load_model_file(args.model)
     if args.policy is not None and args.grid is not None:
         raise ModelFormatError("--grid is not allowed with --policy, whose file fixes the grid")
-    grid_size = doc.grid_size if args.grid is None else args.grid
+    grid = BeliefGrid(doc.grid_size if args.grid is None else args.grid)
     if doc.kind == "graph":
         if args.policy is not None:
             raise ModelFormatError("--policy applies to cascade model files")
-        if args.mode != "belief":
-            raise ModelFormatError("adaptive mode applies to cascade systems")
-        policy = _solve_graph_document(doc, args.prior, BeliefGrid(grid_size))
-        config = StreamConfig(system=doc.graph, n_frames=args.n_frames, seed=args.seed)
-        report = simulate(config, policy)
-        return _emit(doc, args.output, simulation=io.sim_payload(report), v0=policy.v0)
-    if args.policy is not None:
-        spec, _ = io.build_from_document(doc, prior=args.prior)
-        policy = io.load_policy_file(args.policy, spec)
+        system, policy = doc.graph, _solve_graph_document(doc, args.prior, grid)
+    elif args.policy is not None:
+        system, _ = io.build_from_document(doc, prior=args.prior)
+        policy = io.load_policy_file(args.policy, system)
     else:
-        spec, _, policy = _solve_document(doc, args.prior, BeliefGrid(grid_size))
-    config = StreamConfig(
-        system=spec,
-        n_frames=args.n_frames,
-        seed=args.seed,
-        mode=args.mode,
-        mu=args.mu,
-        burn_in=args.burn_in,
-    )
+        system, _, policy = _solve_document(doc, args.prior, grid)
+    config = StreamConfig(system, args.n_frames, args.seed, args.mode, args.mu, args.burn_in)
     report = simulate(config, policy)
+    if doc.kind == "graph":
+        return _emit(doc, args.output, simulation=io.sim_payload(report), v0=policy.v0)
     return _emit(
         doc,
         args.output,
         simulation=io.sim_payload(report),
         policy=io.policy_payload(policy),
-        analytic_risk=io.risk_payload(evaluate(spec, policy)) if args.policy is None else None,
+        analytic_risk=io.risk_payload(evaluate(system, policy)) if args.policy is None else None,
     )
 
 
@@ -255,7 +242,9 @@ def _compare_row(doc, pi0, grid, duty, n_frames, seed, row) -> dict:
     dc_on, dc_off = duty
     rho_real, _ = energy_equivalent_rho(report.energy, dc_on, dc_off)
     dc_spec = replace(ideal_duty_cycle(spec, rho_real), on_cost=dc_on, off_cost=dc_off)
-    gp_seed, dc_seed = ((seed + 2 * row + i) % _SEEDS for i in (0, 1))
+    # row r streams from seeds seed + 2r and seed + 2r + 1, wrapped into the
+    # seed range [0, SEED_LIMIT) of StreamConfig
+    gp_seed, dc_seed = ((seed + 2 * row + i) % SEED_LIMIT for i in (0, 1))
     gp_sim = simulate(StreamConfig(system=spec, n_frames=n_frames, seed=gp_seed), policy)
     dc_sim = simulate(
         StreamConfig(system=dc_spec, n_frames=n_frames, seed=dc_seed, energy_weight=lam), None
@@ -284,24 +273,18 @@ def _parse_sweep(text) -> tuple[float, float, int]:
         lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise ModelFormatError(f"--sweep wants numbers LO:HI:N, got {text!r}") from None
-    if not (0.0 <= lo <= hi <= 1.0 and n >= 1):
-        raise ModelFormatError("--sweep out of range")
-    if n > io.MAX_SWEEP_POINTS:
-        raise ModelFormatError(f"--sweep takes at most {io.MAX_SWEEP_POINTS} points")
-    return lo, hi, n
+    return io.check_sweep(lo, hi, n, "--sweep")
 
 
 def cmd_compare(args) -> int:
     doc = _cascade_document(args.model, args.command)
     if args.sweep is not None:
-        lo, hi, n = _parse_sweep(args.sweep)
-        points = np.linspace(lo, hi, n)
+        points = np.linspace(*_parse_sweep(args.sweep))
     else:
         points = doc.sweep_points()
     grid = BeliefGrid(doc.grid_size if args.grid is None else args.grid)
     duty = _duty_block(doc)
-    if not 0 <= args.seed < _SEEDS:
-        raise ModelFormatError("seed must be an integer in [0, 2**128)")
+    check_seed(args.seed)
     rows = [
         _compare_row(doc, float(pi0), grid, duty, args.n_frames, args.seed, row)
         for row, pi0 in enumerate(points)
@@ -339,10 +322,7 @@ def main(argv=None) -> int:
     except (InfeasibleBandError, InfeasibleBudgetError, DegenerateContaminationError, MemoryError) as exc:
         print(f"guidedproc: infeasible: {exc}", file=sys.stderr)
         return 3
-    except ModelFormatError as exc:
-        print(f"guidedproc: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ModelFormatError, OSError) as exc:
         print(f"guidedproc: {exc}", file=sys.stderr)
         return 2
     except (GuidedProcError, FloatingPointError, ZeroDivisionError) as exc:

@@ -17,6 +17,7 @@ import numpy as np
 
 from .cascade import Policy, RiskReport, SystemSpec
 from .errors import ModelFormatError
+from .graph import check_prices
 from .models import FeatureModel, posterior_update
 
 __all__ = [
@@ -48,10 +49,7 @@ class DutyCycleSpec:
             raise ModelFormatError("rho must lie in [0, 1]")
         if not 0.0 <= self.off_cost <= self.on_cost < math.inf:
             raise ModelFormatError("need 0 <= off_cost <= on_cost < inf")
-        if not (0.0 < self.miss_cost < math.inf and 0.0 < self.fa_cost < math.inf):
-            raise ModelFormatError("miss_cost and fa_cost must be positive and finite")
-        if not 0.0 <= self.prior <= 1.0:
-            raise ModelFormatError("prior must lie in [0, 1]")
+        check_prices(self.miss_cost, self.fa_cost, self.prior)
 
 
 @dataclass(frozen=True)

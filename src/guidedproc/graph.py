@@ -46,6 +46,8 @@ __all__ = [
     "GraphPolicy",
     "post_order",
     "downstream_off_costs",
+    "check_prior",
+    "check_prices",
     "check_energy_weight",
     "route",
     "solve_graph",
@@ -98,28 +100,21 @@ def post_order(graph: DetectionGraph) -> list[int]:
 
     Shared nodes appear once; a back edge is a cycle and is rejected.
     """
-    seen, done, order = set(), set(), []
+    seen, path, order = {graph.root}, {graph.root}, []
     stack = [(graph.root, iter(graph.successors(graph.root)))]
-    seen.add(graph.root)
-    path = {graph.root}
     while stack:
         node, it = stack[-1]
-        advanced = False
-        for n in it:
-            if n in path:
-                raise ModelFormatError(f"cycle through node {n}")
-            if n not in seen:
-                seen.add(n)
-                path.add(n)
-                stack.append((n, iter(graph.successors(n))))
-                advanced = True
-                break
-        if not advanced:
+        n = next(it, None)  # node ids are positive: None is the end
+        if n is None:
             stack.pop()
             path.discard(node)
-            if node not in done:
-                done.add(node)
-                order.append(node)
+            order.append(node)
+        elif n in path:
+            raise ModelFormatError(f"cycle through node {n}")
+        elif n not in seen:
+            seen.add(n)
+            path.add(n)
+            stack.append((n, iter(graph.successors(n))))
     return order
 
 
@@ -138,6 +133,19 @@ def downstream_off_costs(graph: DetectionGraph) -> dict[int, float]:
         i: float(sum(graph.nodes[n].off_cost for n in descendants[i]))
         for i in graph.nodes
     }
+
+
+def check_prior(prior: float) -> None:
+    """Refuse a prior outside [0, 1], NaN included."""
+    if not 0.0 <= prior <= 1.0:
+        raise ModelFormatError("prior must lie in [0, 1]")
+
+
+def check_prices(miss_cost: float, fa_cost: float, prior: float) -> None:
+    """Refuse prices that are not positive and finite, then ``check_prior``."""
+    if not (0.0 < miss_cost < math.inf and 0.0 < fa_cost < math.inf):
+        raise ModelFormatError("miss_cost and fa_cost must be positive and finite")
+    check_prior(prior)
 
 
 def check_energy_weight(energy_weight: float, nodes, miss_cost: float, fa_cost: float) -> None:
@@ -238,10 +246,7 @@ def solve_graph(
     one graph at many weights, `transitions` may map internal node ids to
     their ``belief_transition`` at the grid points.
     """
-    if not (0.0 < miss_cost < math.inf and 0.0 < fa_cost < math.inf):
-        raise ModelFormatError("miss_cost and fa_cost must be positive and finite")
-    if not 0.0 <= prior <= 1.0:
-        raise ModelFormatError("prior must lie in [0, 1]")
+    check_prices(miss_cost, fa_cost, prior)
     check_energy_weight(energy_weight, graph.nodes.values(), miss_cost, fa_cost)
     grid = BeliefGrid() if grid is None else grid
     b = grid.points

@@ -47,6 +47,7 @@ __all__ = [
     "load_model_file",
     "load_policy_file",
     "parse_model_document",
+    "check_sweep",
     "dump_model_file",
     "build_from_document",
     "config_hash",
@@ -116,19 +117,25 @@ def _finite(v, what) -> float:
     return float(v)
 
 
-def _as_float(raw, key, where, required=True, default=None):
+_REQUIRED = object()  # the default of a field that has none
+
+
+def _missing(key, where, default):
+    """The `default` of a field missing from its object; one with none is refused."""
+    if default is _REQUIRED:
+        raise ModelFormatError(f"{where}: missing '{key}'")
+    return default
+
+
+def _as_float(raw, key, where, default=_REQUIRED):
     if key not in raw:
-        if required:
-            raise ModelFormatError(f"{where}: missing '{key}'")
-        return default
+        return _missing(key, where, default)
     return _finite(raw[key], f"{where}: '{key}'")
 
 
-def _as_int(raw, key, where, required=True, default=None):
+def _as_int(raw, key, where, default=_REQUIRED):
     if key not in raw:
-        if required:
-            raise ModelFormatError(f"{where}: missing '{key}'")
-        return default
+        return _missing(key, where, default)
     v = raw[key]
     if isinstance(v, bool) or not (isinstance(v, int) or (isinstance(v, float) and v.is_integer())):
         raise ModelFormatError(f"{where}: '{key}' must be an integer")
@@ -170,7 +177,7 @@ def _load_detector(raw, where) -> StageSpec:
     if p0.size != p1.size:
         raise ModelFormatError(f"{where}: p0 and p1 must share one alphabet")
     on = _as_float(raw, "on_cost", where)
-    off = _as_float(raw, "off_cost", where, required=False, default=0.0)
+    off = _as_float(raw, "off_cost", where, 0.0)
     model = FeatureModel(p0=p0, p1=p1)
     try:
         return StageSpec(model=model, on_cost=on, off_cost=off)
@@ -187,8 +194,17 @@ def _load_uncertainty(raw, where) -> UncertaintyParams:
     unknown = set(block) - {"eps0", "eps1", "nu0", "nu1"}
     if unknown:
         raise ModelFormatError(f"{where}: unknown uncertainty fields {sorted(unknown)}")
-    get = lambda k: _as_float(block, k, f"{where}: uncertainty", required=False, default=0.0)
+    get = lambda k: _as_float(block, k, f"{where}: uncertainty", 0.0)
     return UncertaintyParams(get("eps0"), get("eps1"), get("nu0"), get("nu1"))
+
+
+def check_sweep(lo: float, hi: float, n: int, where: str) -> tuple[float, float, int]:
+    """(lo, hi, n), refused with `where` unless 0 <= lo <= hi <= 1 and 0 < n <= MAX_SWEEP_POINTS."""
+    if not (0.0 <= lo <= hi <= 1.0 and n >= 1):
+        raise ModelFormatError(f"{where} out of range")
+    if n > MAX_SWEEP_POINTS:
+        raise ModelFormatError(f"{where} takes at most {MAX_SWEEP_POINTS} points")
+    return lo, hi, n
 
 
 def parse_model_document(raw: dict) -> ModelDocument:
@@ -201,7 +217,7 @@ def parse_model_document(raw: dict) -> ModelDocument:
     if miss <= 0.0 or fa <= 0.0:
         raise ModelFormatError("model: miss_cost and fa_cost must be positive")
 
-    prior = _as_float(raw, "prior", "model", required=False)
+    prior = _as_float(raw, "prior", "model", None)
     sweep = None
     if "prior_sweep" in raw:
         if prior is not None:
@@ -211,25 +227,18 @@ def parse_model_document(raw: dict) -> ModelDocument:
             raise ModelFormatError("model: prior_sweep must be [lo, hi, count]")
         fields = dict(zip(("lo", "hi", "count"), ps))
         where = "model: prior_sweep"
-        sweep = (
-            _as_float(fields, "lo", where),
-            _as_float(fields, "hi", where),
-            _as_int(fields, "count", where),
-        )
-        if not (0.0 <= sweep[0] <= sweep[1] <= 1.0 and sweep[2] >= 1):
-            raise ModelFormatError("model: prior_sweep out of range")
-        if sweep[2] > MAX_SWEEP_POINTS:
-            raise ModelFormatError(f"model: prior_sweep takes at most {MAX_SWEEP_POINTS} points")
+        lo, hi = _as_float(fields, "lo", where), _as_float(fields, "hi", where)
+        sweep = check_sweep(lo, hi, _as_int(fields, "count", where), where)
     if prior is None and sweep is None:
         raise ModelFormatError("model: needs 'prior' or 'prior_sweep'")
     if prior is not None and not 0.0 <= prior <= 1.0:
         raise ModelFormatError("model: prior must lie in [0, 1]")
 
-    weight = _as_float(raw, "energy_weight", "model", required=False)
-    budget = _as_float(raw, "energy_budget", "model", required=False)
+    weight = _as_float(raw, "energy_weight", "model", None)
+    budget = _as_float(raw, "energy_budget", "model", None)
     if weight is not None and budget is not None:
         raise ModelFormatError("model: give energy_weight or energy_budget, not both")
-    grid_size = _as_int(raw, "grid_size", "model", required=False, default=DEFAULT_GRID_SIZE)
+    grid_size = _as_int(raw, "grid_size", "model", DEFAULT_GRID_SIZE)
     if not 2 <= grid_size <= MAX_GRID_SIZE:
         raise ModelFormatError(f"model: belief grid needs 2 to {MAX_GRID_SIZE} points")
 
@@ -250,23 +259,29 @@ def parse_model_document(raw: dict) -> ModelDocument:
     if has_stages == has_graph:
         raise ModelFormatError("model: give either 'stages' or a node graph")
 
-    if has_stages:
-        items = raw["stages"]
-        if not (isinstance(items, list) and len(items) >= 2):
-            raise ModelFormatError("model: 'stages' needs at least two entries")
-        stages = []
-        for i, item in enumerate(items):
-            where = f"stage {i + 1}"
-            stages.append((_load_detector(item, where), _load_uncertainty(item, where)))
-        if not stages[-1][1].is_zero:
-            raise ModelFormatError("last stage: uncertainty is not supported there")
-        check_off_costs([stage for stage, _ in stages])
-        return ModelDocument(
-            kind="cascade", miss_cost=miss, fa_cost=fa, prior=prior, prior_sweep=sweep,
-            energy_weight=weight, energy_budget=budget, grid_size=grid_size,
-            stages=tuple(stages), graph=None, duty_cycle=duty, raw=raw,
-        )
+    stages = _load_stages(raw["stages"]) if has_stages else None
+    graph = None if has_stages else _load_graph(raw)
+    return ModelDocument(
+        kind="cascade" if has_stages else "graph", miss_cost=miss, fa_cost=fa, prior=prior,
+        prior_sweep=sweep, energy_weight=weight, energy_budget=budget, grid_size=grid_size,
+        stages=stages, graph=graph, duty_cycle=duty, raw=raw,
+    )
 
+
+def _load_stages(items) -> tuple[tuple[StageSpec, UncertaintyParams], ...]:
+    if not (isinstance(items, list) and len(items) >= 2):
+        raise ModelFormatError("model: 'stages' needs at least two entries")
+    stages = []
+    for i, item in enumerate(items):
+        where = f"stage {i + 1}"
+        stages.append((_load_detector(item, where), _load_uncertainty(item, where)))
+    if not stages[-1][1].is_zero:
+        raise ModelFormatError("last stage: uncertainty is not supported there")
+    check_off_costs([stage for stage, _ in stages])
+    return tuple(stages)
+
+
+def _load_graph(raw) -> DetectionGraph:
     nodes_raw = raw.get("nodes")
     if not isinstance(nodes_raw, dict) or not nodes_raw:
         raise ModelFormatError("model: 'nodes' must map ids to detectors")
@@ -293,12 +308,7 @@ def parse_model_document(raw: dict) -> ModelDocument:
         ends = dict(zip(("from", "to"), pair))
         a, b = _as_int(ends, "from", "model: edge"), _as_int(ends, "to", "model: edge")
         edges[a] = edges.get(a, ()) + (b,)
-    graph = DetectionGraph(nodes=nodes, edges=edges, root=_as_int(raw, "root", "model"))
-    return ModelDocument(
-        kind="graph", miss_cost=miss, fa_cost=fa, prior=prior, prior_sweep=sweep,
-        energy_weight=weight, energy_budget=budget, grid_size=grid_size,
-        stages=None, graph=graph, duty_cycle=duty, raw=raw,
-    )
+    return DetectionGraph(nodes=nodes, edges=edges, root=_as_int(raw, "root", "model"))
 
 
 def _read_json(path, decode):

@@ -88,16 +88,23 @@ from .adaptive import is_monotone_ratio, stationary_targets
 from .cascade import Policy, SystemSpec, path_graph
 from .dutycycle import DutyCycleSpec, positive_symbols
 from .errors import ModelFormatError
-from .graph import DetectionGraph, GraphPolicy, downstream_off_costs, post_order, route
+from .graph import DetectionGraph, GraphPolicy, check_prior, downstream_off_costs, post_order, route
 from .models import FeatureModel, posterior_update
 
-__all__ = ["StreamConfig", "SimReport", "simulate", "CHUNK_FRAMES"]
+__all__ = ["StreamConfig", "SimReport", "simulate", "check_seed", "CHUNK_FRAMES", "SEED_LIMIT"]
 
 CHUNK_FRAMES = 1 << 16
+SEED_LIMIT = 1 << 128  # stream seeds lie in [0, SEED_LIMIT): a Philox key holds 128 bits
 
 
 def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def check_seed(seed) -> None:
+    """Refuse a stream seed that is not an integer in [0, SEED_LIMIT)."""
+    if not (_is_int(seed) and 0 <= seed < SEED_LIMIT):
+        raise ModelFormatError("seed must be an integer in [0, 2**128)")
 
 
 @dataclass(frozen=True)
@@ -116,14 +123,13 @@ class StreamConfig:
     def __post_init__(self):
         if not (_is_int(self.n_frames) and self.n_frames >= 1):
             raise ModelFormatError("n_frames must be a positive integer")
-        if not (_is_int(self.seed) and 0 <= self.seed < 1 << 128):
-            raise ModelFormatError("seed must be an integer in [0, 2**128)")
+        check_seed(self.seed)
         if self.mode not in ("belief", "adaptive"):
             raise ModelFormatError("mode must be 'belief' or 'adaptive'")
         if not (_is_int(self.burn_in) and self.burn_in >= 0):
             raise ModelFormatError("burn_in must be a nonnegative integer")
-        if self.prior is not None and not 0.0 <= self.prior <= 1.0:
-            raise ModelFormatError("prior must lie in [0, 1]")
+        if self.prior is not None:
+            check_prior(self.prior)
         if self.mode == "adaptive" and not 0.0 < self.mu < 1.0:
             raise ModelFormatError("mu must lie in (0, 1)")
 

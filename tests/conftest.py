@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,15 @@ def tail_off_costs(stages) -> np.ndarray:
     tail = np.zeros(len(stages) + 1)
     tail[:-1] = offs[::-1].cumsum()[::-1]
     return tail
+
+
+@contextlib.contextmanager
+def refused(cls, message):
+    """Expect the block to raise exactly `cls`, not a subclass, with
+    exactly `message`."""
+    with pytest.raises(cls) as info:
+        yield
+    assert type(info.value) is cls and str(info.value) == message
 
 
 @pytest.fixture

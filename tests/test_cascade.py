@@ -34,7 +34,7 @@ from guidedproc import cascade, graph
 from guidedproc.cascade import CALIBRATE_REL_TOL, path_graph, robustify_stages
 from guidedproc.graph import downstream_off_costs
 from guidedproc.models import expected_next
-from conftest import duplicate_columns, random_model, random_system, tail_off_costs
+from conftest import duplicate_columns, random_model, random_system, refused, tail_off_costs
 
 # ---------------------------------------------------------------------------
 # Oracle: exact Bayes risk of a two-stage threshold policy by brute-force
@@ -172,6 +172,18 @@ class TestSolveBasics:
         spec = random_system(rng, n_stages=2)
         with pytest.raises(ModelFormatError):
             replace(spec, **{field: float("inf")})
+
+    @pytest.mark.parametrize("prior", [2.0, -0.5, math.nan])
+    def test_prior_out_of_range_rejected(self, rng, prior):
+        spec = random_system(rng, n_stages=2)
+        with refused(ModelFormatError, "prior must lie in [0, 1]"):
+            replace(spec, prior=prior)
+
+    def test_solve_refuses_a_budget_spec(self):
+        spec, _ = fixtures.monitoring_system()
+        budget = replace(spec, energy_weight=None, energy_budget=50.0)
+        with refused(ModelFormatError, "solve needs energy_weight; use calibrate_lambda for budgets"):
+            solve(budget)
 
 
 def reachable_system(rng, energy_weight) -> SystemSpec:
@@ -645,6 +657,11 @@ class TestCalibration:
             with pytest.raises(InfeasibleBudgetError):
                 calibrate_lambda(s)
 
+    def test_weight_spec_refused(self):
+        spec, _ = fixtures.monitoring_system()
+        with refused(ModelFormatError, "calibrate_lambda needs a spec with energy_budget"):
+            calibrate_lambda(spec)
+
 
 class TestOptimalityCheck:
     def test_tight_bounds_support_censoring(self):
@@ -708,6 +725,24 @@ class TestBuildSystem:
                 prior=0.1,
                 energy_weight=1e-3,
             )
+
+    def test_uncertain_last_stage_rejected(self, rng):
+        stages = [
+            (StageSpec(model=random_model(rng), on_cost=1.0), UncertaintyParams()),
+            (StageSpec(model=random_model(rng), on_cost=5.0), UncertaintyParams(eps0=0.1)),
+        ]
+        with refused(ModelFormatError, "the last stage is exact; its uncertainty must be zero"):
+            robustify_stages(stages, 0.1)
+
+    @pytest.mark.parametrize("prior", [2.0, -0.5, math.nan])
+    def test_prior_out_of_range_rejected_before_any_interval(self, rng, prior):
+        # the prior rule, not the belief interval it would seed
+        stages = [
+            (StageSpec(model=random_model(rng), on_cost=1.0), UncertaintyParams(eps0=0.1)),
+            (StageSpec(model=random_model(rng), on_cost=5.0), UncertaintyParams()),
+        ]
+        with refused(ModelFormatError, "prior must lie in [0, 1]"):
+            robustify_stages(stages, prior)
 
     def test_loaded_policy_reusable_without_tables(self, rng):
         # A policy deserialized from disk carries no value tables; evaluate

@@ -199,6 +199,11 @@ class TestSimulate:
     def test_graph_refuses_adaptive(self, graph_file):
         assert main(["simulate", graph_file, "--mode", "adaptive"]) == 2
 
+    def test_graph_refuses_a_negative_burn_in(self, graph_file, capsys):
+        # the graph stream is built by the same StreamConfig as a cascade's
+        assert main(["simulate", graph_file, "--burn-in", "-1", "--n-frames", "100"]) == 2
+        assert capsys.readouterr().err == "guidedproc: burn_in must be a nonnegative integer\n"
+
     def test_graph_refuses_a_policy_file(self, graph_file, model_file, tmp_path, capsys):
         # graph policies have no file format: the flag is an error, not
         # silently replaced by a fresh solve
@@ -728,6 +733,28 @@ class TestExitCodes:
         assert main([command, str(path), *flags]) == 2
         err = capsys.readouterr().err
         assert "graph model files need energy_weight" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("prior", ["2", "-0.5", "nan"])
+    @pytest.mark.parametrize(
+        "kind, command",
+        [("cascade", "optimize"), ("cascade", "check-optimality"), ("cascade", "simulate"),
+         ("graph", "optimize"), ("graph", "simulate")],
+    )
+    def test_out_of_range_prior_flag_exits_2(self, model_file, graph_file, capsys, kind, command, prior):
+        # cascades and graphs refuse the prior with one message
+        model = {"cascade": model_file, "graph": graph_file}[kind]
+        flags = ["--n-frames", "100"] if command == "simulate" else []
+        assert main([command, model, "--prior", prior, *flags]) == 2
+        assert capsys.readouterr().err == "guidedproc: prior must lie in [0, 1]\n"
+
+    def test_cascade_without_an_energy_knob_exits_2(self, tmp_path, capsys):
+        raw = cascade_raw()
+        raw.pop("energy_weight")
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["optimize", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "guidedproc: model: needs energy_weight or energy_budget\n"
 
     def test_unknown_command(self):
         with pytest.raises(SystemExit):

@@ -24,7 +24,7 @@ from guidedproc.fixtures import (
     detector_suite,
     monitoring_system,
 )
-from conftest import duplicate_columns, random_model
+from conftest import duplicate_columns, random_model, refused
 from test_adaptive import zero_some_masses
 
 # ---------------------------------------------------------------------------
@@ -137,6 +137,11 @@ class TestDutyCycleRisk:
         with pytest.raises(ModelFormatError):
             replace(fixture_dc(0.5), **{field: float("inf")})
 
+    @pytest.mark.parametrize("prior", [2.0, -0.5, float("nan")])
+    def test_prior_out_of_range_rejected(self, prior):
+        with refused(ModelFormatError, "prior must lie in [0, 1]"):
+            replace(fixture_dc(0.5), prior=prior)
+
 
 class TestEnergyEquivalence:
     def test_interior_inversion_is_exact(self):
@@ -153,6 +158,11 @@ class TestEnergyEquivalence:
     def test_endpoints_not_clamped(self):
         rho, clamped = energy_equivalent_rho(DUTY_ON_MJ, DUTY_ON_MJ, DUTY_OFF_MJ)
         assert rho == 1.0 and not clamped
+
+    @pytest.mark.parametrize("off", [DUTY_ON_MJ, 2.0 * DUTY_ON_MJ])
+    def test_flat_or_falling_energy_line_rejected(self, off):
+        with refused(ModelFormatError, "need off_cost < on_cost to invert the energy line"):
+            energy_equivalent_rho(100.0, DUTY_ON_MJ, off)
 
 
 class TestDominance:

@@ -24,7 +24,7 @@ from guidedproc import (
 )
 from guidedproc import graph as graph_mod, models
 from guidedproc.fixtures import diamond_graph, monitoring_system
-from conftest import random_model, random_system
+from conftest import random_model, random_system, refused
 from test_models import pmf_pairs
 
 # ---------------------------------------------------------------------------
@@ -197,6 +197,15 @@ class TestTopology:
         with pytest.raises(ModelFormatError):
             DetectionGraph(nodes=nodes, edges={1: (2, 2)}, root=1)
 
+    def test_empty_graph_rejected(self):
+        with refused(ModelFormatError, "graph needs at least one node"):
+            DetectionGraph(nodes={}, edges={}, root=1)
+
+    def test_node_id_zero_rejected(self, rng):
+        nodes = {i: StageSpec(model=random_model(rng, 4), on_cost=1.0) for i in (0, 1)}
+        with refused(ModelFormatError, "node ids must be positive integers"):
+            DetectionGraph(nodes=nodes, edges={1: (0,)}, root=1)
+
     def test_shared_sink_idle_cost_counted_once(self):
         g = diamond_graph()
         dstop = downstream_off_costs(g)
@@ -217,6 +226,11 @@ class TestTopology:
     def test_error_costs_must_be_finite(self, costs):
         with pytest.raises(ModelFormatError):
             solve_graph(diamond_graph(), *costs, energy_weight=0.002, prior=0.1)
+
+    @pytest.mark.parametrize("prior", [2.0, -0.5, float("nan")])
+    def test_prior_out_of_range_rejected(self, prior):
+        with refused(ModelFormatError, "prior must lie in [0, 1]"):
+            solve_graph(diamond_graph(), 3.0, 1.0, energy_weight=0.002, prior=prior)
 
     def test_terminal_ids(self):
         g = diamond_graph()

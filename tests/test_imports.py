@@ -4,8 +4,10 @@ functions and classes it defines; every CLI option is read; every
 parameter default of a package function is overridden by some caller;
 every ``*args`` or ``**kwargs`` parameter is filled by one; every public
 function, method and property is named by the program that ships; no
-module reads the process environment; and only the declared functions keep
-state between calls, each through a ``functools`` cache decorator.
+module reads the process environment; only the declared functions keep
+state between calls, each through a ``functools`` cache decorator; and no
+two ``raise`` sites spell the same message, so each input rule is checked
+in one place.
 
 No linter ships with the project, so these stdlib AST scans are the guard.
 The package ``__init__`` is skipped by the import scan: its imports are
@@ -154,6 +156,48 @@ def test_environment_scan_flags_each_reader(tmp_path):
         "a = os.environ.get('X')\nb = os.getenv('Y')\nc = os.path.join('z')\n"
     )
     assert environment_reads(module) == ["2: getenv", "3: environ", "4: getenv"]
+
+
+def repeated_messages(modules) -> dict[str, list[str]]:
+    """Each message that two or more ``raise`` sites of the `modules` files
+    pass, as the unparsed first argument of the raised call, with the
+    ``module:line`` of every site."""
+    sites = {}
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args:
+                message = ast.unparse(node.exc.args[0])
+                sites.setdefault(message, []).append((path.stem, node.lineno))
+    return {
+        message: [f"{stem}:{line}" for stem, line in sorted(where)]
+        for message, where in sites.items()
+        if len(where) > 1
+    }
+
+
+def test_no_two_raise_sites_share_a_message():
+    assert repeated_messages(sorted(PACKAGE.glob("*.py"))) == {}
+
+
+def test_message_scan_flags_a_repeated_message(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "def f(x, where):\n"
+        "    if x < 0:\n        raise ValueError('x must be >= 0')\n"
+        "    if x > 9:\n        raise KeyError(f'{where}: x too big')\n"
+        "    if x == 5:\n        raise TypeError('x must be >= 0')\n"
+        "    raise ValueError(f'{where}: x too big', x)\n"
+        "def g(exc):\n"
+        "    raise ValueError('x must be > 0')\n"
+        "    raise exc\n"
+        "    raise ValueError\n"
+        "    raise ValueError()\n"
+        "    raise ValueError\n"
+    )
+    assert repeated_messages([module]) == {
+        "'x must be >= 0'": ["m:3", "m:7"],
+        "f'{where}: x too big'": ["m:5", "m:8"],
+    }
 
 
 CACHE_DECORATORS = {"cache", "lru_cache"}

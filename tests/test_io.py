@@ -16,6 +16,7 @@ from guidedproc.errors import ModelFormatError
 from guidedproc.models import BeliefGrid
 from guidedproc.robust import RobustBand
 from guidedproc.sim import SimReport
+from conftest import refused
 
 
 def pmf(*masses):
@@ -194,6 +195,11 @@ class TestValidation:
         mangle(raw)
         with pytest.raises(ModelFormatError):
             io.parse_model_document(raw)
+
+    def test_graph_document_is_not_built_as_a_cascade(self):
+        doc = io.parse_model_document(graph_raw())
+        with refused(ModelFormatError, "graph documents are solved with solve_graph"):
+            io.build_from_document(doc)
 
     @pytest.mark.parametrize("key", ["01", "1_0", " 4 ", "+1", "-01", "0", "-1"])
     def test_node_keys_must_be_written_canonically(self, key):

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from guidedproc import (
     BeliefGrid,
+    BeliefTable,
     DetectionGraph,
     DutyCycleSpec,
     FeatureModel,
@@ -21,7 +22,7 @@ from guidedproc import (
 from guidedproc.graph import route
 from guidedproc.models import MAX_GRID_SIZE, _bayes
 from guidedproc.fixtures import diamond_graph
-from conftest import duplicate_columns, random_model, random_system
+from conftest import duplicate_columns, random_model, random_system, refused
 
 
 def pmf_pairs(min_size=2, max_size=12):
@@ -53,6 +54,10 @@ class TestFeatureModel:
     def test_rejects_negative_mass(self):
         with pytest.raises(ValueError):
             FeatureModel(p0=np.array([1.2, -0.2]), p1=np.array([0.5, 0.5]))
+
+    def test_rejects_a_two_dimensional_pmf(self):
+        with refused(ModelFormatError, "p0 must be a 1-D vector with at least 2 symbols"):
+            FeatureModel(p0=np.full((2, 2), 0.25), p1=np.array([0.5, 0.5]))
 
     def test_ratio_conventions(self):
         m = FeatureModel(p0=np.array([0.5, 0.5, 0.0, 0.0]),
@@ -184,6 +189,10 @@ class TestGridAndTables:
         for size in (1, MAX_GRID_SIZE + 1, 10**12):
             with pytest.raises(ModelFormatError, match=str(MAX_GRID_SIZE)):
                 BeliefGrid(size=size)
+
+    def test_table_shape_must_match_the_grid(self):
+        with refused(ModelFormatError, "table values must match the grid size"):
+            BeliefTable(BeliefGrid(size=11), np.zeros(10))
 
     @staticmethod
     def action_runs(rng, size, n_labels):

@@ -8,13 +8,15 @@ from guidedproc import (
     BeliefInterval,
     FeatureModel,
     InfeasibleBandError,
+    ModelFormatError,
+    RobustBand,
     UncertaintyParams,
     least_favorable,
     model_posterior_bounds,
     solve_band,
 )
 from guidedproc.robust import BAND_RESIDUAL_TOL
-from conftest import duplicate_columns, random_model
+from conftest import duplicate_columns, random_model, refused
 
 # ---------------------------------------------------------------------------
 # Oracles: rebuild the least-favorable pair for a *given* band directly from
@@ -429,10 +431,12 @@ class TestLeastFavorable:
 
 class TestPosteriorBounds:
     def test_interval_ordering_rejected(self):
-        from guidedproc import ModelFormatError
-
         with pytest.raises(ModelFormatError):
             BeliefInterval(0.6, 0.4)
+
+    def test_band_ordering_rejected(self):
+        with refused(ModelFormatError, "invalid ratio band [2.0, 1.0]"):
+            RobustBand(2.0, 1.0)
 
     def test_bounds_equal_the_scalar_update(self):
         # oracle: the scalar Bayes update on the masses of each live

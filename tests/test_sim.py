@@ -41,7 +41,7 @@ from guidedproc.fixtures import (
     diamond_graph,
     monitoring_system,
 )
-from conftest import random_model, random_system, tail_off_costs
+from conftest import random_model, random_system, refused, tail_off_costs
 from test_adaptive import class_system, dict_enumeration
 
 # ---------------------------------------------------------------------------
@@ -1027,6 +1027,17 @@ class TestValidation:
         cfg = StreamConfig(system=g, n_frames=100, seed=1, mode="adaptive")
         with pytest.raises(ModelFormatError):
             simulate(cfg, gp)
+
+    def test_graph_needs_a_graph_policy(self, trigger):
+        _, policy = trigger
+        cfg = StreamConfig(system=diamond_graph(), n_frames=100, seed=1)
+        with refused(ModelFormatError, "graph simulation needs a GraphPolicy"):
+            simulate(cfg, policy)
+
+    def test_unsupported_system_rejected(self, rng):
+        cfg = StreamConfig(system=random_model(rng, 4), n_frames=100, seed=1)
+        with refused(ModelFormatError, "cannot simulate a FeatureModel"):
+            simulate(cfg)
 
     def test_duty_cycler_rejects_adaptive_mode(self, monkeypatch):
         # refused before any frame is drawn, as for a graph
